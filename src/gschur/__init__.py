@@ -29,7 +29,6 @@ from .engine import GschurContext, monomial_symmetric, shifted_family
 from .exactalg import (
     DivisionNotExactError,
     MultiPoly,
-    PolyMatrix,
     determinant,
     exact_divide,
     format_poly_text,
@@ -87,7 +86,6 @@ __all__ = [
     "MultiPoly",
     "Partition",
     "PoleError",
-    "PolyMatrix",
     "RationalFunctionOfD",
     "SuiteReport",
     "SuperAlphabet",

@@ -6,10 +6,11 @@ Subcommands: `compute` prints one polynomial by any of the four routes,
 any-d expansion with an optional determinant cross-check.
 
 Exit codes: 0 on success or a verified identity, 1 when an identity is
-violated (counterexamples are printed), 2 for usage or contract errors, and
-3 for mathematical failures (poles, inconsistent interpolation, inexact
-division).  Identical invocations, including the seed, produce byte-identical
-output.
+violated (counterexamples are printed), 2 for usage or contract errors
+(including unreadable sequence files and zero denominators in rational
+arguments), and 3 for mathematical failures (poles, inconsistent
+interpolation, inexact division).  Identical invocations, including the
+seed, produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -102,6 +103,13 @@ def _render_expansion(expansion, fmt: str) -> str:
     return "\n".join(lines) if lines else "empty expansion"
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _add_source_options(sub: argparse.ArgumentParser) -> None:
     group = sub.add_argument_group("coefficient sequence")
     group.add_argument("--preset", choices=PRESET_NAMES, help="built-in sequence")
@@ -129,12 +137,12 @@ def _sequence_from_args(args):
         return load_coeffseq(args.seq_file)
     params = {"probe_upto": args.probe_upto}
     if args.p is not None:
-        params["p"] = Fraction(args.p)
+        params["p"] = _rational(args.p)
     if args.q is not None:
-        params["q"] = Fraction(args.q)
+        params["q"] = _rational(args.q)
     if args.a_table is not None:
         params["a_table"] = [
-            Fraction(tok.strip()) for tok in args.a_table.split(",") if tok.strip()
+            _rational(tok.strip()) for tok in args.a_table.split(",") if tok.strip()
         ]
     return make(args.preset, **params)
 
@@ -203,7 +211,7 @@ def _cmd_super(args) -> int:
 def _cmd_stable(args) -> int:
     seq = _sequence_from_args(args)
     lam = parse_partition(args.lam)
-    d = Fraction(args.d)
+    d = _rational(args.d)
     expansion = gschur_function(lam, seq, d, args.degree_bound)
     print(_render_expansion(expansion, args.format))
     if args.jt_check:
@@ -321,7 +329,7 @@ def main(argv=None) -> int:
     except (PoleError, InterpolationInconsistentError, DivisionNotExactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

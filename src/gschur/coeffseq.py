@@ -254,20 +254,24 @@ def coeffseq_from_json(obj: Mapping) -> CoeffSeq:
     The format is ``{"a": [...], "b": [...], "negative": "zero"}`` with
     entries written as decimal-free rational strings; `negative` may instead
     be an object with "a" and "b" maps from negative indices to values.
+    An entry that is not an exact rational raises ValueError.
     """
     if "a" not in obj or "b" not in obj:
         raise ValueError("sequence object needs 'a' and 'b' arrays")
     negative = obj.get("negative", "zero")
     neg_a: dict[int, Fraction] = {}
     neg_b: dict[int, Fraction] = {}
-    if negative != "zero":
-        if not isinstance(negative, Mapping):
-            raise ValueError("'negative' must be \"zero\" or an object with a/b maps")
-        neg_a = {int(k): _to_fraction(v) for k, v in negative.get("a", {}).items()}
-        neg_b = {int(k): _to_fraction(v) for k, v in negative.get("b", {}).items()}
-    return CoeffSeq.from_tables(
-        obj["a"], obj["b"], negative_a=neg_a, negative_b=neg_b, name=obj.get("name")
-    )
+    if negative != "zero" and not isinstance(negative, Mapping):
+        raise ValueError("'negative' must be \"zero\" or an object with a/b maps")
+    try:
+        if negative != "zero":
+            neg_a = {int(k): _to_fraction(v) for k, v in negative.get("a", {}).items()}
+            neg_b = {int(k): _to_fraction(v) for k, v in negative.get("b", {}).items()}
+        return CoeffSeq.from_tables(
+            obj["a"], obj["b"], negative_a=neg_a, negative_b=neg_b, name=obj.get("name")
+        )
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad sequence entry: {exc}") from None
 
 
 def load_coeffseq(path) -> CoeffSeq:

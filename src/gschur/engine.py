@@ -10,6 +10,15 @@ determinant over shifted one-row families h_i^{(r)} and out of a Giambelli
 determinant over hooks; keeping all three live is the point of the package,
 since their agreement is the principal correctness check.
 
+The one-row polynomials behind the other two routes are not taken from the
+bialternant.  Row-reducing the one-row bialternant with the monic phi gives
+
+    S_(i)(x_1..x_n) = sum_m [z^m] phi_{i+n-1} * h_{m-n+1}(x_1..x_n),
+
+with h_d the classical complete homogeneous polynomial of degree d.  The h_d
+of different degrees have disjoint monomial supports, so `one_row` writes
+each coefficient straight onto its monomials, with no polynomial arithmetic.
+
 Contexts memoise phi values, one-row polynomials, shifted families and hooks.
 They are cheap to create and are meant to be used by a single thread; the
 polynomials they hand out are immutable and can be shared freely.
@@ -22,13 +31,7 @@ from itertools import permutations
 from typing import Callable
 
 from .coeffseq import CoeffSeq, UniPolySeq
-from .exactalg import (
-    MultiPoly,
-    PolyMatrix,
-    determinant,
-    exact_divide,
-    vandermonde,
-)
+from .exactalg import MultiPoly, determinant, exact_divide, vandermonde
 from .partitions import (
     Partition,
     check_partition,
@@ -85,6 +88,47 @@ def shifted_family(
 
 def _zero_like(base: Callable[[int], MultiPoly]) -> MultiPoly:
     return base(0) * 0
+
+
+def _exponents(k: int, degree: int):
+    """All exponent tuples of length k >= 1 and the given total degree."""
+    if k == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in _exponents(k - 1, degree - first):
+            yield (first,) + rest
+
+
+def one_row(phi_seq: UniPolySeq, i: int, n: int, k: int) -> MultiPoly:
+    """S_(i) of the n-variable ring with x_{k+1}..x_n set to zero.
+
+    The result is a polynomial in the first k variables (1 <= k <= n): each
+    coefficient [z^m] phi_{i+n-1} with m >= n - 1 is copied onto every
+    exponent tuple of length k and total degree m - n + 1.  Zero for i < 0.
+    """
+    if i < 0:
+        return MultiPoly.zero(k)
+    terms = {}
+    for (m,), c in phi_seq.phi(i + n - 1).items():
+        if m >= n - 1:
+            for e in _exponents(k, m - n + 1):
+                terms[e] = c
+    return MultiPoly(k, terms)
+
+
+def first_column_det(
+    entry: Callable[[int, int], MultiPoly], indices: list[int], arity: int
+) -> MultiPoly:
+    """Jacobi-Trudi shape det[ entry(i_j, c) ], rows j and columns c = 0..l-1.
+
+    `indices` are the first-column subscripts i_j (lam_j - j for a
+    partition lam); the empty determinant is 1.
+    """
+    size = len(indices)
+    if size == 0:
+        return MultiPoly.one(arity)
+    return determinant([[entry(i, c) for c in range(size)] for i in indices])
 
 
 def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
@@ -177,7 +221,7 @@ class GschurContext:
             [self.phi_at_var(padded[k] + self.n - 1 - k, i) for i in range(self.n)]
             for k in range(self.n)
         ]
-        num = determinant(PolyMatrix.from_rows(rows))
+        num = determinant(rows)
         value = exact_divide(num, self.vandermonde()) if self.n > 1 else num
         self._bialternant[lam] = value
         return value
@@ -185,13 +229,10 @@ class GschurContext:
     # -- route 2: Jacobi-Trudi --------------------------------------------
 
     def h(self, i: int) -> MultiPoly:
-        """One-row polynomial S_(i); identically zero for negative i."""
-        if i < 0:
-            return MultiPoly.zero(self.n)
+        """One-row polynomial S_(i) by `one_row`; zero for negative i."""
         got = self._h_memo.get(i)
         if got is None:
-            got = self.bialternant((i,) if i else ())
-            self._h_memo[i] = got
+            got = self._h_memo[i] = one_row(self.phi_seq, i, self.n, self.n)
         return got
 
     def h_shift(self, i: int, r: int) -> MultiPoly:
@@ -205,23 +246,13 @@ class GschurContext:
             self.h, self.seq.a, self.seq.b, self.n, i, r, self._shift_memo
         )
 
-    def _first_column_det(self, indices: list[int]) -> MultiPoly:
-        """det[ h^{(c)}_{i_j} ] for given first-column subscripts i_j."""
-        size = len(indices)
-        if size == 0:
-            return MultiPoly.one(self.n)
-        rows = [
-            [self.h_shift(i, c) for c in range(size)]
-            for i in indices
-        ]
-        return determinant(PolyMatrix.from_rows(rows))
-
     def jacobi_trudi(self, lam) -> MultiPoly:
         """The l x l determinant det[ h^{(k-1)}_{lam_j - j + 1} ]."""
         lam = check_partition(lam)
         if len(lam) > self.n:
             raise ValueError(f"partition {lam} needs more than {self.n} variables")
-        return self._first_column_det([lam[j] - j for j in range(len(lam))])
+        indices = [lam[j] - j for j in range(len(lam))]
+        return first_column_det(self.h_shift, indices, self.n)
 
     # -- route 3: hooks and Giambelli -------------------------------------
 
@@ -264,7 +295,7 @@ class GschurContext:
             return MultiPoly.constant(self.n, sign)
         cols = [c for c in range(j + 1) if c != i - 1]
         rows = [[self.h_shift(1 - t, c) for c in cols] for t in range(1, j + 1)]
-        return sign * determinant(PolyMatrix.from_rows(rows))
+        return sign * determinant(rows)
 
     def giambelli(self, lam) -> MultiPoly:
         """Determinant of hooks over the Frobenius coordinates of lam."""
@@ -276,7 +307,7 @@ class GschurContext:
         if r == 0:
             return MultiPoly.one(self.n)
         rows = [[self.hook(arms[i], legs[j]) for j in range(r)] for i in range(r)]
-        return determinant(PolyMatrix.from_rows(rows))
+        return determinant(rows)
 
     # -- expansions and identities ----------------------------------------
 

@@ -398,74 +398,23 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     return MultiPoly(numerator.arity, quot)
 
 
-# -- matrices and determinants ---------------------------------------------
+# -- determinants ----------------------------------------------------------
 
 
-class PolyMatrix:
-    """Rectangular matrix of polynomials drawn from one ring."""
+def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant of a square matrix given as a list of rows.
 
-    __slots__ = ("rows", "cols", "arity", "_entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[MultiPoly]):
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        arity = entries[0].arity
-        for p in entries:
-            if p.arity != arity:
-                raise ValueError("matrix entries must share one ring")
-        self.rows = rows
-        self.cols = cols
-        self.arity = arity
-        self._entries = tuple(entries)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[MultiPoly]]) -> "PolyMatrix":
-        r = len(rows)
-        if r == 0:
-            raise ValueError("matrix needs at least one row")
-        c = len(rows[0])
-        flat: list[MultiPoly] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    def __getitem__(self, key: tuple[int, int]) -> MultiPoly:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("matrix index out of range")
-        return self._entries[i * self.cols + j]
-
-    def row(self, i: int) -> list[MultiPoly]:
-        return [self[i, j] for j in range(self.cols)]
-
-    def row_list(self) -> list[list[MultiPoly]]:
-        return [self.row(i) for i in range(self.rows)]
-
-
-def determinant(matrix: PolyMatrix, method: str = "cofactor") -> MultiPoly:
-    """Determinant of a square PolyMatrix.
-
-    `method` selects cofactor expansion with memoised minors (the default,
-    intended for small matrices) or fraction-free Bareiss elimination, whose
-    interior divisions are exact by construction.  Both return identical
-    values; keeping both live lets tests cross-check one against the other.
+    Cofactor expansion along the top row with memoised minors, which suits
+    the small orders the engine uses.  The entries must share one ring.
     """
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = matrix.row_list()
-    if method == "cofactor":
-        return _det_cofactor(rows, matrix.arity)
-    if method == "bareiss":
-        return _det_bareiss(rows, matrix.arity)
-    raise ValueError(f"unknown determinant method: {method!r}")
-
-
-def _det_cofactor(rows: list[list[MultiPoly]], arity: int) -> MultiPoly:
     n = len(rows)
+    if n == 0:
+        raise ValueError("matrix needs at least one row")
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    arity = rows[0][0].arity
+    if any(p.arity != arity for row in rows for p in row):
+        raise ValueError("matrix entries must share one ring")
     memo: dict[int, MultiPoly] = {}
 
     def minor(mask: int) -> MultiPoly:
@@ -493,28 +442,6 @@ def _det_cofactor(rows: list[list[MultiPoly]], arity: int) -> MultiPoly:
         return acc
 
     return minor((1 << n) - 1)
-
-
-def _det_bareiss(rows: list[list[MultiPoly]], arity: int) -> MultiPoly:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = MultiPoly.one(arity)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero), None)
-            if pivot is None:
-                return MultiPoly.zero(arity)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
-            m[i][k] = MultiPoly.zero(arity)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def vandermonde(n: int) -> MultiPoly:

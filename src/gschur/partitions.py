@@ -15,9 +15,12 @@ def check_partition(parts: Iterable[int]) -> Partition:
     """Normalise an iterable of parts into a canonical partition tuple.
 
     Trailing zeros are stripped; anything not weakly decreasing or containing
-    a negative part is rejected.
+    a negative or non-integral part is rejected.
     """
-    p = tuple(int(v) for v in parts)
+    raw = tuple(parts)
+    p = tuple(int(v) for v in raw)
+    if p != raw:
+        raise ValueError(f"non-integral part in {raw}")
     while p and p[-1] == 0:
         p = p[:-1]
     for a, b in zip(p, p[1:]):

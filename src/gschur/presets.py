@@ -20,7 +20,7 @@ from typing import Callable
 
 from .coeffseq import CoeffSeq, PoleError
 from .engine import GschurContext, shifted_family
-from .exactalg import MultiPoly, PolyMatrix, determinant
+from .exactalg import MultiPoly, determinant
 from .partitions import check_partition
 
 CLASSICAL_PRESETS = ("so_odd", "so_even", "sp")
@@ -167,7 +167,7 @@ def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
         for j in range(2, l + 1):
             row.append(ctx.h(m + j - 1) + ctx.h(m + 1 - j))
         rows.append(row)
-    return determinant(PolyMatrix.from_rows(rows))
+    return determinant(rows)
 
 
 def boundary_insensitivity(lam, n: int) -> bool:

@@ -12,21 +12,25 @@ consistency check (`jt_infinite_check`) and the super-symmetric realisation
 (`super_schur`).
 
 The expensive step, expanding at a single integer count n, is done without
-ever building n-variable polynomials: setting all but the first l variables
-to zero turns each one-row polynomial into a confluent divided difference of
-a shifted recurrence polynomial, which lives in l variables only.  Nothing in
-the Schur expansion is lost because every partition in its support has at
-most l rows.
+ever building n-variable polynomials.  Setting all but the first l variables
+to zero keeps the one-row formula of the engine intact,
+
+    S_(i)(x_1..x_l, 0..0) = sum_m [z^m] phi_{i+n-1} * h_{m-n+1}(x_1..x_l),
+
+so `engine.one_row` builds each restricted one-row polynomial directly in
+l variables, and the Jacobi-Trudi determinant over their shifts is the
+restricted S_lam.  Nothing in the Schur expansion is lost because every
+partition in its support has at most l rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, UniPolySeq
-from .engine import GschurContext, shifted_family
-from .exactalg import MultiPoly, PolyMatrix, determinant, exact_divide
+from .engine import GschurContext, first_column_det, one_row, shifted_family
+from .exactalg import MultiPoly
 from .partitions import Partition, check_partition, pad
 
 _F = Fraction
@@ -212,58 +216,6 @@ def expand_in_classical_schur(poly: MultiPoly) -> dict[Partition, Fraction]:
     return out
 
 
-# -- restriction by confluent divided differences ---------------------------
-
-
-def _shift_univariate(f: MultiPoly, m: int) -> MultiPoly:
-    """Drop the m lowest coefficients of a univariate polynomial.
-
-    Sends sum_j c_j z^j to sum_{j >= m} c_j z^{j-m}, which is exactly the
-    divided difference of f at m copies of the node 0.
-    """
-    if m == 0:
-        return f
-    return MultiPoly(1, {(e - m,): c for (e,), c in f.items() if e >= m})
-
-
-def _divided_difference(f: MultiPoly, k: int) -> MultiPoly:
-    """Divided difference of a univariate polynomial at k symbolic nodes."""
-    if k < 1:
-        raise ValueError("need at least one node")
-    table = []
-    for j in range(k):
-        terms = {}
-        for (e,), c in f.items():
-            terms[tuple(e if i == j else 0 for i in range(k))] = c
-        table.append(MultiPoly(k, terms))
-    for t in range(1, k):
-        nxt = []
-        for j in range(k - t):
-            denom = MultiPoly.variable(k, j) - MultiPoly.variable(k, j + t)
-            nxt.append(exact_divide(table[j] - table[j + 1], denom))
-        table = nxt
-    return table[0]
-
-
-def _restricted_h_base(seq: CoeffSeq, n: int, k: int) -> Callable[[int], MultiPoly]:
-    """One-row polynomials of the n-variable ring with the last n-k variables
-    set to zero, built directly in k variables."""
-    phi_seq = UniPolySeq(seq)
-    memo: dict[int, MultiPoly] = {}
-
-    def base(i: int) -> MultiPoly:
-        if i < 0:
-            return MultiPoly.zero(k)
-        got = memo.get(i)
-        if got is None:
-            shifted = _shift_univariate(phi_seq.phi(i + n - 1), n - k)
-            got = _divided_difference(shifted, k)
-            memo[i] = got
-        return got
-
-    return base
-
-
 def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
     """Coefficients of S_lam(x | a, b) in n variables on classical Schurs.
 
@@ -276,17 +228,18 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
         raise ValueError(f"need at least {l} variables for {lam}")
     if l == 0:
         return {(): _F(1)}
-    base = _restricted_h_base(seq, n, l)
+    phi_seq = UniPolySeq(seq)
+
+    def base(i: int) -> MultiPoly:
+        return one_row(phi_seq, i, n, l)
+
     memo: dict = {}
-    rows = [
-        [
-            shifted_family(base, seq.a, seq.b, n, lam[j] - j, c, memo)
-            for c in range(l)
-        ]
-        for j in range(l)
-    ]
-    restricted = determinant(PolyMatrix.from_rows(rows))
-    return expand_in_classical_schur(restricted)
+
+    def entry(i: int, c: int) -> MultiPoly:
+        return shifted_family(base, seq.a, seq.b, n, i, c, memo)
+
+    indices = [lam[j] - j for j in range(l)]
+    return expand_in_classical_schur(first_column_det(entry, indices, l))
 
 
 # -- exact rational interpolation in the variable count ---------------------
@@ -365,6 +318,11 @@ def _fit_and_validate(
     return fit
 
 
+def _check_degree_bound(degree_bound: int) -> None:
+    if degree_bound < 1:
+        raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
+
+
 def interpolate_c(
     lam, mu, seq: CoeffSeq, sample_ns: Sequence[int], degree_bound: int = 4
 ) -> RationalFunctionOfD:
@@ -373,6 +331,7 @@ def interpolate_c(
     `sample_ns` must be distinct integers, each at least l(lam), and long
     enough for the degree bound plus at least two surplus validation points.
     """
+    _check_degree_bound(degree_bound)
     lam = check_partition(lam)
     mu = check_partition(mu)
     ns = [int(n) for n in sample_ns]
@@ -421,8 +380,10 @@ def interpolate_c_family(
 
     Starts at the given degree bound and doubles it (re-sampling at more
     integer counts) whenever the samples cannot be explained, up to a hard
-    cap that turns runaway growth into an error.
+    cap that turns runaway growth into an error.  The bound must be at
+    least 1.
     """
+    _check_degree_bound(degree_bound)
     lam = check_partition(lam)
     bound = degree_bound
     while True:
@@ -447,7 +408,10 @@ def gschur_function(
     admissible integer, so the answers coincide whenever interpolation would
     succeed, and the direct route stays meaningful for table sequences whose
     coefficients have no rational interpolant at all.
+
+    A degree bound below 1 raises ValueError, on the integer path too.
     """
+    _check_degree_bound(degree_bound)
     lam = check_partition(lam)
     d = Fraction(d_value)
     if not lam:
@@ -509,15 +473,12 @@ def jt_infinite_check(
         return realized[i]
 
     memo: dict = {}
-    rows = [
-        [
-            shifted_family(base, seq.a_at, seq.b_at, d, lam[j] - j, c, memo)
-            for c in range(l)
-        ]
-        for j in range(l)
-    ]
-    lhs = determinant(PolyMatrix.from_rows(rows))
-    return lhs == rhs
+
+    def entry(i: int, c: int) -> MultiPoly:
+        return shifted_family(base, seq.a_at, seq.b_at, d, i, c, memo)
+
+    indices = [lam[j] - j for j in range(l)]
+    return first_column_det(entry, indices, n_eval) == rhs
 
 
 # -- super-symmetric realisation -------------------------------------------
@@ -553,14 +514,6 @@ def super_complete_homogeneous(n: int, m: int, upto: int) -> list[MultiPoly]:
     return hs
 
 
-def _jt_from_rows(h_of: Callable[[int], MultiPoly], mu: Partition, arity: int) -> MultiPoly:
-    l = len(mu)
-    if l == 0:
-        return MultiPoly.one(arity)
-    rows = [[h_of(mu[i] - i + j) for j in range(l)] for i in range(l)]
-    return determinant(PolyMatrix.from_rows(rows))
-
-
 def super_schur(
     lam, seq: CoeffSeq, alphabet: SuperAlphabet, degree_bound: int = 4
 ) -> MultiPoly:
@@ -583,12 +536,11 @@ def super_schur(
             depth = max(depth, mu[0] + len(mu) - 1)
     hs = super_complete_homogeneous(n, m, depth)
 
-    def h_of(k: int) -> MultiPoly:
-        if k < 0:
-            return MultiPoly.zero(arity)
-        return hs[k]
+    def h_entry(i: int, c: int) -> MultiPoly:
+        return hs[i + c] if i + c >= 0 else MultiPoly.zero(arity)
 
     out = MultiPoly.zero(arity)
     for mu, c in sorted(coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        out = out + c * _jt_from_rows(h_of, mu, arity)
+        indices = [mu[j] - j for j in range(len(mu))]
+        out = out + c * first_column_det(h_entry, indices, arity)
     return out

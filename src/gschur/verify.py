@@ -430,7 +430,16 @@ _SUITES = {
 def run_property(
     name: str, *, trials: int, seed: int, max_weight: int, max_vars: int
 ) -> SuiteReport:
-    """Run one named suite with the given sweep configuration."""
+    """Run one named suite with the given sweep configuration.
+
+    Raises ValueError for a configuration that is out of range or that
+    leaves the suite with nothing to check.
+    """
     if name not in _SUITES:
         raise ValueError(f"unknown property {name!r}; pick from {PROPERTY_NAMES}")
-    return _SUITES[name](trials, seed, max_weight, max_vars)
+    if trials < 1 or max_vars < 1 or max_weight < 0:
+        raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
+    report = _SUITES[name](trials, seed, max_weight, max_vars)
+    if report.checks == 0:
+        raise ValueError(f"property {name}: this configuration performs no checks")
+    return report

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line front end."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gschur
 from gschur import cli
 from gschur.coeffseq import coeffseq_to_json, random_coeffseq
 from gschur.engine import GschurContext
@@ -289,3 +294,56 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+def run_subprocess(*argv):
+    """Run the CLI in a fresh interpreter, as a user would; a hang times out."""
+    env = dict(os.environ)
+    src = str(Path(gschur.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "gschur.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+FLOAT_SEQ = json.dumps({"a": [0.5, 1], "b": ["0", "1"]})
+
+EXIT_CODE_CASES = [
+    # (case id, argv, body of the file at {seq} or None for no file, exit code)
+    ("float-coefficient", ["compute", "--seq-file", "{seq}", "--n", "1",
+                           "--lambda", "1"], FLOAT_SEQ, 2),
+    ("missing-seq-file", ["compute", "--seq-file", "{seq}", "--n", "1",
+                          "--lambda", "1"], None, 2),
+    ("zero-denominator-d", ["stable", "--preset", "schur", "--d", "1/0",
+                            "--lambda", "1"], None, 2),
+    ("zero-denominator-p", ["compute", "--preset", "bc_jacobi", "--p", "1/0",
+                            "--q", "1", "--n", "1", "--lambda", "1"], None, 2),
+    ("degree-bound-zero", ["stable", "--preset", "factorial", "--a-table",
+                           "0,1,2,3,4,5,6,7,8", "--d", "1/2", "--lambda", "1",
+                           "--degree-bound", "0"], None, 2),
+    ("pole", ["compute", "--preset", "bc_jacobi", "--p", "1", "--q", "1",
+              "--n", "2", "--lambda", "1"], None, 3),
+    ("negative-trials", ["verify", "--property", "jt", "--trials", "-1"], None, 2),
+    ("zero-max-vars", ["verify", "--property", "jt", "--max-vars", "0"], None, 2),
+    ("no-checks", ["verify", "--property", "lemma", "--max-vars", "1"], None, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, seq_body, expected",
+    [case[1:] for case in EXIT_CODE_CASES],
+    ids=[case[0] for case in EXIT_CODE_CASES],
+)
+def test_exit_code_contract(tmp_path, argv, seq_body, expected):
+    seq_path = tmp_path / "seq.json"
+    if seq_body is not None:
+        seq_path.write_text(seq_body)
+    proc = run_subprocess(*(arg.format(seq=seq_path) for arg in argv))
+    assert proc.returncode == expected
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1

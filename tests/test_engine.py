@@ -7,8 +7,14 @@ from itertools import permutations
 import pytest
 
 from gschur.coeffseq import CoeffSeq, random_coeffseq
-from gschur.engine import GschurContext, monomial_symmetric, permutation_sign
-from gschur.exactalg import MultiPoly, PolyMatrix, determinant
+from gschur.engine import (
+    GschurContext,
+    first_column_det,
+    monomial_symmetric,
+    one_row,
+    permutation_sign,
+)
+from gschur.exactalg import MultiPoly
 from gschur.partitions import partitions_up_to
 from gschur.presets import schur, so_odd, sp
 
@@ -67,11 +73,45 @@ def test_bialternant_is_symmetric():
 
 
 def test_h_is_one_row_bialternant():
-    ctx = GschurContext(2, seeded_seq(3))
-    assert ctx.h(0) == MultiPoly.one(2)
-    assert ctx.h(-4).is_zero
-    for i in range(1, 5):
-        assert ctx.h(i) == ctx.bialternant((i,))
+    for seed in (3, 16):
+        seq = seeded_seq(seed)
+        for n in range(1, 5):
+            ctx = GschurContext(n, seq)
+            assert ctx.h(0) == MultiPoly.one(n)
+            assert ctx.h(-4).is_zero
+            for i in range(0, 9):
+                full = ctx.bialternant((i,) if i else ())
+                assert ctx.h(i) == full
+                # the last n - k variables set to zero, the rest kept
+                for k in range(1, n):
+                    bound = full
+                    for v in range(k, n):
+                        bound = bound.bind(v, 0)
+                    dropped = MultiPoly(k, {e[:k]: c for e, c in bound.items()})
+                    assert one_row(ctx.phi_seq, i, n, k) == dropped
+
+
+def test_routes_do_not_call_the_bialternant(monkeypatch):
+    seq = seeded_seq(17)
+    n = 3
+    lams = [lam for lam in partitions_up_to(4, n) if lam]
+    reference = GschurContext(n, seq)
+    expected = {lam: reference.bialternant(lam) for lam in lams}
+    one_rows = {i: reference.bialternant((i,) if i else ()) for i in range(6)}
+
+    def forbidden(self, lam):
+        raise AssertionError("the bialternant route was called")
+
+    monkeypatch.setattr(GschurContext, "bialternant", forbidden)
+    ctx = GschurContext(n, seq)
+    for i, value in one_rows.items():
+        assert ctx.h_shift(i, 0) == value
+    for lam in lams:
+        assert ctx.jacobi_trudi(lam) == expected[lam]
+        assert ctx.giambelli(lam) == expected[lam]
+    for i in range(0, 3):
+        for r in range(1, i + 2 * n - 1):
+            assert ctx.lemma_residual(i, r).is_zero
 
 
 def test_h_shift_zero_is_h():
@@ -146,10 +186,7 @@ def test_hook_negative_arm_matches_its_determinant():
         for u in range(-4, 0):
             for v in range(0, 3):
                 indices = [u + 1] + [1 - j for j in range(1, v + 1)]
-                rows = [
-                    [ctx.h_shift(i, c) for c in range(v + 1)] for i in indices
-                ]
-                det = determinant(PolyMatrix.from_rows(rows))
+                det = first_column_det(ctx.h_shift, indices, 2)
                 assert det == ctx.hook(u, v)
 
 

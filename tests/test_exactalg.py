@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from gschur.exactalg import (
     DivisionNotExactError,
     MultiPoly,
-    PolyMatrix,
     determinant,
     exact_divide,
     format_poly_text,
@@ -172,25 +171,23 @@ def test_exact_divide_rejects_inexact():
 
 
 def test_determinant_2x2_pinned():
-    m = PolyMatrix.from_rows([[x(0), x(1)], [MultiPoly.one(2), x(0)]])
+    m = [[x(0), x(1)], [MultiPoly.one(2), x(0)]]
     assert determinant(m) == x(0) ** 2 - x(1)
 
 
 def test_determinant_row_swap_changes_sign():
     rows = [[x(0), x(1)], [x(1) ** 2, MultiPoly.one(2)]]
     swapped = [rows[1], rows[0]]
-    assert determinant(PolyMatrix.from_rows(rows)) == -determinant(
-        PolyMatrix.from_rows(swapped)
-    )
+    assert determinant(rows) == -determinant(swapped)
 
 
 def test_determinant_with_zero_row_is_zero():
     z = MultiPoly.zero(2)
     rows = [[x(0), x(1)], [z, z]]
-    assert determinant(PolyMatrix.from_rows(rows)).is_zero
+    assert determinant(rows).is_zero
 
 
-def test_determinant_methods_agree_with_leibniz():
+def test_determinant_agrees_with_leibniz():
     rng = random.Random(11)
 
     def rand_poly():
@@ -203,19 +200,14 @@ def test_determinant_methods_agree_with_leibniz():
     for size in (1, 2, 3, 4):
         for _ in range(4):
             rows = [[rand_poly() for _ in range(size)] for _ in range(size)]
-            expected = leibniz_det(rows)
-            m = PolyMatrix.from_rows(rows)
-            assert determinant(m, method="cofactor") == expected
-            assert determinant(m, method="bareiss") == expected
+            assert determinant(rows) == leibniz_det(rows)
 
 
-def test_determinant_rejects_nonsquare_and_unknown_method():
-    m = PolyMatrix.from_rows([[x(0), x(1)]])
+def test_determinant_rejects_nonsquare():
     with pytest.raises(ValueError):
-        determinant(m)
-    sq = PolyMatrix.from_rows([[x(0)]])
+        determinant([[x(0), x(1)]])
     with pytest.raises(ValueError):
-        determinant(sq, method="laplace")
+        determinant([[x(0)], [x(1)]])
 
 
 def test_vandermonde_matches_leibniz_power_matrix():
@@ -227,13 +219,13 @@ def test_vandermonde_matches_leibniz_power_matrix():
     assert vandermonde(n) == leibniz_det(rows)
 
 
-def test_polymatrix_shape_checks():
+def test_determinant_shape_checks():
     with pytest.raises(ValueError):
-        PolyMatrix.from_rows([])
+        determinant([])
     with pytest.raises(ValueError):
-        PolyMatrix.from_rows([[x(0)], [x(0), x(1)]])
+        determinant([[x(0)], [x(0), x(1)]])
     with pytest.raises(ValueError):
-        PolyMatrix.from_rows([[x(0), MultiPoly.one(3)]])
+        determinant([[x(0), x(1)], [x(0), MultiPoly.one(3)]])
 
 
 @given(small_polys())

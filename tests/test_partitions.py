@@ -1,5 +1,7 @@
 """Partition combinatorics tests."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,7 @@ def test_check_partition_strips_trailing_zeros():
     assert check_partition([3, 1, 0, 0]) == (3, 1)
     assert check_partition([]) == ()
     assert check_partition((5,)) == (5,)
+    assert check_partition((Fraction(2), 1.0)) == (2, 1)
 
 
 def test_check_partition_rejects_bad_input():
@@ -48,6 +51,10 @@ def test_check_partition_rejects_bad_input():
         check_partition([2, -1])
     with pytest.raises(ValueError):
         check_partition([2, 0, 1])
+    with pytest.raises(ValueError):
+        check_partition((2.7, 1))
+    with pytest.raises(ValueError):
+        check_partition((Fraction(5, 2),))
 
 
 def test_pad():

@@ -168,6 +168,20 @@ def test_interpolate_c_family_doubles_the_bound():
     assert family[()](4) == -14  # -(0 + 1 + 4 + 9)
 
 
+def test_degree_bound_below_one_is_rejected():
+    seq = factorial(lambda x: x)
+    with pytest.raises(ValueError):
+        interpolate_c_family((1,), seq, degree_bound=0)
+    with pytest.raises(ValueError):
+        gschur_function((1,), seq, F(1, 2), degree_bound=0)
+    with pytest.raises(ValueError):
+        gschur_function((1,), seq, 3, degree_bound=-1)
+    with pytest.raises(ValueError):
+        super_schur((1,), seq, SuperAlphabet(1, 1), degree_bound=0)
+    with pytest.raises(ValueError):
+        jt_infinite_check((1,), seq, F(1, 2), 2, degree_bound=0)
+
+
 def test_gschur_function_integer_arguments():
     seq = seeded_table(4)
     direct = {m: c for m, c in schur_expand_at((2, 1), seq, 3).items() if c}
