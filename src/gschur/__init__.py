@@ -67,7 +67,6 @@ from .stable import (
     classical_schur,
     expand_in_classical_schur,
     gschur_function,
-    interpolate_c,
     interpolate_c_family,
     jt_infinite_check,
     realize_expansion,
@@ -109,7 +108,6 @@ __all__ = [
     "grlex_key",
     "gschur_function",
     "index_set_identity",
-    "interpolate_c",
     "interpolate_c_family",
     "jt_infinite_check",
     "load_coeffseq",

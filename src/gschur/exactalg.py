@@ -117,19 +117,6 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * self.arity, _ZERO)
 
-    @property
-    def total_degree(self) -> int:
-        """Maximum total degree of a term, or -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
-    def degree_in(self, index: int) -> int:
-        """Largest exponent of the given variable, or -1 for zero."""
-        if not self._terms:
-            return -1
-        return max(e[index] for e in self._terms)
-
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Greatest term in the graded lexicographic order."""
         if not self._terms:
@@ -329,14 +316,6 @@ class MultiPoly:
                     term *= v ** k
             total += term
         return total
-
-    def drop_first(self) -> "MultiPoly":
-        """Forget an unused first variable, reindexing the rest down by one."""
-        if self.arity == 0:
-            raise ValueError("cannot drop a variable from an arity-0 ring")
-        if self.degree_in(0) > 0:
-            raise DivisionNotExactError("first variable occurs; cannot drop it")
-        return MultiPoly(self.arity - 1, {e[1:]: c for e, c in self._terms.items()})
 
     def prepend_variable(self) -> "MultiPoly":
         """Reinterpret in a ring with one extra leading variable (x_i -> x_{i+1})."""

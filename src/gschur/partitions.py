@@ -137,13 +137,6 @@ def partitions_up_to(max_weight: int, max_length: int | None = None) -> Iterator
                 yield p
 
 
-def subdiagrams(lam: Partition) -> Iterator[Partition]:
-    """All partitions whose diagram is contained in lam, by weight then revlex."""
-    lam = check_partition(lam)
-    seen = [p for p in partitions_up_to(weight(lam)) if contains(lam, p)]
-    yield from seen
-
-
 def parse_partition(text: str) -> Partition:
     """Parse the command-line syntax: comma-separated parts, '' for empty."""
     text = text.strip()

@@ -5,9 +5,9 @@ For a fixed partition and coefficient sequence, the coefficients of the
 generalized polynomial on the classical Schur basis are rational functions of
 the variable count.  This module computes those coefficients exactly at
 integer counts (`schur_expand_at`), reconstructs the rational functions by
-exact interpolation with surplus validation points (`interpolate_c`), and
-evaluates the resulting "any-d" object at arbitrary rational parameter values
-(`gschur_function`).  On top of that sit the parameterised Jacobi-Trudi
+exact interpolation with surplus validation points (`interpolate_c_family`),
+and evaluates the resulting "any-d" object at arbitrary rational parameter
+values (`gschur_function`).  On top of that sit the parameterised Jacobi-Trudi
 consistency check (`jt_infinite_check`) and the super-symmetric realisation
 (`super_schur`).
 
@@ -321,32 +321,6 @@ def _fit_and_validate(
 def _check_degree_bound(degree_bound: int) -> None:
     if degree_bound < 1:
         raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
-
-
-def interpolate_c(
-    lam, mu, seq: CoeffSeq, sample_ns: Sequence[int], degree_bound: int = 4
-) -> RationalFunctionOfD:
-    """Reconstruct one Schur-basis coefficient as a rational function of d.
-
-    `sample_ns` must be distinct integers, each at least l(lam), and long
-    enough for the degree bound plus at least two surplus validation points.
-    """
-    _check_degree_bound(degree_bound)
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    ns = [int(n) for n in sample_ns]
-    if len(set(ns)) != len(ns):
-        raise ValueError("sample points must be distinct")
-    if any(n < len(lam) for n in ns):
-        raise ValueError(f"every sample must be at least {len(lam)}")
-    needed = 2 * degree_bound + 1
-    if len(ns) < needed + 2:
-        raise ValueError(
-            f"need {needed} fitting samples plus two validation points, got {len(ns)}"
-        )
-    xs = [_F(n) for n in ns]
-    ys = [schur_expand_at(lam, seq, n).get(mu, _F(0)) for n in ns]
-    return _fit_and_validate(xs, ys, degree_bound)
 
 
 def _sample_range(lam: Partition, degree_bound: int) -> list[int]:

@@ -1,11 +1,16 @@
-"""Seeded verification suites behind the command-line front end.
+"""Verification suites behind `gschur verify` and the acceptance gate.
 
-Each suite sweeps an identity over randomly drawn coefficient tables (or over
-the fixed classical presets) and reports every counterexample it finds, with
-enough context to replay the failure: the trial number, the table, the
-partition and variable count, and both mismatched values.  All randomness
-flows through one `random.Random(seed)` per run, so identical configurations
-produce identical reports.
+Each suite sweeps an identity over the coefficient tables it is given (or
+over the fixed classical presets) and reports every counterexample it finds,
+with enough context to replay the failure: the trial number (the table's
+position in the input list), the table, the partition or shift indices and
+variable count, and both mismatched values.
+
+The suites take their tables as an explicit list and draw nothing
+themselves, apart from `suite_stable`'s polynomial table.  `run_property`
+draws that list from one `random.Random(seed)`, one table per trial in trial
+order, so identical configurations produce identical reports; the
+acceptance gate passes its own seeded tables to the same suites.
 """
 
 from __future__ import annotations
@@ -18,11 +23,7 @@ from . import presets as presets_mod
 from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
 from .engine import GschurContext
 from .exactalg import MultiPoly, poly_to_json_terms
-from .partitions import (
-    check_partition,
-    dominated_partial_sums,
-    partitions_up_to,
-)
+from .partitions import dominated_partial_sums, partitions_up_to
 from .presets import boundary_insensitivity, fh_character_det
 from .stable import (
     SuperAlphabet,
@@ -67,79 +68,98 @@ def _seq_info(seq: CoeffSeq, upto: int = 24) -> dict:
     return seq.table_dump(upto)
 
 
-def _case_failure(name, trial, n, lam, seq, lhs, rhs) -> dict:
+def _failure(name, trial, n, case: dict, seq, **values) -> dict:
     return {
         "property": name,
         "trial": trial,
         "n": n,
-        "lambda": list(lam),
+        **case,
         "seq": _seq_info(seq),
-        "lhs": poly_to_json_terms(lhs),
-        "rhs": poly_to_json_terms(rhs),
+        **values,
     }
 
 
-def _two_route_suite(name, route, trials, seed, max_weight, max_vars) -> SuiteReport:
-    report = SuiteReport(name)
-    rng = random.Random(seed)
-    for trial in range(trials):
-        seq = random_coeffseq(rng)
+def _shift_cases(n: int, first_i: int, first_r: int, last_i: int = 5):
+    """The (i, r) pairs with first_i <= i <= last_i and first_r <= r < i + 2n - 1."""
+    for i in range(first_i, last_i + 1):
+        for r in range(first_r, i + 2 * n - 1):
+            yield i, r
+
+
+def _agrees_with_bialternant(route):
+    def check(ctx, lam):
+        lhs = route(ctx, lam)
+        rhs = ctx.bialternant(lam)
+        if lhs == rhs:
+            return None
+        return {"lhs": poly_to_json_terms(lhs), "rhs": poly_to_json_terms(rhs)}
+
+    return check
+
+
+def _unitriangular(ctx, lam):
+    expansion = ctx.monomial_expansion(lam)
+    bad = [mu for mu in expansion if not dominated_partial_sums(mu, lam, ctx.n)]
+    if expansion.get(lam) == 1 and not bad:
+        return None
+    return {"leading": str(expansion.get(lam)), "outside": [list(mu) for mu in bad]}
+
+
+# Each check returns None on success and the mismatched values otherwise.
+_ROUTE_CHECKS = {
+    "jt": _agrees_with_bialternant(lambda ctx, lam: ctx.jacobi_trudi(lam)),
+    "giambelli": _agrees_with_bialternant(lambda ctx, lam: ctx.giambelli(lam)),
+    "triangularity": _unitriangular,
+}
+
+
+def suite_routes(seqs, max_weight, max_vars, names) -> dict[str, SuiteReport]:
+    """One sweep over every table, n <= max_vars and |lambda| <= max_weight.
+
+    Checks the named properties of `_ROUTE_CHECKS` on each case, so they share
+    one context and its bialternant memo: "jt" (Jacobi-Trudi determinant vs
+    the defining bialternant), "giambelli" (hook determinant vs the
+    bialternant) and "triangularity" (the monomial expansion is
+    unitriangular for the partial-sum preorder).  Returns one report per
+    name.
+    """
+    reports = {name: SuiteReport(name) for name in names}
+    for trial, seq in enumerate(seqs):
         for n in range(1, max_vars + 1):
             ctx = GschurContext(n, seq)
             for lam in partitions_up_to(max_weight, n):
-                lhs = route(ctx, lam)
-                rhs = ctx.bialternant(lam)
-                report.checks += 1
-                if lhs != rhs:
-                    report.failures.append(
-                        _case_failure(name, trial, n, lam, seq, lhs, rhs)
-                    )
-    return report
+                for name, report in reports.items():
+                    report.checks += 1
+                    values = _ROUTE_CHECKS[name](ctx, lam)
+                    if values is not None:
+                        report.failures.append(
+                            _failure(
+                                name, trial, n, {"lambda": list(lam)}, seq, **values
+                            )
+                        )
+    return reports
 
 
-def suite_jt(trials, seed, max_weight, max_vars) -> SuiteReport:
-    """Jacobi-Trudi determinant vs the defining bialternant."""
-    return _two_route_suite(
-        "jt", lambda ctx, lam: ctx.jacobi_trudi(lam), trials, seed, max_weight, max_vars
-    )
-
-
-def suite_giambelli(trials, seed, max_weight, max_vars) -> SuiteReport:
-    """Giambelli hook determinant vs the defining bialternant."""
-    return _two_route_suite(
-        "giambelli",
-        lambda ctx, lam: ctx.giambelli(lam),
-        trials,
-        seed,
-        max_weight,
-        max_vars,
-    )
-
-
-def suite_lemma(trials, seed, max_weight, max_vars) -> SuiteReport:
+def suite_lemma(seqs, max_vars) -> SuiteReport:
     """Vanishing of the variable-splitting residual within its bound."""
     report = SuiteReport("lemma")
-    rng = random.Random(seed)
-    for trial in range(trials):
-        seq = random_coeffseq(rng)
+    for trial, seq in enumerate(seqs):
         for n in range(2, max_vars + 1):
             ctx = GschurContext(n, seq)
-            for i in range(3 - 2 * n, 6):
-                for r in range(1, i + 2 * n - 1):
-                    residual = ctx.lemma_residual(i, r)
-                    report.checks += 1
-                    if not residual.is_zero:
-                        report.failures.append(
-                            {
-                                "property": "lemma",
-                                "trial": trial,
-                                "n": n,
-                                "i": i,
-                                "r": r,
-                                "seq": _seq_info(seq),
-                                "residual": poly_to_json_terms(residual),
-                            }
+            for i, r in _shift_cases(n, 3 - 2 * n, 1):
+                residual = ctx.lemma_residual(i, r)
+                report.checks += 1
+                if not residual.is_zero:
+                    report.failures.append(
+                        _failure(
+                            "lemma",
+                            trial,
+                            n,
+                            {"i": i, "r": r},
+                            seq,
+                            residual=poly_to_json_terms(residual),
                         )
+                    )
     return report
 
 
@@ -147,62 +167,32 @@ CUSTOM_NEGATIVE_A = {-1: _F(1, 2), -2: _F(-3), -3: _F(2, 3), -4: _F(-5, 4)}
 CUSTOM_NEGATIVE_B = {-1: _F(-2), -2: _F(5, 2), -3: _F(1), -4: _F(7, 3)}
 
 
-def suite_extension(trials, seed, max_weight, max_vars) -> SuiteReport:
-    """Shifted families within the bound ignore the negative-index extension."""
+def suite_extension(pairs, max_vars) -> SuiteReport:
+    """Shifted families within the bound ignore the negative-index extension.
+
+    `pairs` holds (base, other) tables that differ only at negative indices,
+    such as `(seq, seq.with_negative(CUSTOM_NEGATIVE_A, CUSTOM_NEGATIVE_B))`.
+    """
     report = SuiteReport("extension")
-    rng = random.Random(seed)
-    for trial in range(trials):
-        seq = random_coeffseq(rng)
-        other = seq.with_negative(CUSTOM_NEGATIVE_A, CUSTOM_NEGATIVE_B)
+    for trial, (seq, other) in enumerate(pairs):
         for n in range(1, max_vars + 1):
             ctx_zero = GschurContext(n, seq)
             ctx_custom = GschurContext(n, other)
-            for i in range(2 - 2 * n, 6):
-                for r in range(0, i + 2 * n - 1):
-                    lhs = ctx_zero.h_shift(i, r)
-                    rhs = ctx_custom.h_shift(i, r)
-                    report.checks += 1
-                    if lhs != rhs:
-                        report.failures.append(
-                            {
-                                "property": "extension",
-                                "trial": trial,
-                                "n": n,
-                                "i": i,
-                                "r": r,
-                                "seq": _seq_info(seq),
-                                "lhs": poly_to_json_terms(lhs),
-                                "rhs": poly_to_json_terms(rhs),
-                            }
-                        )
-    return report
-
-
-def suite_triangularity(trials, seed, max_weight, max_vars) -> SuiteReport:
-    """Monomial expansions are unitriangular for the partial-sum preorder."""
-    report = SuiteReport("triangularity")
-    rng = random.Random(seed)
-    for trial in range(trials):
-        seq = random_coeffseq(rng)
-        for n in range(1, max_vars + 1):
-            ctx = GschurContext(n, seq)
-            for lam in partitions_up_to(max_weight, n):
-                expansion = ctx.monomial_expansion(lam)
+            for i, r in _shift_cases(n, 2 - 2 * n, 0):
+                lhs = ctx_zero.h_shift(i, r)
+                rhs = ctx_custom.h_shift(i, r)
                 report.checks += 1
-                bad = [
-                    mu for mu in expansion if not dominated_partial_sums(mu, lam, n)
-                ]
-                if expansion.get(lam) != 1 or bad:
+                if lhs != rhs:
                     report.failures.append(
-                        {
-                            "property": "triangularity",
-                            "trial": trial,
-                            "n": n,
-                            "lambda": list(lam),
-                            "seq": _seq_info(seq),
-                            "leading": str(expansion.get(lam)),
-                            "outside": [list(mu) for mu in bad],
-                        }
+                        _failure(
+                            "extension",
+                            trial,
+                            n,
+                            {"i": i, "r": r},
+                            seq,
+                            lhs=poly_to_json_terms(lhs),
+                            rhs=poly_to_json_terms(rhs),
+                        )
                     )
     return report
 
@@ -253,9 +243,9 @@ def laurent_identity_holds(seq: CoeffSeq, i: int) -> bool:
     return laurent_reduce(value) == expected_laurent_phi(seq.name, i)
 
 
-def suite_fh(trials, seed, max_weight, max_vars) -> SuiteReport:
+def suite_fh(max_weight, max_vars) -> SuiteReport:
     """Classical-preset identities: compact determinant, Laurent characters,
-    boundary insensitivity.  Deterministic; trials and seed are ignored."""
+    boundary insensitivity.  Deterministic: it takes no tables."""
     report = SuiteReport("fh")
     for build in (presets_mod.so_odd, presets_mod.so_even, presets_mod.sp):
         seq = build()
@@ -298,44 +288,44 @@ def suite_fh(trials, seed, max_weight, max_vars) -> SuiteReport:
     return report
 
 
-def suite_alternation(trials, seed, max_weight, max_vars) -> SuiteReport:
-    """Bracket identity tying shifted families to a single phi factor."""
+def suite_alternation(seqs, max_vars) -> SuiteReport:
+    """Bracket identity tying shifted families to a single phi factor.
+
+    Sweeps n = 1..min(max_vars, 3): larger variable counts are skipped
+    without notice, because the alternation sums over all n! permutations.
+    """
     report = SuiteReport("alternation")
-    rng = random.Random(seed)
-    cap_vars = min(max_vars, 3)
-    for trial in range(trials):
-        seq = random_coeffseq(rng)
-        for n in range(1, cap_vars + 1):
+    for trial, seq in enumerate(seqs):
+        for n in range(1, min(max_vars, 3) + 1):
             ctx = GschurContext(n, seq)
             delta = MultiPoly.monomial(n, tuple(range(n - 1, -1, -1)), 1)
-            for i in range(0, 5):
-                for r in range(0, i + 2 * n - 1):
-                    lhs = ctx.alternation(ctx.h_shift(i, r) * delta)
-                    rhs_mono = MultiPoly.monomial(
-                        n, (r,) + tuple(range(n - 2, -1, -1)), 1
-                    )
-                    rhs = ctx.alternation(ctx.phi_at_var(i + n - 1, 0) * rhs_mono)
-                    report.checks += 1
-                    if lhs != rhs:
-                        report.failures.append(
-                            {
-                                "property": "alternation",
-                                "trial": trial,
-                                "n": n,
-                                "i": i,
-                                "r": r,
-                                "seq": _seq_info(seq),
-                                "lhs": poly_to_json_terms(lhs),
-                                "rhs": poly_to_json_terms(rhs),
-                            }
+            for i, r in _shift_cases(n, 0, 0, last_i=4):
+                lhs = ctx.alternation(ctx.h_shift(i, r) * delta)
+                rhs_mono = MultiPoly.monomial(
+                    n, (r,) + tuple(range(n - 2, -1, -1)), 1
+                )
+                rhs = ctx.alternation(ctx.phi_at_var(i + n - 1, 0) * rhs_mono)
+                report.checks += 1
+                if lhs != rhs:
+                    report.failures.append(
+                        _failure(
+                            "alternation",
+                            trial,
+                            n,
+                            {"i": i, "r": r},
+                            seq,
+                            lhs=poly_to_json_terms(lhs),
+                            rhs=poly_to_json_terms(rhs),
                         )
+                    )
     return report
 
 
-def suite_stable(trials, seed, max_weight, max_vars) -> SuiteReport:
+def suite_stable(seqs, seed) -> SuiteReport:
     """Spot checks of the any-d layer: a known closed form, interpolation at
     held-out counts, realisation, the parameterised determinant, and super
-    cancellation."""
+    cancellation.  Realisation runs on each of `seqs`; the polynomial table
+    for the rest is drawn from `random.Random(seed + 1)`."""
     report = SuiteReport("stable")
 
     # Known closed form: factorial sequence with a(i) = i.
@@ -361,10 +351,8 @@ def suite_stable(trials, seed, max_weight, max_vars) -> SuiteReport:
             }
         )
 
-    # Realisation at an integer count on a seeded random table.
-    rng = random.Random(seed)
-    for trial in range(trials):
-        seq = random_coeffseq(rng)
+    # Realisation at an integer count.
+    for trial, seq in enumerate(seqs):
         lam = (2, 1)
         coeffs = gschur_function(lam, seq, 3)
         ctx = GschurContext(3, seq)
@@ -415,31 +403,35 @@ def suite_stable(trials, seed, max_weight, max_vars) -> SuiteReport:
     return report
 
 
-_SUITES = {
-    "jt": suite_jt,
-    "giambelli": suite_giambelli,
-    "lemma": suite_lemma,
-    "triangularity": suite_triangularity,
-    "extension": suite_extension,
-    "fh": suite_fh,
-    "alternation": suite_alternation,
-    "stable": suite_stable,
-}
-
-
 def run_property(
     name: str, *, trials: int, seed: int, max_weight: int, max_vars: int
 ) -> SuiteReport:
-    """Run one named suite with the given sweep configuration.
+    """Run one named suite on `trials` tables drawn from `random.Random(seed)`.
 
     Raises ValueError for a configuration that is out of range or that
     leaves the suite with nothing to check.
     """
-    if name not in _SUITES:
+    if name not in PROPERTY_NAMES:
         raise ValueError(f"unknown property {name!r}; pick from {PROPERTY_NAMES}")
     if trials < 1 or max_vars < 1 or max_weight < 0:
         raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
-    report = _SUITES[name](trials, seed, max_weight, max_vars)
+    rng = random.Random(seed)
+    seqs = [random_coeffseq(rng) for _ in range(trials)]
+    if name in _ROUTE_CHECKS:
+        report = suite_routes(seqs, max_weight, max_vars, [name])[name]
+    elif name == "lemma":
+        report = suite_lemma(seqs, max_vars)
+    elif name == "extension":
+        pairs = [
+            (s, s.with_negative(CUSTOM_NEGATIVE_A, CUSTOM_NEGATIVE_B)) for s in seqs
+        ]
+        report = suite_extension(pairs, max_vars)
+    elif name == "fh":
+        report = suite_fh(max_weight, max_vars)
+    elif name == "alternation":
+        report = suite_alternation(seqs, max_vars)
+    else:
+        report = suite_stable(seqs, seed)
     if report.checks == 0:
         raise ValueError(f"property {name}: this configuration performs no checks")
     return report

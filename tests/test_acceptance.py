@@ -17,21 +17,8 @@ from gschur.coeffseq import (
     random_polynomial_coeffseq,
 )
 from gschur.engine import GschurContext
-from gschur.partitions import (
-    dominated_partial_sums,
-    index_set_identity,
-    partitions_of,
-    partitions_up_to,
-)
-from gschur.presets import (
-    bc_jacobi,
-    boundary_insensitivity,
-    fh_character_det,
-    schur,
-    so_even,
-    so_odd,
-    sp,
-)
+from gschur.partitions import index_set_identity, partitions_of, partitions_up_to
+from gschur.presets import bc_jacobi, schur
 from gschur.stable import (
     SuperAlphabet,
     gschur_function,
@@ -41,7 +28,7 @@ from gschur.stable import (
     schur_expand_at,
     super_schur,
 )
-from gschur.verify import laurent_identity_holds
+from gschur.verify import suite_extension, suite_fh, suite_lemma, suite_routes
 
 from oracles import kostka, schur_by_tableaux
 
@@ -61,77 +48,55 @@ def _finish(num: int, label: str, failures: list) -> None:
     assert not failures, f"{len(failures)} failing cases, first: {failures[0]}"
 
 
+def _tables(count: int) -> list:
+    return [random_coeffseq(random.Random(seed)) for seed in range(count)]
+
+
+def _checked(report, expected_checks: int) -> list:
+    """The suite's failures, plus one if it ran a different number of cases."""
+    failures = list(report.failures)
+    if report.checks != expected_checks:
+        failures.append({"kind": "check count", "checks": report.checks})
+    return failures
+
+
 @pytest.fixture(scope="session")
 def route_sweep():
     """Every route evaluated over 20 random tables, shared by three tests."""
     started = time.perf_counter()
-    records = []
-    for seed in range(SWEEP_SEEDS):
-        seq = random_coeffseq(random.Random(seed))
-        for n in SWEEP_VARS:
-            ctx = GschurContext(n, seq)
-            for lam in partitions_up_to(SWEEP_WEIGHT, n):
-                records.append(
-                    (
-                        seed,
-                        n,
-                        lam,
-                        ctx.bialternant(lam),
-                        ctx.jacobi_trudi(lam),
-                        ctx.giambelli(lam),
-                        ctx.monomial_expansion(lam),
-                    )
-                )
-    return records, time.perf_counter() - started
+    reports = suite_routes(
+        _tables(SWEEP_SEEDS),
+        SWEEP_WEIGHT,
+        max(SWEEP_VARS),
+        ["jt", "giambelli", "triangularity"],
+    )
+    return reports, time.perf_counter() - started
 
 
 def test_determinant_route_agrees_on_random_tables(route_sweep):
-    records, elapsed = route_sweep
-    failures = [
-        {"seed": seed, "n": n, "lambda": lam}
-        for seed, n, lam, bialt, jt, _, _ in records
-        if jt != bialt
-    ]
+    reports, elapsed = route_sweep
+    failures = _checked(reports["jt"], 1460)
     if elapsed >= 120.0:
         failures.append({"kind": "runtime", "elapsed": elapsed})
     _finish(1, "h-determinant equals bialternant, 20 seeds, under 2 minutes", failures)
 
 
 def test_hook_determinant_agrees_on_random_tables(route_sweep):
-    records, _ = route_sweep
-    failures = [
-        {"seed": seed, "n": n, "lambda": lam}
-        for seed, n, lam, bialt, _, giam, _ in records
-        if giam != bialt
-    ]
+    reports, _ = route_sweep
+    failures = _checked(reports["giambelli"], 1460)
     _finish(2, "hook determinant equals bialternant on the same sweep", failures)
 
 
 def test_shift_recursion_residual_vanishes():
-    failures = []
-    for seed in range(10):
-        seq = random_coeffseq(random.Random(seed))
-        for n in (2, 3, 4):
-            ctx = GschurContext(n, seq)
-            for i in range(3 - 2 * n, 6):
-                for r in range(1, i + 2 * n - 1):
-                    if not ctx.lemma_residual(i, r).is_zero:
-                        failures.append({"seed": seed, "n": n, "i": i, "r": r})
+    failures = _checked(suite_lemma(_tables(10), max(SWEEP_VARS)), 1390)
     _finish(3, "alternation residual of the shift recursion is zero", failures)
 
 
 def test_shift_entries_ignore_negative_extension():
-    failures = []
-    for seed in range(5):
-        base = random_coeffseq(random.Random(seed))
-        custom = base.with_negative(NEGATIVE_A, NEGATIVE_B)
-        for n in SWEEP_VARS:
-            zero_ctx = GschurContext(n, base)
-            custom_ctx = GschurContext(n, custom)
-            for i in range(2 - 2 * n, 6):
-                for r in range(0, i + 2 * n - 1):
-                    if zero_ctx.h_shift(i, r) != custom_ctx.h_shift(i, r):
-                        failures.append({"seed": seed, "n": n, "i": i, "r": r})
+    pairs = [
+        (base, base.with_negative(NEGATIVE_A, NEGATIVE_B)) for base in _tables(5)
+    ]
+    failures = _checked(suite_extension(pairs, max(SWEEP_VARS)), 950)
     _finish(4, "in-range shifted entries ignore negative-index values", failures)
 
 
@@ -159,41 +124,13 @@ def test_zero_coefficient_case_matches_tableaux_oracle():
 
 
 def test_character_presets_agree_and_reduce():
-    failures = []
-    for build in (so_odd, so_even, sp):
-        seq = build()
-        start = 1 if seq.name == "so_even" else 0
-        for i in range(start, 11):
-            if not laurent_identity_holds(seq, i):
-                failures.append({"preset": seq.name, "i": i, "kind": "laurent"})
-        for n in SWEEP_VARS:
-            ctx = GschurContext(n, seq)
-            for lam in partitions_up_to(SWEEP_WEIGHT, n):
-                bialt = ctx.bialternant(lam)
-                if ctx.jacobi_trudi(lam) != bialt:
-                    failures.append(
-                        {"preset": seq.name, "n": n, "lambda": lam, "kind": "determinant"}
-                    )
-                if fh_character_det(ctx, lam) != bialt:
-                    failures.append(
-                        {"preset": seq.name, "n": n, "lambda": lam, "kind": "compact"}
-                    )
-    for n in SWEEP_VARS:
-        for lam in partitions_up_to(SWEEP_WEIGHT, n):
-            if not boundary_insensitivity(lam, n):
-                failures.append({"n": n, "lambda": lam, "kind": "boundary"})
+    failures = _checked(suite_fh(SWEEP_WEIGHT, max(SWEEP_VARS)), 470)
     _finish(6, "classical presets: three routes and laurent characters", failures)
 
 
 def test_monomial_expansion_is_triangular(route_sweep):
-    records, _ = route_sweep
-    failures = []
-    for seed, n, lam, _, _, _, expansion in records:
-        if expansion.get(lam) != 1:
-            failures.append({"seed": seed, "n": n, "lambda": lam, "kind": "leading"})
-        for mu in expansion:
-            if not dominated_partial_sums(mu, lam, n):
-                failures.append({"seed": seed, "n": n, "lambda": lam, "mu": mu})
+    reports, _ = route_sweep
+    failures = _checked(reports["triangularity"], 1460)
     _finish(7, "expansion support dominated, leading coefficient one", failures)
 
 

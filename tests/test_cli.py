@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import gschur
-from gschur import cli
+from gschur import cli, verify
 from gschur.coeffseq import coeffseq_to_json, random_coeffseq
 from gschur.engine import GschurContext
-from gschur.exactalg import format_poly_text
-from gschur.verify import SuiteReport
+from gschur.exactalg import MultiPoly, format_poly_text
+from gschur.verify import SuiteReport, run_property
 
 
 def run(capsys, *argv):
@@ -193,6 +193,77 @@ def test_verify_counterexamples_exit_one(capsys, monkeypatch):
     assert json.loads(lines[1]) == planted
 
 
+# The verify lines of perfbench/workloads.py::cli_universe, with the CLI's
+# defaults (max weight 5, max vars 3) where a line sets none.
+CLI_WORKLOAD_VERIFY = [
+    ("jt", 3, 2, 10),
+    ("giambelli", 3, 2, 10),
+    ("lemma", 5, 2, 28),
+    ("triangularity", 3, 2, 10),
+    ("extension", 5, 2, 57),
+    ("fh", 3, 2, 92),
+    ("alternation", 5, 2, 40),
+    ("stable", 5, 3, 7),
+]
+
+
+@pytest.mark.parametrize("prop, max_weight, max_vars, checks", CLI_WORKLOAD_VERIFY)
+def test_verify_check_counts_are_pinned(prop, max_weight, max_vars, checks):
+    report = run_property(
+        prop, trials=1, seed=0, max_weight=max_weight, max_vars=max_vars
+    )
+    assert report.checks == checks
+    assert report.ok
+
+
+def _plus_one(original):
+    def wrong(*args):
+        value = original(*args)
+        return value + MultiPoly.one(value.arity)
+
+    return wrong
+
+
+def _plus_negative_a(original):
+    """Make h_shift depend on the negative-index extension, via a(-1)."""
+
+    def wrong(ctx, i, r):
+        return original(ctx, i, r) + MultiPoly.constant(ctx.n, ctx.seq.a(-1))
+
+    return wrong
+
+
+def _leading_two(original):
+    def wrong(ctx, lam):
+        return {**original(ctx, lam), lam: 2}
+
+    return wrong
+
+
+BROKEN_QUANTITIES = [
+    ("jt", GschurContext, "jacobi_trudi", _plus_one),
+    ("giambelli", GschurContext, "giambelli", _plus_one),
+    ("triangularity", GschurContext, "monomial_expansion", _leading_two),
+    ("lemma", GschurContext, "lemma_residual", _plus_one),
+    ("extension", GschurContext, "h_shift", _plus_negative_a),
+    ("fh", verify, "fh_character_det", _plus_one),
+]
+
+
+@pytest.mark.parametrize(
+    "prop, owner, attr, corrupt",
+    BROKEN_QUANTITIES,
+    ids=[case[0] for case in BROKEN_QUANTITIES],
+)
+def test_verify_suites_detect_a_wrong_quantity(monkeypatch, prop, owner, attr, corrupt):
+    monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+    report = run_property(prop, trials=1, seed=3, max_weight=3, max_vars=2)
+    assert report.failures
+    if prop != "fh":  # the presets are not drawn
+        first_draw = random_coeffseq(random.Random(3))
+        assert report.failures[0]["seq"] == first_draw.table_dump(24)
+
+
 def test_super_output_uses_two_families(capsys):
     code, out, _ = run(
         capsys,
@@ -296,18 +367,25 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def run_subprocess(*argv):
-    """Run the CLI in a fresh interpreter, as a user would; a hang times out."""
+SRC = Path(gschur.__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    """Run Python on the package in a fresh interpreter; a hang times out."""
     env = dict(os.environ)
-    src = str(Path(gschur.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "gschur.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def run_subprocess(*argv):
+    """Run the CLI as a user would."""
+    return run_python("-m", "gschur.cli", *argv)
 
 
 FLOAT_SEQ = json.dumps({"a": [0.5, 1], "b": ["0", "1"]})
@@ -347,3 +425,18 @@ def test_exit_code_contract(tmp_path, argv, seq_body, expected):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
+
+
+DEMOS = [
+    "classical_characters.py",
+    "factorial_and_jacobi.py",
+    "stable_parameter.py",
+    "super_polynomials.py",
+    "three_routes.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    proc = run_python(str(SRC.parent / "demos" / demo))
+    assert proc.returncode == 0, proc.stderr

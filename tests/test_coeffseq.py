@@ -123,8 +123,7 @@ def test_phi_monic_of_expected_degree(a_table, b_table):
     phi = UniPolySeq(CoeffSeq.from_tables(a_table, b_table))
     for i in range(7):
         p = phi.phi(i)
-        assert p.degree_in(0) == i
-        assert p.coefficient((i,)) == 1
+        assert p.leading_term() == ((i,), 1)
 
 
 @given(st.lists(fractions, min_size=5, max_size=5), st.lists(fractions, min_size=5, max_size=5))

@@ -51,7 +51,6 @@ def test_construction_strips_zero_coefficients():
 def test_zero_polynomial_degree_convention():
     z = MultiPoly.zero(3)
     assert z.is_zero
-    assert z.total_degree == -1
     assert not z
 
 
@@ -126,18 +125,11 @@ def test_evaluate_agrees_with_bind(p, u, v):
     assert p.evaluate([u, v]) == p.bind(0, u).bind(1, v).constant_term
 
 
-def test_drop_first_and_prepend_are_inverse():
+def test_prepend_variable_shifts_indices():
     p = x(0) + 2 * x(1)
     lifted = p.prepend_variable()
     assert lifted.arity == 3
-    assert lifted.drop_first() == p
-
-
-def test_drop_first_refuses_occupied_variable():
-    with pytest.raises(DivisionNotExactError):
-        (x(0, 3) ** 2 + x(1, 3)).drop_first()
-    # binding the variable away first makes the drop legal
-    assert (x(0, 3) + x(1, 3)).bind(0, 0).drop_first() == x(0)
+    assert lifted == x(1, 3) + 2 * x(2, 3)
 
 
 def test_apply_permutation_swaps_variables():

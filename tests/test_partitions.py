@@ -18,7 +18,6 @@ from gschur.partitions import (
     parse_partition,
     partitions_of,
     partitions_up_to,
-    subdiagrams,
     weight,
 )
 
@@ -140,19 +139,6 @@ def test_partitions_up_to_respects_length_bound():
     assert (2, 2) in ps
     assert () in ps
     assert len(ps) == len(set(ps))
-
-
-def test_subdiagrams_of_hook():
-    subs = list(subdiagrams((2, 1)))
-    assert subs == [(), (1,), (2,), (1, 1), (2, 1)]
-
-
-@given(partitions(max_weight=10))
-@settings(max_examples=60, deadline=None)
-def test_subdiagrams_are_exactly_the_contained_partitions(lam):
-    subs = set(subdiagrams(lam))
-    assert all(contains(lam, mu) for mu in subs)
-    assert lam in subs and () in subs
 
 
 def test_index_set_identity_small_cases():

@@ -14,10 +14,10 @@ from gschur.stable import (
     InterpolationInconsistentError,
     RationalFunctionOfD,
     SuperAlphabet,
+    _fit_and_validate,
     classical_schur,
     expand_in_classical_schur,
     gschur_function,
-    interpolate_c,
     interpolate_c_family,
     jt_infinite_check,
     realize_expansion,
@@ -138,27 +138,21 @@ def test_single_box_constant_term_is_negated_partial_sum():
 
 def test_interpolate_c_linear_a_gives_binomial():
     seq = factorial(lambda x: x)
-    func = interpolate_c((1,), (), seq, range(1, 8), degree_bound=2)
+    func = interpolate_c_family((1,), seq, degree_bound=2)[()]
     assert func.num == (F(0), F(1, 2), F(-1, 2))  # d/2 - d^2/2
     assert func.den == (F(1),)
     assert func(F(7, 2)) == F(-35, 8)
     assert func(10) == -45  # held out from the samples
 
 
-def test_interpolate_c_argument_checks():
-    seq = factorial(lambda x: x)
-    with pytest.raises(ValueError):
-        interpolate_c((1,), (), seq, [1, 1, 2, 3, 4, 5, 6], degree_bound=1)
-    with pytest.raises(ValueError):
-        interpolate_c((1, 1), (), seq, [1, 2, 3, 4, 5, 6, 7], degree_bound=1)
-    with pytest.raises(ValueError):
-        interpolate_c((1,), (), seq, [1, 2, 3], degree_bound=1)
-
-
 def test_interpolation_rejects_table_coefficients():
+    # The family would double its bound until the 64-entry table runs out,
+    # so the fit is checked at one bound, on the samples the family uses.
     seq = seeded_table(0)
+    xs = [F(n) for n in range(1, 8)]
+    ys = [schur_expand_at((1,), seq, n).get((), F(0)) for n in range(1, 8)]
     with pytest.raises(InterpolationInconsistentError):
-        interpolate_c((1,), (), seq, range(1, 8), degree_bound=2)
+        _fit_and_validate(xs, ys, 2)
 
 
 def test_interpolate_c_family_doubles_the_bound():
