@@ -10,6 +10,14 @@ lexicographic on the exponent tuple).  Leading-term extraction, the exact
 division loop, serialisation and printing all follow it, which keeps every
 output of the library deterministic.
 
+The costly loops (polynomial products, the cofactor sums of `determinant`
+and `exact_divide`) run in Python integers.  Each operand is cleared to
+integer numerators over one common denominator, with every exponent tuple
+packed into a single integer whose order is the graded lexicographic order;
+coefficients become `Fraction`s again once per output term.  The division
+loop takes its leading terms from a max-heap of packed exponents.  Sums,
+differences and scalar multiples stay on the `Fraction` maps.
+
 Polynomials are immutable by convention: no method mutates `self`, and all
 arithmetic returns fresh objects, so values can be shared freely between
 threads once constructed.
@@ -18,10 +26,14 @@ threads once constructed.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
+# Integer numerators keyed by packed exponents, and their common denominator.
+_Cleared = tuple[dict[int, int], int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -179,19 +191,12 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check_same_ring(other)
-            a, b = self._terms, other._terms
-            if len(a) > len(b):
-                a, b = b, a
-            out: dict[Exponent, Fraction] = {}
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    s = out.get(e, _ZERO) + ca * cb
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return self._wrap(out)
+            if not self._terms or not other._terms:
+                return MultiPoly.zero(self.arity)
+            width = _field_width(_degree(self._terms) + _degree(other._terms))
+            a = _to_ints(self._terms, width)
+            b = _to_ints(other._terms, width)
+            return self._wrap(_from_ints(_product_sum([(1, a, b)]), self.arity, width))
         if isinstance(other, (int, Fraction)):
             c = _coerce_scalar(other)
             if not c:
@@ -337,6 +342,81 @@ class MultiPoly:
         return f"MultiPoly({self.arity}: {format_poly_text(self)})"
 
 
+# -- integer kernels -------------------------------------------------------
+#
+# The product and division loops run on a cleared form of a polynomial: a
+# dict from packed exponents to integer numerators, plus one common
+# denominator.  An exponent tuple (e_1..e_n) packs into the integer whose
+# fields, most significant first, are (e_1 + ... + e_n, e_1, ..., e_n), each
+# `width` bits wide.  Adding packed keys adds exponent vectors as long as no
+# field outgrows its width, and comparing them compares in the graded
+# lexicographic order, so each loop sizes the width from the largest total
+# degree it can produce.
+
+
+def _degree(terms: Mapping[Exponent, Fraction]) -> int:
+    return max(map(sum, terms))
+
+
+def _field_width(degree: int) -> int:
+    return max(degree, 1).bit_length()
+
+
+def _pack(e: Exponent, width: int) -> int:
+    key = sum(e)
+    for v in e:
+        key = (key << width) | v
+    return key
+
+
+def _unpack(key: int, arity: int, width: int) -> Exponent:
+    mask = (1 << width) - 1
+    out = [0] * arity
+    for i in range(arity - 1, -1, -1):
+        out[i] = key & mask
+        key >>= width
+    return tuple(out)
+
+
+def _to_ints(terms: Mapping[Exponent, Fraction], width: int) -> _Cleared:
+    """Packed integer numerators of `terms` over their least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return (
+        {_pack(e, width): c.numerator * (den // c.denominator) for e, c in terms.items()},
+        den,
+    )
+
+
+def _from_ints(cleared: _Cleared, arity: int, width: int) -> dict[Exponent, Fraction]:
+    """Inverse of `_to_ints`: the canonical term map, zero numerators dropped."""
+    nums, den = cleared
+    return {_unpack(k, arity, width): Fraction(c, den) for k, c in nums.items() if c}
+
+
+def _product_sum(pairs: Sequence[tuple[int, _Cleared, _Cleared]]) -> _Cleared:
+    """Sum of sign * a * b over (sign, a, b) triples of cleared polynomials.
+
+    The result's denominator is the least common multiple of the pairs'
+    denominator products; each pair's scale factor is folded into the
+    shorter factor once, so the inner loop is integer multiply-adds only.
+    Numerators that cancel to zero are dropped.
+    """
+    den = lcm(*(a[1] * b[1] for _, a, b in pairs))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for sign, (a, da), (b, db) in pairs:
+        if len(a) > len(b):
+            a, b = b, a
+        scale = sign * (den // (da * db))
+        b_items = b.items()
+        for ka, ca in a.items():
+            ca *= scale
+            for kb, cb in b_items:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in acc.items() if c}, den
+
+
 # -- exact division --------------------------------------------------------
 
 
@@ -346,6 +426,16 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     Runs the single-divisor division loop under the graded lexicographic
     order: the leading term of the running remainder must always be divisible
     by the leading term of the divisor, otherwise no exact quotient exists.
+
+    Both polynomials are cleared of denominators and the loop runs in
+    integers.  Remainder terms wait in a max-heap of packed exponents; a
+    popped term whose coefficient has cancelled to zero is skipped.  When the
+    divisor's leading integer coefficient does not divide the remainder's
+    leading one, the remainder and the partial quotient are both scaled by
+    the missing factor (pseudo-division), which the quotient's denominator
+    absorbs at the end.  For an exact division this happens only when the
+    cleared divisor's coefficients share a factor (Gauss's lemma); the
+    Vandermonde, with leading coefficient 1, never scales.
     """
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -353,28 +443,52 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
         raise ValueError("polynomials live in different rings")
     if numerator.is_zero:
         return MultiPoly.zero(numerator.arity)
-    lead_e, lead_c = divisor.leading_term()
-    div_items = list(divisor.items())
-    rem = dict(numerator._terms)
-    quot: dict[Exponent, Fraction] = {}
-    while rem:
-        re = max(rem, key=grlex_key)
-        rc = rem[re]
-        qe = tuple(a - b for a, b in zip(re, lead_e))
-        if any(v < 0 for v in qe):
+    arity = numerator.arity
+    # No remainder or quotient term outgrows the larger of the two degrees.
+    width = _field_width(max(_degree(numerator._terms), _degree(divisor._terms)))
+    rem, num_den = _to_ints(numerator._terms, width)
+    div, div_den = _to_ints(divisor._terms, width)
+    lead_k = max(div)
+    lead_c = div.pop(lead_k)
+    lead_e = _unpack(lead_k, arity, width)
+    tail = list(div.items())
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot: dict[int, int] = {}
+    scale = 1
+    while heap:
+        k = -heappop(heap)
+        rc = rem.pop(k)
+        if not rc:
+            continue
+        re = _unpack(k, arity, width)
+        if any(a < b for a, b in zip(re, lead_e)):
             raise DivisionNotExactError(
                 f"leading term x^{re} not divisible by divisor leading term x^{lead_e}"
             )
-        qc = rc / lead_c
-        quot[qe] = qc
-        for de, dc in div_items:
-            key = tuple(a + b for a, b in zip(qe, de))
-            s = rem.get(key, _ZERO) - qc * dc
-            if s:
-                rem[key] = s
+        missing = abs(lead_c) // gcd(rc, lead_c)
+        if missing != 1:
+            scale *= missing
+            rc *= missing
+            for r in rem:
+                rem[r] *= missing
+            for q in quot:
+                quot[q] *= missing
+        qc = rc // lead_c
+        qk = k - lead_k
+        quot[qk] = qc
+        for dk, dc in tail:
+            key = qk + dk
+            c = rem.get(key)
+            if c is None:
+                rem[key] = -qc * dc
+                heappush(heap, -key)
             else:
-                rem.pop(key, None)
-    return MultiPoly(numerator.arity, quot)
+                rem[key] = c - qc * dc
+    # The loop found quot / scale = (num_den * numerator) / (div_den * divisor).
+    for q in quot:
+        quot[q] *= div_den
+    return numerator._wrap(_from_ints((quot, scale * num_den), arity, width))
 
 
 # -- determinants ----------------------------------------------------------
@@ -385,6 +499,11 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
     Cofactor expansion along the top row with memoised minors, which suits
     the small orders the engine uses.  The entries must share one ring.
+
+    The expansion runs on cleared integer forms: each cofactor is one fused
+    `sum of +-entry * minor` over the nonzero entries of its row, and the
+    minors stay in integer form, so coefficients become `Fraction`s only
+    once, in the result.
     """
     n = len(rows)
     if n == 0:
@@ -394,33 +513,39 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     arity = rows[0][0].arity
     if any(p.arity != arity for row in rows for p in row):
         raise ValueError("matrix entries must share one ring")
-    memo: dict[int, MultiPoly] = {}
+    # The determinant's total degree is at most the sum of the rows' largest.
+    width = _field_width(
+        sum(max((_degree(p._terms) for p in row if p._terms), default=0) for row in rows)
+    )
+    cleared = [[_to_ints(p._terms, width) if p._terms else None for p in row] for row in rows]
+    one = ({0: 1}, 1)
+    memo: dict[int, _Cleared] = {}
 
-    def minor(mask: int) -> MultiPoly:
+    def minor(mask: int) -> _Cleared:
         # Determinant of the lower rows on the columns still in `mask`; the
         # row index is implied by how many columns remain.
         if mask == 0:
-            return MultiPoly.one(arity)
+            return one
         got = memo.get(mask)
         if got is not None:
             return got
-        row = rows[n - mask.bit_count()]
-        acc = MultiPoly.zero(arity)
+        row = cleared[n - mask.bit_count()]
+        pairs = []
         sign = 1
         rest = mask
         while rest:
             low = rest & -rest
-            j = low.bit_length() - 1
-            entry = row[j]
-            if not entry.is_zero:
-                term = entry * minor(mask ^ low)
-                acc = acc + term if sign == 1 else acc - term
+            entry = row[low.bit_length() - 1]
+            if entry is not None:
+                sub = minor(mask ^ low)
+                if sub[0]:
+                    pairs.append((sign, entry, sub))
             sign = -sign
             rest ^= low
-        memo[mask] = acc
-        return acc
+        got = memo[mask] = _product_sum(pairs)
+        return got
 
-    return minor((1 << n) - 1)
+    return rows[0][0]._wrap(_from_ints(minor((1 << n) - 1), arity, width))
 
 
 def vandermonde(n: int) -> MultiPoly:

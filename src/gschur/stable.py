@@ -356,17 +356,28 @@ def interpolate_c_family(
     integer counts) whenever the samples cannot be explained, up to a hard
     cap that turns runaway growth into an error.  The bound must be at
     least 1.
+
+    A table-backed sequence may run out of entries on a retry; the samples
+    it did have were inconsistent, so that inconsistency is raised, chained
+    from the IndexError.  Running out on the first attempt stays an
+    IndexError.
     """
     _check_degree_bound(degree_bound)
     lam = check_partition(lam)
     bound = degree_bound
+    inconsistency = None
     while True:
         try:
             return _interpolate_all(lam, seq, bound)
-        except InterpolationInconsistentError:
+        except InterpolationInconsistentError as exc:
             if 2 * bound > _DEGREE_BOUND_CAP:
                 raise
-            bound *= 2
+            inconsistency = exc
+        except IndexError as exc:
+            if inconsistency is None:
+                raise
+            raise inconsistency from exc
+        bound *= 2
 
 
 def gschur_function(

@@ -1,9 +1,10 @@
 """Independent reference implementations used as ground truth in tests.
 
 Everything here is deliberately naive: determinants by summing over all
-permutations, Schur polynomials by listing semistandard tableaux.  Slow, but
-with no shared code paths with the package internals beyond the MultiPoly
-container itself.
+permutations, products by a double loop over `Fraction` terms, Schur
+polynomials by listing semistandard tableaux.  Slow, but with no shared code
+paths with the package internals beyond the MultiPoly container and its
+`+`/`-`.
 """
 
 from fractions import Fraction
@@ -12,8 +13,20 @@ from itertools import combinations_with_replacement, permutations
 from gschur.exactalg import MultiPoly
 
 
+def fraction_product(a, b) -> MultiPoly:
+    """Product by a double loop over the Fraction terms (no MultiPoly.__mul__)."""
+    assert a.arity == b.arity
+    terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            terms[e] = terms.get(e, Fraction(0)) + ca * cb
+    return MultiPoly(a.arity, terms)
+
+
 def leibniz_det(rows):
-    """Determinant as the signed sum over all permutations."""
+    """Determinant as the signed sum over all permutations, multiplying with
+    `fraction_product`."""
     n = len(rows)
     assert all(len(row) == n for row in rows)
     total = None
@@ -23,7 +36,7 @@ def leibniz_det(rows):
         )
         prod = rows[0][perm[0]]
         for i in range(1, n):
-            prod = prod * rows[i][perm[i]]
+            prod = fraction_product(prod, rows[i][perm[i]])
         signed = prod if inversions % 2 == 0 else -prod
         total = signed if total is None else total + signed
     return total

@@ -389,6 +389,9 @@ def run_subprocess(*argv):
 
 
 FLOAT_SEQ = json.dumps({"a": [0.5, 1], "b": ["0", "1"]})
+# A random 64-entry table has no rational interpolant in d; the doubling
+# bound runs past the table's end.
+RANDOM_SEQ = json.dumps(coeffseq_to_json(random_coeffseq(random.Random(0)), 64))
 
 EXIT_CODE_CASES = [
     # (case id, argv, body of the file at {seq} or None for no file, exit code)
@@ -405,6 +408,8 @@ EXIT_CODE_CASES = [
                            "--degree-bound", "0"], None, 2),
     ("pole", ["compute", "--preset", "bc_jacobi", "--p", "1", "--q", "1",
               "--n", "2", "--lambda", "1"], None, 3),
+    ("inconsistent-interpolation", ["stable", "--seq-file", "{seq}", "--d", "1/3",
+                                    "--lambda", "1"], RANDOM_SEQ, 3),
     ("negative-trials", ["verify", "--property", "jt", "--trials", "-1"], None, 2),
     ("zero-max-vars", ["verify", "--property", "jt", "--max-vars", "0"], None, 2),
     ("no-checks", ["verify", "--property", "lemma", "--max-vars", "1"], None, 2),

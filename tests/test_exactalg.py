@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from gschur.exactalg import (
     vandermonde,
 )
 
-from oracles import leibniz_det
+from oracles import fraction_product, leibniz_det
 
 F = Fraction
 
@@ -39,6 +40,24 @@ def small_polys(draw, arity=2, max_exp=3, max_terms=5):
         den = draw(st.integers(min_value=1, max_value=4))
         terms[e] = F(num, den)
     return MultiPoly(arity, terms)
+
+
+@st.composite
+def rational_polys(draw, arity=3, max_exp=2, max_terms=4):
+    """Polynomials whose coefficients have denominators up to 12."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, max_exp)] * arity),
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            max_size=max_terms,
+        )
+    )
+    return MultiPoly(arity, terms)
+
+
+def assert_canonical(p):
+    for _, c in p.items():
+        assert type(c) is Fraction and c != 0
 
 
 def test_construction_strips_zero_coefficients():
@@ -160,6 +179,88 @@ def test_exact_divide_roundtrip(a, b):
 def test_exact_divide_rejects_inexact():
     with pytest.raises(DivisionNotExactError):
         exact_divide(x(0) ** 2 + x(1), x(0) + x(1))
+
+
+@given(rational_polys(), rational_polys())
+@settings(max_examples=80, deadline=None)
+def test_product_matches_fraction_oracle(a, b):
+    product = a * b
+    assert product == fraction_product(a, b)
+    assert_canonical(product)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda size: st.lists(
+        st.lists(rational_polys(arity=2), min_size=size, max_size=size),
+        min_size=size, max_size=size,
+    )
+))
+@settings(max_examples=40, deadline=None)
+def test_determinant_matches_fraction_leibniz(rows):
+    det = determinant(rows)
+    assert det == leibniz_det(rows)
+    assert_canonical(det)
+
+
+@given(rational_polys(), rational_polys())
+@settings(max_examples=60, deadline=None)
+def test_exact_divide_of_oracle_product_is_canonical(a, b):
+    if b.is_zero:
+        return
+    q = exact_divide(fraction_product(a, b), b)
+    assert q == a
+    assert_canonical(q)
+
+
+def symmetrized(p):
+    out = MultiPoly.zero(p.arity)
+    for perm in permutations(range(p.arity)):
+        out = out + p.apply_permutation(perm)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_divide_by_vandermonde_round_trip(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        terms = {
+            tuple(rng.randint(0, 2) for _ in range(n)): F(rng.randint(-9, 9), rng.randint(1, 12))
+            for _ in range(3)
+        }
+        p = symmetrized(MultiPoly(n, terms))
+        v = vandermonde(n)
+        assert exact_divide(fraction_product(v, p), v) == p
+
+
+def test_exact_divide_scales_for_a_non_unit_leading_coefficient():
+    # Cleared, the divisor is 21*x1 + 18*x2 (content 3) and the numerator's
+    # leading numerator is 77, not a multiple of 21, so the loop must scale.
+    divisor = F(3, 2) * x(0) + F(9, 7) * x(1)
+    quotient = F(1, 3) * x(0) ** 2 - F(2, 3) * x(0) * x(1) + F(5, 11) * x(1) ** 2 + F(1, 3)
+    q = exact_divide(fraction_product(quotient, divisor), divisor)
+    assert q == quotient
+    assert_canonical(q)
+
+
+def test_exact_divide_fails_after_several_quotient_terms():
+    # The quotient gains x1^3, x1^2*x2 and x1*x2^2 before 5*x2^4 is left.
+    divisor = x(0) + x(1)
+    partial = x(0) ** 3 + 2 * x(0) ** 2 * x(1) + F(1, 2) * x(0) * x(1) ** 2
+    numerator = fraction_product(divisor, partial) + 5 * x(1) ** 4
+    with pytest.raises(DivisionNotExactError, match=r"x\^\(0, 4\)"):
+        exact_divide(numerator, divisor)
+
+
+def test_exact_divide_skips_cancelled_remainder_terms():
+    # x2^3 cancels before it is popped.
+    assert exact_divide(x(0) ** 3 - x(1) ** 3, x(0) - x(1)) == (
+        x(0) ** 2 + x(0) * x(1) + x(1) ** 2
+    )
+    # The remainder's x1^2 term cancels and is revived by the next step
+    # before it is popped; its x1 and constant terms end cancelled.
+    divisor = x(0) ** 2 + 2 * x(0) - 1
+    quotient = 2 * x(0) ** 2 + x(0) - 2
+    assert exact_divide(fraction_product(divisor, quotient), divisor) == quotient
 
 
 def test_determinant_2x2_pinned():

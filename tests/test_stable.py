@@ -155,6 +155,18 @@ def test_interpolation_rejects_table_coefficients():
         _fit_and_validate(xs, ys, 2)
 
 
+def test_table_running_out_on_a_retry_is_an_inconsistency():
+    # Five samples at bound 1 fit in a 6-entry random table and are
+    # inconsistent; the retry at bound 2 needs entries the table lacks.
+    seq = random_coeffseq(random.Random(0), length=6)
+    with pytest.raises(InterpolationInconsistentError) as caught:
+        interpolate_c_family((1,), seq, degree_bound=1)
+    assert isinstance(caught.value.__cause__, IndexError)
+    # Too short for the first attempt: the IndexError itself.
+    with pytest.raises(IndexError):
+        interpolate_c_family((1,), random_coeffseq(random.Random(0), length=4), 1)
+
+
 def test_interpolate_c_family_doubles_the_bound():
     seq = factorial(lambda x: x * x)
     family = interpolate_c_family((1,), seq, degree_bound=1)
