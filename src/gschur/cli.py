@@ -209,6 +209,8 @@ def _cmd_super(args) -> int:
 
 
 def _cmd_stable(args) -> int:
+    if args.n_eval < 1:
+        raise ValueError("--n-eval must be at least 1")
     seq = _sequence_from_args(args)
     lam = parse_partition(args.lam)
     d = _rational(args.d)

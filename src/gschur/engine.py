@@ -18,6 +18,8 @@ bialternant.  Row-reducing the one-row bialternant with the monic phi gives
 with h_d the classical complete homogeneous polynomial of degree d.  The h_d
 of different degrees have disjoint monomial supports, so `one_row` writes
 each coefficient straight onto its monomials, with no polynomial arithmetic.
+The stable layer reads the same phi coefficients as scalar minors and builds
+no one-row polynomials.
 
 Contexts memoise phi values, one-row polynomials, shifted families and hooks.
 They are cheap to create and are meant to be used by a single thread; the
@@ -100,21 +102,20 @@ def _exponents(k: int, degree: int):
             yield (first,) + rest
 
 
-def one_row(phi_seq: UniPolySeq, i: int, n: int, k: int) -> MultiPoly:
-    """S_(i) of the n-variable ring with x_{k+1}..x_n set to zero.
+def one_row(phi_seq: UniPolySeq, i: int, n: int) -> MultiPoly:
+    """S_(i) in n variables, built from the coefficients of phi_{i+n-1}.
 
-    The result is a polynomial in the first k variables (1 <= k <= n): each
-    coefficient [z^m] phi_{i+n-1} with m >= n - 1 is copied onto every
-    exponent tuple of length k and total degree m - n + 1.  Zero for i < 0.
+    Each coefficient [z^m] phi_{i+n-1} with m >= n - 1 is copied onto every
+    exponent tuple of length n and total degree m - n + 1.  Zero for i < 0.
     """
     if i < 0:
-        return MultiPoly.zero(k)
+        return MultiPoly.zero(n)
     terms = {}
     for (m,), c in phi_seq.phi(i + n - 1).items():
         if m >= n - 1:
-            for e in _exponents(k, m - n + 1):
+            for e in _exponents(n, m - n + 1):
                 terms[e] = c
-    return MultiPoly(k, terms)
+    return MultiPoly(n, terms)
 
 
 def first_column_det(
@@ -232,7 +233,7 @@ class GschurContext:
         """One-row polynomial S_(i) by `one_row`; zero for negative i."""
         got = self._h_memo.get(i)
         if got is None:
-            got = self._h_memo[i] = one_row(self.phi_seq, i, self.n, self.n)
+            got = self._h_memo[i] = one_row(self.phi_seq, i, self.n)
         return got
 
     def h_shift(self, i: int, r: int) -> MultiPoly:

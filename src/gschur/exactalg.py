@@ -36,7 +36,6 @@ Scalar = Union[int, Fraction]
 _Cleared = tuple[dict[int, int], int]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DivisionNotExactError(ArithmeticError):

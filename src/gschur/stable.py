@@ -11,27 +11,31 @@ values (`gschur_function`).  On top of that sit the parameterised Jacobi-Trudi
 consistency check (`jt_infinite_check`) and the super-symmetric realisation
 (`super_schur`).
 
-The expensive step, expanding at a single integer count n, is done without
-ever building n-variable polynomials.  Setting all but the first l variables
-to zero keeps the one-row formula of the engine intact,
+The expensive step, expanding at a single integer count n, needs no
+polynomials in x at all.  Write C_{i,m} = [z^m] phi_i for the lower
+unitriangular coefficient matrix of the family.  Expanding each row
+phi_{lam_j+n-j}(x_i) = sum_m C_{lam_j+n-j,m} x_i^m of the bialternant's
+numerator by Cauchy-Binet turns it into a sum of alternants a_{mu+delta}, so
 
-    S_(i)(x_1..x_l, 0..0) = sum_m [z^m] phi_{i+n-1} * h_{m-n+1}(x_1..x_l),
+    [s_mu] S_lam(x_1..x_n) = det[ C_{lam_j+n-j, mu_k+n-k} ]_{j,k <= l},
 
-so `engine.one_row` builds each restricted one-row polynomial directly in
-l variables, and the Jacobi-Trudi determinant over their shifts is the
-restricted S_lam.  Nothing in the Schur expansion is lost because every
-partition in its support has at most l rows.
+with l = l(lam) and mu padded with zeros to l parts: the bottom n - l rows of
+the full n x n minor form a unit triangular block, and the minor vanishes
+unless mu lies inside lam.  `_expand_at` takes these l x l scalar minors over
+one memoised phi table, which an interpolation shares across all of its
+sample counts; the fit itself solves its linear system in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, UniPolySeq
-from .engine import GschurContext, first_column_det, one_row, shifted_family
-from .exactalg import MultiPoly
-from .partitions import Partition, check_partition, pad
+from .engine import GschurContext, first_column_det, shifted_family
+from .exactalg import MultiPoly, determinant
+from .partitions import Partition, check_partition, contains, pad, partitions_up_to
 
 _F = Fraction
 
@@ -219,27 +223,45 @@ def expand_in_classical_schur(poly: MultiPoly) -> dict[Partition, Fraction]:
 def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
     """Coefficients of S_lam(x | a, b) in n variables on classical Schurs.
 
-    Requires n >= l(lam).  The answer is exact and its support is contained
-    in the diagrams inside lam.
+    Requires n >= l(lam).  The answer is exact, zero coefficients are
+    dropped, and its support is contained in the diagrams inside lam.
     """
-    lam = check_partition(lam)
+    return _expand_at(check_partition(lam), UniPolySeq(seq), n)
+
+
+def _expand_at(
+    lam: Partition, phi_seq: UniPolySeq, n: int
+) -> dict[Partition, Fraction]:
+    """`schur_expand_at` on a checked lam, reading phi from `phi_seq`.
+
+    Each coefficient is the l x l minor of the phi coefficients on rows
+    lam_j + n - 1 - j and columns mu_k + n - 1 - k (0-based j, k); only
+    phi_0..phi_{lam_1 + n - 1} are read.  The keys come in decreasing
+    graded-lex order, as a triangular solve would find them.
+    """
     l = len(lam)
     if n < l:
         raise ValueError(f"need at least {l} variables for {lam}")
     if l == 0:
         return {(): _F(1)}
-    phi_seq = UniPolySeq(seq)
-
-    def base(i: int) -> MultiPoly:
-        return one_row(phi_seq, i, n, l)
-
-    memo: dict = {}
-
-    def entry(i: int, c: int) -> MultiPoly:
-        return shifted_family(base, seq.a, seq.b, n, i, c, memo)
-
-    indices = [lam[j] - j for j in range(l)]
-    return expand_in_classical_schur(first_column_det(entry, indices, l))
+    # Row j maps m to [z^m] phi_{lam_j + n - 1 - j} as an arity-0 constant.
+    rows = [
+        {m: MultiPoly.constant(0, c) for (m,), c in phi_seq.phi(i).items()}
+        for i in (part + n - 1 - j for j, part in enumerate(lam))
+    ]
+    zero = MultiPoly.zero(0)
+    inside = sorted(
+        (mu for mu in partitions_up_to(sum(lam), l) if contains(lam, mu)),
+        key=lambda mu: (sum(mu), mu),
+        reverse=True,
+    )
+    out: dict[Partition, Fraction] = {}
+    for mu in inside:
+        cols = [part + n - 1 - k for k, part in enumerate(pad(mu, l))]
+        minor = determinant([[row.get(m, zero) for m in cols] for row in rows])
+        if minor:
+            out[mu] = minor.constant_term
+    return out
 
 
 # -- exact rational interpolation in the variable count ---------------------
@@ -249,23 +271,38 @@ def _kernel_vector(rows: list[list[Fraction]]) -> list[Fraction]:
     """One nonzero kernel vector of an underdetermined homogeneous system.
 
     Requires strictly more columns than the rank, which the callers guarantee
-    by construction; the first free column is set to 1.
+    by construction; the first free column is set to 1 and the other free
+    columns to 0, which makes the vector unique.
+
+    Gauss-Jordan runs fraction-free, as in Bareiss (1968) but dividing each
+    new row by its content instead of by the previous pivot: each row is
+    cleared to integers, a row is eliminated by an integer combination with
+    the pivot row, and each pivot row keeps its own pivot instead of being
+    scaled to 1.  The pivots are those of the reduced echelon form over Q,
+    so the vector is the one the rational elimination would return.
     """
     ncols = len(rows[0])
-    m = [list(row) for row in rows]
+    m = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (den // v.denominator) for v in row])
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        sel = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        sel = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if sel is None:
             continue
         m[rank], m[sel] = m[sel], m[rank]
-        pv = m[rank][col]
-        m[rank] = [v / pv for v in m[rank]]
+        pivot_row = m[rank]
+        pv = pivot_row[col]
         for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+            f = m[r][col]
+            if r != rank and f:
+                g = gcd(pv, f)
+                s, t = pv // g, f // g
+                row = [s * a - t * b for a, b in zip(m[r], pivot_row)]
+                content = gcd(*row)
+                m[r] = [v // content for v in row] if content > 1 else row
         pivots.append(col)
         rank += 1
         if rank == len(m):
@@ -273,8 +310,8 @@ def _kernel_vector(rows: list[list[Fraction]]) -> list[Fraction]:
     free = next(c for c in range(ncols) if c not in pivots)
     vec = [_F(0)] * ncols
     vec[free] = _F(1)
-    for row_idx, col in enumerate(pivots):
-        vec[col] = -m[row_idx][free]
+    for row, col in zip(m, pivots):
+        vec[col] = Fraction(-row[free], row[col])
     return vec
 
 
@@ -295,7 +332,7 @@ def _fit_and_validate(
     rows = []
     for x, y in zip(xs[:node_count], ys[:node_count]):
         powers = [x ** j for j in range(g + 1)]
-        rows.append(powers + [-y * x ** j for j in range(g + 1)])
+        rows.append(powers + [-y * p for p in powers])
     sol = _kernel_vector(rows)
     num = sol[: g + 1]
     den = sol[g + 1 :]
@@ -333,7 +370,8 @@ def _interpolate_all(
 ) -> dict[Partition, RationalFunctionOfD]:
     ns = _sample_range(lam, degree_bound)
     xs = [_F(n) for n in ns]
-    expansions = [schur_expand_at(lam, seq, n) for n in ns]
+    phi_seq = UniPolySeq(seq)
+    expansions = [_expand_at(lam, phi_seq, n) for n in ns]
     support = sorted(
         {mu for exp in expansions for mu in exp}, key=lambda p: (sum(p), p)
     )

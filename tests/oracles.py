@@ -1,10 +1,10 @@
 """Independent reference implementations used as ground truth in tests.
 
 Everything here is deliberately naive: determinants by summing over all
-permutations, products by a double loop over `Fraction` terms, Schur
-polynomials by listing semistandard tableaux.  Slow, but with no shared code
-paths with the package internals beyond the MultiPoly container and its
-`+`/`-`.
+permutations, products by a double loop over `Fraction` terms, kernel vectors
+by Gauss-Jordan over `Fraction`, Schur polynomials by listing semistandard
+tableaux.  Slow, but with no shared code paths with the package internals
+beyond the MultiPoly container and its `+`/`-`.
 """
 
 from fractions import Fraction
@@ -40,6 +40,39 @@ def leibniz_det(rows):
         signed = prod if inversions % 2 == 0 else -prod
         total = signed if total is None else total + signed
     return total
+
+
+def fraction_kernel_vector(rows):
+    """Kernel vector by Gauss-Jordan over Fraction, each pivot scaled to 1.
+
+    The first free column is set to 1 and the other free columns to 0;
+    requires more columns than the rank.
+    """
+    ncols = len(rows[0])
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        sel = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if sel is None:
+            continue
+        m[rank], m[sel] = m[sel], m[rank]
+        pv = m[rank][col]
+        m[rank] = [v / pv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    free = next(c for c in range(ncols) if c not in pivots)
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for row_idx, col in enumerate(pivots):
+        vec[col] = -m[row_idx][free]
+    return vec
 
 
 def semistandard_tableaux(shape, max_entry):

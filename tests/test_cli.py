@@ -410,6 +410,13 @@ EXIT_CODE_CASES = [
               "--n", "2", "--lambda", "1"], None, 3),
     ("inconsistent-interpolation", ["stable", "--seq-file", "{seq}", "--d", "1/3",
                                     "--lambda", "1"], RANDOM_SEQ, 3),
+    ("n-eval-zero", ["stable", "--preset", "sp", "--d", "1/3", "--lambda", "2",
+                     "--jt-check", "--n-eval", "0"], None, 2),
+    ("schur-basis-pole", ["expand", "--preset", "bc_jacobi", "--p", "1", "--q", "1",
+                          "--probe-upto", "0", "--n", "2", "--lambda", "1",
+                          "--basis", "schur"], None, 3),
+    ("schur-basis-too-few-variables", ["expand", "--preset", "schur", "--n", "1",
+                                       "--lambda", "2,1", "--basis", "schur"], None, 2),
     ("negative-trials", ["verify", "--property", "jt", "--trials", "-1"], None, 2),
     ("zero-max-vars", ["verify", "--property", "jt", "--max-vars", "0"], None, 2),
     ("no-checks", ["verify", "--property", "lemma", "--max-vars", "1"], None, 2),
@@ -430,6 +437,8 @@ def test_exit_code_contract(tmp_path, argv, seq_body, expected):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
+    if expected == 2:
+        assert proc.stdout == ""
 
 
 DEMOS = [

@@ -1,20 +1,30 @@
 """Tests for the any-d layer: expansions, interpolation, super realisation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gschur.coeffseq import PoleError, random_coeffseq, random_polynomial_coeffseq
+from gschur import stable
+from gschur.coeffseq import (
+    CoeffSeq,
+    PoleError,
+    random_coeffseq,
+    random_polynomial_coeffseq,
+)
 from gschur.engine import GschurContext
 from gschur.exactalg import MultiPoly
 from gschur.partitions import contains, partitions_up_to
-from gschur.presets import factorial, schur, sp
+from gschur.presets import bc_jacobi, factorial, schur, sp
 from gschur.stable import (
     InterpolationInconsistentError,
     RationalFunctionOfD,
     SuperAlphabet,
     _fit_and_validate,
+    _kernel_vector,
     classical_schur,
     expand_in_classical_schur,
     gschur_function,
@@ -27,7 +37,7 @@ from gschur.stable import (
     super_schur,
 )
 
-from oracles import schur_by_tableaux
+from oracles import fraction_kernel_vector, schur_by_tableaux
 
 F = Fraction
 
@@ -104,11 +114,33 @@ def test_schur_expand_at_classical_is_delta():
 def test_schur_expand_at_matches_full_expansion():
     for seed in (0, 1):
         seq = seeded_table(seed)
-        for n in (2, 3):
+        for n in range(1, 6):
             ctx = GschurContext(n, seq)
-            for lam in partitions_up_to(4, n):
-                direct = expand_in_classical_schur(ctx.bialternant(lam))
-                assert schur_expand_at(lam, seq, n) == direct
+            for lam in partitions_up_to(5, n):
+                got = schur_expand_at(lam, seq, n)
+                assert got == expand_in_classical_schur(ctx.jacobi_trudi(lam))
+                assert got == expand_in_classical_schur(ctx.bialternant(lam))
+
+
+def restricted(poly, k):
+    """poly with all but its first k variables set to zero, in k variables."""
+    for v in range(k, poly.arity):
+        poly = poly.bind(v, 0)
+    return MultiPoly(k, {e[:k]: c for e, c in poly.items()})
+
+
+def test_schur_expand_at_closed_form_many_variables():
+    # Truncation to l variables is a ring homomorphism that keeps every
+    # classical Schur polynomial with at most l rows, so the Jacobi-Trudi
+    # polynomial restricted to l variables has the same expansion.
+    seq = bc_jacobi(1, -3)
+    for lam in partitions_up_to(5):
+        l = len(lam)
+        for n in range(max(l, 1), l + 7):
+            jt = GschurContext(n, seq).jacobi_trudi(lam)
+            assert schur_expand_at(lam, seq, n) == expand_in_classical_schur(
+                restricted(jt, l)
+            )
 
 
 def test_schur_expand_at_support_and_diagonal():
@@ -165,6 +197,83 @@ def test_table_running_out_on_a_retry_is_an_inconsistency():
     # Too short for the first attempt: the IndexError itself.
     with pytest.raises(IndexError):
         interpolate_c_family((1,), random_coeffseq(random.Random(0), length=4), 1)
+
+
+def test_one_interpolation_attempt_reads_each_coefficient_once():
+    calls = Counter()
+
+    def counted(name, func):
+        def read(x):
+            calls[name, x] += 1
+            return func(x)
+
+        return read
+
+    seq = CoeffSeq.from_functions(
+        counted("a", lambda x: F(1)), counted("b", lambda x: x)
+    )
+    lam = (2, 1)
+    family = interpolate_c_family(lam, seq, degree_bound=4)
+    # every coefficient has degree 3, so the first attempt succeeds
+    assert max(max(f.num_degree, f.den_degree) for f in family.values()) == 3
+    # One attempt at bound 4 samples n = 2..12; phi_{lam_1 + n - 1} at the
+    # largest n reads a(j) and b(j) for j <= lam_1 + 12 - 2.
+    assert set(calls) == {(name, F(j)) for name in "ab" for j in range(13)}
+    assert max(calls.values()) == 1
+
+
+@st.composite
+def underdetermined_systems(draw):
+    """Rational matrices with more columns than rows, often rank deficient."""
+    entry = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    )
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(nrows + 1, nrows + 3))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, nrows - 2))
+        j = draw(st.integers(0, nrows - 2))
+        s, t = draw(entry), draw(entry)
+        rows[-1] = [s * a + t * b for a, b in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [F(0)] * ncols
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = F(0)
+    return rows
+
+
+@given(underdetermined_systems())
+@settings(max_examples=150, deadline=None)
+def test_kernel_vector_matches_fraction_oracle(rows):
+    got = _kernel_vector(rows)
+    assert got == fraction_kernel_vector(rows)
+    assert all(type(v) is Fraction for v in got)
+    assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
+
+
+coefficient_lists = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1
+)
+
+
+@given(st.integers(1, 3), coefficient_lists, coefficient_lists)
+@settings(max_examples=100, deadline=None)
+def test_fit_matches_fraction_oracle(g, num, den):
+    num, den = num[: g + 1], den[: g + 1]
+    assume(any(den))
+    truth = RationalFunctionOfD(num, den)
+    xs = [F(n) for n in range(1, 2 * g + 4)]
+    try:
+        ys = [truth(x) for x in xs]
+    except PoleError:
+        assume(False)
+    fit = _fit_and_validate(xs, ys, g)
+    with mock.patch.object(stable, "_kernel_vector", fraction_kernel_vector):
+        oracle = _fit_and_validate(xs, ys, g)
+    assert (fit.num, fit.den) == (oracle.num, oracle.den) == (truth.num, truth.den)
 
 
 def test_interpolate_c_family_doubles_the_bound():
