@@ -25,7 +25,7 @@ from .coeffseq import (
     random_coeffseq,
     random_polynomial_coeffseq,
 )
-from .engine import GschurContext, monomial_symmetric, shifted_family
+from .engine import GschurContext, monomial_symmetric, shift_coefficients
 from .exactalg import (
     DivisionNotExactError,
     MultiPoly,
@@ -123,7 +123,7 @@ __all__ = [
     "run_property",
     "schur",
     "schur_expand_at",
-    "shifted_family",
+    "shift_coefficients",
     "so_even",
     "so_odd",
     "sp",

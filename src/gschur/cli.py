@@ -212,6 +212,8 @@ def _cmd_stable(args) -> int:
     if args.n_eval < 1:
         raise ValueError("--n-eval must be at least 1")
     seq = _sequence_from_args(args)
+    if args.jt_check and not seq.is_closed_form:
+        raise ValueError("--jt-check needs a closed-form sequence")
     lam = parse_partition(args.lam)
     d = _rational(args.d)
     expansion = gschur_function(lam, seq, d, args.degree_bound)

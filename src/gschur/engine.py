@@ -15,13 +15,17 @@ bialternant.  Row-reducing the one-row bialternant with the monic phi gives
 
     S_(i)(x_1..x_n) = sum_m [z^m] phi_{i+n-1} * h_{m-n+1}(x_1..x_n),
 
-with h_d the classical complete homogeneous polynomial of degree d.  The h_d
-of different degrees have disjoint monomial supports, so `one_row` writes
-each coefficient straight onto its monomials, with no polynomial arithmetic.
+with h_d the classical complete homogeneous polynomial of degree d.  The
+shift recursion is linear in its base family, so each shifted one-row
+polynomial is a scalar combination h_i^{(r)} = sum_j c_j S_(j) whose c_j
+depend only on a, b and the offset; `shift_coefficients` computes those
+scalars, and `h_shift` folds them into one scalar per degree d.  The h_d of
+different degrees have disjoint monomial supports, so each scalar is
+written straight onto its monomials once, with no polynomial arithmetic.
 The stable layer reads the same phi coefficients as scalar minors and builds
 no one-row polynomials.
 
-Contexts memoise phi values, one-row polynomials, shifted families and hooks.
+Contexts memoise phi values, shift scalars, shifted families and hooks.
 They are cheap to create and are meant to be used by a single thread; the
 polynomials they hand out are immutable and can be shared freely.
 """
@@ -43,53 +47,58 @@ from .partitions import (
 )
 
 
-def shifted_family(
-    base: Callable[[int], MultiPoly],
+def shift_coefficients(
     a_of: Callable,
     b_of: Callable,
     offset,
     i: int,
     r: int,
     memo: dict,
-) -> MultiPoly:
-    """Generic driver for the shifted-family recursion.
+) -> dict[int, Fraction]:
+    """Scalars c_j with f_i^{(r)} = sum_j c_j f_j, for any base family f.
 
-    Computes the r-th shift of the family `base` under
+    The shifted families obey
 
         f_i^{(r+1)} = f_{i+1}^{(r)} + a(i + offset - 1) f_i^{(r)}
                                     + b(i + offset - 1) f_{i-1}^{(r)},
 
-    with f^{(0)} = base.  `offset` is the variable count in the finite case
-    and may be a rational parameter in the stable case; `a_of` / `b_of` just
-    have to accept whatever `i + offset - 1` evaluates to.  Entries with
-    i + r < 0 are identically zero for any base that vanishes below index 0,
-    so they short-circuit without touching the coefficients.
+    with f^{(0)} = f and f_j = 0 for j < 0.  The recursion is linear in the
+    base, so it runs here on {j: c_j} maps and the caller writes the sum
+    out once.  `offset` is the variable count in the finite case and may be
+    a rational parameter in the stable case; `a_of` / `b_of` just have to
+    accept whatever `i + offset - 1` evaluates to.  Entries with i + r < 0
+    are the empty map and read no coefficients; every other entry with
+    r >= 1 reads a and b at i + offset - 1.  No zero scalar is stored.
+    `memo` is keyed by (i, r) and its maps must not be mutated.
     """
     if r < 0:
         raise ValueError("shift order must be nonnegative")
     if i + r < 0:
-        zero = memo.get("_zero")
-        if zero is None:
-            zero = memo["_zero"] = _zero_like(base)
-        return zero
+        return {}
     key = (i, r)
     got = memo.get(key)
     if got is not None:
         return got
     if r == 0:
-        value = base(i)
+        value = {i: Fraction(1)}
     else:
-        def prev(j: int) -> MultiPoly:
-            return shifted_family(base, a_of, b_of, offset, j, r - 1, memo)
-
         arg = i + offset - 1
-        value = prev(i + 1) + a_of(arg) * prev(i) + b_of(arg) * prev(i - 1)
+        value = dict(shift_coefficients(a_of, b_of, offset, i + 1, r - 1, memo))
+        a = a_of(arg)
+        same = shift_coefficients(a_of, b_of, offset, i, r - 1, memo)
+        b = b_of(arg)
+        lower = shift_coefficients(a_of, b_of, offset, i - 1, r - 1, memo)
+        for scale, part in ((a, same), (b, lower)):
+            if not scale:
+                continue
+            for j, c in part.items():
+                total = value.get(j, 0) + scale * c
+                if total:
+                    value[j] = total
+                else:
+                    value.pop(j, None)
     memo[key] = value
     return value
-
-
-def _zero_like(base: Callable[[int], MultiPoly]) -> MultiPoly:
-    return base(0) * 0
 
 
 def _exponents(k: int, degree: int):
@@ -100,22 +109,6 @@ def _exponents(k: int, degree: int):
     for first in range(degree, -1, -1):
         for rest in _exponents(k - 1, degree - first):
             yield (first,) + rest
-
-
-def one_row(phi_seq: UniPolySeq, i: int, n: int) -> MultiPoly:
-    """S_(i) in n variables, built from the coefficients of phi_{i+n-1}.
-
-    Each coefficient [z^m] phi_{i+n-1} with m >= n - 1 is copied onto every
-    exponent tuple of length n and total degree m - n + 1.  Zero for i < 0.
-    """
-    if i < 0:
-        return MultiPoly.zero(n)
-    terms = {}
-    for (m,), c in phi_seq.phi(i + n - 1).items():
-        if m >= n - 1:
-            for e in _exponents(n, m - n + 1):
-                terms[e] = c
-    return MultiPoly(n, terms)
 
 
 def first_column_det(
@@ -175,8 +168,8 @@ class GschurContext:
         self.phi_seq = UniPolySeq(seq)
         self._phi_injected: dict[tuple[int, int], MultiPoly] = {}
         self._bialternant: dict[Partition, MultiPoly] = {}
-        self._h_memo: dict[int, MultiPoly] = {}
-        self._shift_memo: dict = {}
+        self._shift_memo: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
         self._hook_memo: dict[tuple[int, int], MultiPoly] = {}
         self._vdm: MultiPoly | None = None
         self._sub_context: "GschurContext | None" = None
@@ -230,22 +223,41 @@ class GschurContext:
     # -- route 2: Jacobi-Trudi --------------------------------------------
 
     def h(self, i: int) -> MultiPoly:
-        """One-row polynomial S_(i) by `one_row`; zero for negative i."""
-        got = self._h_memo.get(i)
-        if got is None:
-            got = self._h_memo[i] = one_row(self.phi_seq, i, self.n)
-        return got
+        """One-row polynomial S_(i), that is h_i^{(0)}; zero for negative i."""
+        return self.h_shift(i, 0)
 
     def h_shift(self, i: int, r: int) -> MultiPoly:
-        """The r-times shifted one-row family h_i^{(r)}.
+        """The r-times shifted one-row family h_i^{(r)} = sum_j c_j S_(j).
 
-        h^{(0)} is `h`; each shift applies the coefficient recursion with
-        arguments offset by n - 1.  Values with i + r < 0 vanish identically,
-        whatever negative-index extension the sequence carries.
+        The scalars c_j come from `shift_coefficients` with arguments offset
+        by n - 1.  Composed with S_(j) = sum_m [z^m] phi_{j+n-1} h_{m-n+1},
+        they give one scalar per classical degree d,
+
+            sum_j c_j [z^{d+n-1}] phi_{j+n-1},
+
+        which is written once onto every exponent tuple of total degree d;
+        the h_d of different degrees have disjoint supports.  Values with
+        i + r < 0 vanish identically, whatever negative-index extension the
+        sequence carries.
         """
-        return shifted_family(
-            self.h, self.seq.a, self.seq.b, self.n, i, r, self._shift_memo
-        )
+        key = (i, r)
+        got = self._h_shift_memo.get(key)
+        if got is not None:
+            return got
+        n = self.n
+        coeffs = shift_coefficients(self.seq.a, self.seq.b, n, i, r, self._shift_memo)
+        by_degree: dict[int, Fraction] = {}
+        for j, c in coeffs.items():
+            for (m,), p in self.phi_seq.phi(j + n - 1).items():
+                if m >= n - 1:
+                    by_degree[m - n + 1] = by_degree.get(m - n + 1, 0) + c * p
+        terms = {}
+        for degree, c in by_degree.items():
+            if c:
+                for e in _exponents(n, degree):
+                    terms[e] = c
+        got = self._h_shift_memo[key] = MultiPoly(n, terms)
+        return got
 
     def jacobi_trudi(self, lam) -> MultiPoly:
         """The l x l determinant det[ h^{(k-1)}_{lam_j - j + 1} ]."""

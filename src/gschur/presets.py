@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 from .coeffseq import CoeffSeq, PoleError
-from .engine import GschurContext, shifted_family
+from .engine import GschurContext, shift_coefficients
 from .exactalg import MultiPoly, determinant
 from .partitions import check_partition
 
@@ -173,13 +172,13 @@ def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
 def boundary_insensitivity(lam, n: int) -> bool:
     """Check that a(0) and b(1) never reach the Jacobi-Trudi shift entries.
 
-    The shifted families are linear in the underlying one-row polynomials,
-    so each h^{(r)}_i is a formal combination sum_j c_j h_j whose scalars c_j
-    are built from the recursion coefficients.  This runs that recursion over
-    formal symbols standing for the h_j, once for every combination of
-    a(0) in {0, -1} and b(1) in {1, 2} (all other indices held at a = 0,
-    b = 1), and reports whether the resulting expressions agree for every
-    entry with positive shift used by the Jacobi-Trudi determinant of lam.
+    Each h^{(r)}_i is a combination sum_j c_j h_j whose scalars c_j come from
+    the recursion coefficients alone (`shift_coefficients`).  This computes
+    those {j: c_j} maps for every combination of a(0) in {0, -1} and b(1) in
+    {1, 2}, all other indices held at a = 0, b = 1, and reports whether the
+    four maps agree for every entry with positive shift used by the
+    Jacobi-Trudi determinant of lam.  It compares scalars only; no
+    polynomial or formal symbol is built.
     """
     lam = check_partition(lam)
     if len(lam) > n:
@@ -188,14 +187,8 @@ def boundary_insensitivity(lam, n: int) -> bool:
     if l <= 1:
         return True
 
-    wanted = [
-        (lam[j] - j, r) for j in range(l) for r in range(1, l)
-    ]
-
-    def coeff_pair(a0: int, b1: int):
+    def variant(a0: int, b1: int):
         def a_of(k) -> Fraction:
-            if k < 0:
-                return _F(0)
             return _F(a0) if k == 0 else _F(0)
 
         def b_of(k) -> Fraction:
@@ -203,24 +196,13 @@ def boundary_insensitivity(lam, n: int) -> bool:
                 return _F(0)
             return _F(b1) if k == 1 else _F(1)
 
-        return a_of, b_of
+        return a_of, b_of, {}
 
-    for i, r in wanted:
-        top = i + r
-        if top < 0:
-            continue  # identically zero for every variant
-        arity = top + 1
-
-        def base(j: int, _arity=arity, _top=top) -> MultiPoly:
-            if j < 0 or j > _top:
-                return MultiPoly.zero(_arity)
-            return MultiPoly.variable(_arity, j)
-
-        seen: list[MultiPoly] = []
-        for a0, b1 in product((0, -1), (1, 2)):
-            a_of, b_of = coeff_pair(a0, b1)
-            value = shifted_family(base, a_of, b_of, n, i, r, {})
-            seen.append(value)
-        if any(v != seen[0] for v in seen[1:]):
-            return False
+    variants = [variant(a0, b1) for a0, b1 in product((0, -1), (1, 2))]
+    for j in range(l):
+        i = lam[j] - j
+        for r in range(1, l):
+            seen = [shift_coefficients(a, b, n, i, r, memo) for a, b, memo in variants]
+            if any(v != seen[0] for v in seen[1:]):
+                return False
     return True

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, UniPolySeq
-from .engine import GschurContext, first_column_det, shifted_family
+from .engine import GschurContext, first_column_det, shift_coefficients
 from .exactalg import MultiPoly, determinant
 from .partitions import Partition, check_partition, contains, pad, partitions_up_to
 
@@ -140,10 +140,6 @@ class RationalFunctionOfD:
     @property
     def den_degree(self) -> int:
         return len(self.den) - 1
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunctionOfD):
@@ -468,9 +464,10 @@ def jt_infinite_check(
 ) -> bool:
     """Does the parameterised Jacobi-Trudi determinant reproduce lam's object?
 
-    Entries are one-row any-d objects shifted by the recursion whose
-    coefficient arguments are offset by d - 1 (so the sequence must be closed
-    form, evaluable off the integers).  Both sides are compared after
+    Entry (i, c) is sum_j c_j S_(j), the one-row any-d objects S_(j)
+    combined with the `shift_coefficients` scalars whose coefficient
+    arguments are offset by d - 1 (so the sequence must be closed form,
+    evaluable off the integers).  Both sides are compared after
     truncation to n_eval variables, which is faithful because truncation is a
     ring homomorphism.
     """
@@ -484,21 +481,18 @@ def jt_infinite_check(
     rhs = realize_expansion(gschur_function(lam, seq, d, degree_bound), n_eval)
     if l == 0:
         return rhs == MultiPoly.one(n_eval)
-    top = lam[0] + l - 1
-    realized: dict[int, MultiPoly] = {}
-    for i in range(top + 1):
-        coeffs = gschur_function((i,) if i else (), seq, d, degree_bound)
-        realized[i] = realize_expansion(coeffs, n_eval)
-
-    def base(i: int) -> MultiPoly:
-        if i < 0 or i > top:
-            return MultiPoly.zero(n_eval)
-        return realized[i]
-
+    realized = []
+    for j in range(lam[0] + l):
+        coeffs = gschur_function((j,) if j else (), seq, d, degree_bound)
+        realized.append(realize_expansion(coeffs, n_eval))
     memo: dict = {}
 
     def entry(i: int, c: int) -> MultiPoly:
-        return shifted_family(base, seq.a_at, seq.b_at, d, i, c, memo)
+        out = MultiPoly.zero(n_eval)
+        coeffs = shift_coefficients(seq.a_at, seq.b_at, d, i, c, memo)
+        for j, coeff in coeffs.items():
+            out = out + coeff * realized[j]
+        return out
 
     indices = [lam[j] - j for j in range(l)]
     return first_column_det(entry, indices, n_eval) == rhs

@@ -412,6 +412,9 @@ EXIT_CODE_CASES = [
                                     "--lambda", "1"], RANDOM_SEQ, 3),
     ("n-eval-zero", ["stable", "--preset", "sp", "--d", "1/3", "--lambda", "2",
                      "--jt-check", "--n-eval", "0"], None, 2),
+    ("jt-check-table", ["stable", "--preset", "factorial", "--a-table",
+                        ",".join(str(v) for v in range(1, 21)), "--d", "1/3",
+                        "--lambda", "1", "--jt-check"], None, 2),
     ("schur-basis-pole", ["expand", "--preset", "bc_jacobi", "--p", "1", "--q", "1",
                           "--probe-upto", "0", "--n", "2", "--lambda", "1",
                           "--basis", "schur"], None, 3),

@@ -6,12 +6,13 @@ from itertools import permutations
 
 import pytest
 
-from gschur.coeffseq import CoeffSeq, random_coeffseq
+from gschur.coeffseq import CoeffSeq, PoleError, random_coeffseq
 from gschur.engine import (
     GschurContext,
     first_column_det,
     monomial_symmetric,
     permutation_sign,
+    shift_coefficients,
 )
 from gschur.exactalg import MultiPoly
 from gschur.partitions import partitions_up_to
@@ -140,6 +141,69 @@ def test_h_shift_vanishes_below_the_diagonal():
             assert ctx.h_shift(i, r).is_zero
         # the boundary value sits at exactly i + r = 0
         assert ctx.h_shift(-r, r) == MultiPoly.one(2)
+
+
+def test_shift_coefficients_single_step_for_sp():
+    seq = sp()
+    for n in (1, 2, 3):
+        assert shift_coefficients(seq.a, seq.b, n, 0, 1, {}) == {1: 1}
+        for i in range(1, 5):
+            step = shift_coefficients(seq.a, seq.b, n, i, 1, {})
+            assert step == {i + 1: 1, i - 1: 1}
+
+
+def test_shift_coefficients_below_the_diagonal_read_nothing():
+    def refuse(k):
+        raise AssertionError(f"coefficient read at {k}")
+
+    memo = {}
+    for r in range(0, 5):
+        for i in range(-8, -r):
+            assert shift_coefficients(refuse, refuse, 2, i, r, memo) == {}
+    assert memo == {}
+
+
+def test_shift_coefficients_store_no_zero_scalars():
+    # a(k) = (-1)^k, b = 0: the f_{i+1} terms of the second shift cancel
+    def a_of(k):
+        return F(-1) ** k
+
+    def b_of(k):
+        return F(0)
+
+    memo = {}
+    for i in range(0, 4):
+        assert shift_coefficients(a_of, b_of, 1, i, 2, memo) == {i + 2: 1, i: 1}
+    for i in range(-2, 3):
+        for r in range(0, 5):
+            shift_coefficients(a_of, b_of, 1, i, r, memo)
+    assert memo
+    assert all(c for value in memo.values() for c in value.values())
+
+
+def test_shift_coefficients_propagate_poles():
+    def a_of(k):
+        if k == 2:
+            raise PoleError(k)
+        return F(0)
+
+    with pytest.raises(PoleError):
+        shift_coefficients(a_of, lambda k: F(1), 1, 2, 1, {})
+    with pytest.raises(ValueError):
+        shift_coefficients(a_of, lambda k: F(1), 1, 2, -1, {})
+
+
+def test_shift_coefficients_see_a_boundary_value_they_read():
+    # at offset 1 the entry (0, 1) reads a(0), so the four-way comparison of
+    # boundary_insensitivity can tell a(0) = 0 from a(0) = -1 there
+    def b_of(k):
+        return F(1)
+
+    plain = shift_coefficients(lambda k: F(0), b_of, 1, 0, 1, {})
+    moved = shift_coefficients(lambda k: F(-1) if k == 0 else F(0), b_of, 1, 0, 1, {})
+    assert plain == {1: 1}
+    assert moved == {1: 1, 0: -1}
+    assert plain != moved
 
 
 def test_jacobi_trudi_pinned_classical():
