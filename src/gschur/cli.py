@@ -7,8 +7,8 @@ any-d expansion with an optional determinant cross-check.
 
 Exit codes: 0 on success or a verified identity, 1 when an identity is
 violated (counterexamples are printed), 2 for usage or contract errors
-(including unreadable sequence files and zero denominators in rational
-arguments), and 3 for mathematical failures (poles, inconsistent
+(including unreadable or malformed sequence files and zero denominators in
+rational arguments), and 3 for mathematical failures (poles, inconsistent
 interpolation, inexact division).  Identical invocations, including the
 seed, produce byte-identical output.
 """

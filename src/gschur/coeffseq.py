@@ -10,6 +10,11 @@ evaluated at non-integer rational arguments (needed by the stable layer's
 shifted recursion).  Negative integer indices are governed by an extension
 policy; the default extends by zero, and a custom table can be supplied to
 exercise the fact that downstream determinants never depend on the choice.
+
+Each sequence owns one memoised family, `seq.phis`, built with it; every
+route of the package (bialternant rows, one-row polynomials, the stable
+layer's scalar minors) reads phi_i from there, so each coefficient a(j),
+b(j) that the family needs is evaluated once per sequence.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ class CoeffSeq:
     Use `from_tables` for finite data and `from_functions` for closed forms.
     `a(i)` / `b(i)` take integer indices; `a_at(x)` / `b_at(x)` evaluate a
     closed form at an arbitrary rational and are rejected for table kind.
+    `phis` is the sequence's own memoised recurrence family.
     """
 
     def __init__(
@@ -61,7 +67,6 @@ class CoeffSeq:
         b_table: Sequence[Fraction] | None = None,
         a_func: Callable[[Fraction], Fraction] | None = None,
         b_func: Callable[[Fraction], Fraction] | None = None,
-        pad_zero: bool = False,
         negative_a: Mapping[int, Fraction] | None = None,
         negative_b: Mapping[int, Fraction] | None = None,
         name: str | None = None,
@@ -70,7 +75,6 @@ class CoeffSeq:
             raise ValueError(f"unknown coefficient sequence kind: {kind!r}")
         self.kind = kind
         self.name = name
-        self.pad_zero = pad_zero
         self._a_table = tuple(_to_fraction(v) for v in a_table) if a_table is not None else None
         self._b_table = tuple(_to_fraction(v) for v in b_table) if b_table is not None else None
         self._a_func = a_func
@@ -84,6 +88,7 @@ class CoeffSeq:
             raise ValueError("table kind needs both a and b tables")
         if kind == "closed-form" and (a_func is None or b_func is None):
             raise ValueError("closed-form kind needs both a and b callables")
+        self.phis = UniPolySeq(self)
 
     @classmethod
     def from_tables(
@@ -91,7 +96,6 @@ class CoeffSeq:
         a_table: Sequence,
         b_table: Sequence,
         *,
-        pad_zero: bool = False,
         negative_a: Mapping[int, Fraction] | None = None,
         negative_b: Mapping[int, Fraction] | None = None,
         name: str | None = None,
@@ -100,7 +104,6 @@ class CoeffSeq:
             kind="table",
             a_table=[_to_fraction(v) for v in a_table],
             b_table=[_to_fraction(v) for v in b_table],
-            pad_zero=pad_zero,
             negative_a=negative_a,
             negative_b=negative_b,
             name=name,
@@ -132,11 +135,8 @@ class CoeffSeq:
     def _table_lookup(self, table: tuple[Fraction, ...], i: int, which: str) -> Fraction:
         if i < len(table):
             return table[i]
-        if self.pad_zero:
-            return _ZERO
         raise IndexError(
-            f"{which}({i}) is beyond the stored table of length {len(table)}; "
-            "construct with pad_zero=True to extend by zeros"
+            f"{which}({i}) is beyond the stored table of length {len(table)}"
         )
 
     def a(self, i: int) -> Fraction:
@@ -176,7 +176,6 @@ class CoeffSeq:
             b_table=self._b_table,
             a_func=self._a_func,
             b_func=self._b_func,
-            pad_zero=self.pad_zero,
             negative_a=negative_a,
             negative_b=negative_b,
             name=self.name,
@@ -205,7 +204,11 @@ class UniPolySeq:
     """Memoised generator of the monic recurrence family phi_i.
 
     phi_{-1} = 0 and phi_0 = 1 seed the recurrence; phi_i for i >= 1 is monic
-    of degree i.  All values are univariate MultiPoly instances.
+    of degree i.  All values are univariate MultiPoly instances.  Every
+    `CoeffSeq` builds one of these as `seq.phis`; the package reads phi only
+    from there.  Only computed rows are memoised, so a PoleError or
+    IndexError met while extending the family is raised again on every call
+    that needs the missing row.
     """
 
     def __init__(self, seq: CoeffSeq):
@@ -248,27 +251,34 @@ def coeffseq_to_json(seq: CoeffSeq, upto: int) -> dict:
     return {"a": body["a"], "b": body["b"], "negative": negative}
 
 
-def coeffseq_from_json(obj: Mapping) -> CoeffSeq:
+def coeffseq_from_json(obj) -> CoeffSeq:
     """Build a table-kind sequence from the JSON file format.
 
-    The format is ``{"a": [...], "b": [...], "negative": "zero"}`` with
-    entries written as decimal-free rational strings; `negative` may instead
-    be an object with "a" and "b" maps from negative indices to values.
-    An entry that is not an exact rational raises ValueError.
+    The format is an object ``{"a": [...], "b": [...], "negative": "zero"}``
+    whose arrays hold integers or decimal-free rational strings; `negative`
+    may instead be an object with optional "a" and "b" objects mapping
+    negative indices to values.  Other keys, `name` included, are not read.
+    Any other shape, or an entry that is not an exact rational, raises
+    ValueError.
     """
-    if "a" not in obj or "b" not in obj:
+    if not isinstance(obj, Mapping):
+        raise ValueError("a sequence file must hold a JSON object")
+    if not isinstance(obj.get("a"), list) or not isinstance(obj.get("b"), list):
         raise ValueError("sequence object needs 'a' and 'b' arrays")
     negative = obj.get("negative", "zero")
-    neg_a: dict[int, Fraction] = {}
-    neg_b: dict[int, Fraction] = {}
-    if negative != "zero" and not isinstance(negative, Mapping):
+    if negative == "zero":
+        negative = {}
+    if not isinstance(negative, Mapping) or not all(
+        isinstance(v, Mapping) for v in negative.values()
+    ):
         raise ValueError("'negative' must be \"zero\" or an object with a/b maps")
     try:
-        if negative != "zero":
-            neg_a = {int(k): _to_fraction(v) for k, v in negative.get("a", {}).items()}
-            neg_b = {int(k): _to_fraction(v) for k, v in negative.get("b", {}).items()}
+        neg = {
+            key: {int(k): _to_fraction(v) for k, v in negative.get(key, {}).items()}
+            for key in ("a", "b")
+        }
         return CoeffSeq.from_tables(
-            obj["a"], obj["b"], negative_a=neg_a, negative_b=neg_b, name=obj.get("name")
+            obj["a"], obj["b"], negative_a=neg["a"], negative_b=neg["b"]
         )
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"bad sequence entry: {exc}") from None

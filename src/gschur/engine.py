@@ -25,9 +25,11 @@ written straight onto its monomials once, with no polynomial arithmetic.
 The stable layer reads the same phi coefficients as scalar minors and builds
 no one-row polynomials.
 
-Contexts memoise phi values, shift scalars, shifted families and hooks.
-They are cheap to create and are meant to be used by a single thread; the
-polynomials they hand out are immutable and can be shared freely.
+The sequence memoises its own phi family (`seq.phis`), so every context
+over one sequence shares it; contexts memoise shift scalars, shifted
+families, bialternants and hooks.  They are cheap to create and are meant
+to be used by a single thread; the polynomials they hand out are immutable
+and can be shared freely.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable
 
-from .coeffseq import CoeffSeq, UniPolySeq
+from .coeffseq import CoeffSeq
 from .exactalg import MultiPoly, determinant, exact_divide, vandermonde
 from .partitions import (
     Partition,
@@ -165,7 +167,6 @@ class GschurContext:
             raise ValueError("need at least one variable")
         self.n = n
         self.seq = seq
-        self.phi_seq = UniPolySeq(seq)
         self._phi_injected: dict[tuple[int, int], MultiPoly] = {}
         self._bialternant: dict[Partition, MultiPoly] = {}
         self._shift_memo: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -186,7 +187,7 @@ class GschurContext:
         key = (degree_index, var)
         got = self._phi_injected.get(key)
         if got is None:
-            uni = self.phi_seq.phi(degree_index)
+            uni = self.seq.phis.phi(degree_index)
             terms = {}
             for (e,), c in uni.items():
                 exps = tuple(e if i == var else 0 for i in range(self.n))
@@ -248,7 +249,7 @@ class GschurContext:
         coeffs = shift_coefficients(self.seq.a, self.seq.b, n, i, r, self._shift_memo)
         by_degree: dict[int, Fraction] = {}
         for j, c in coeffs.items():
-            for (m,), p in self.phi_seq.phi(j + n - 1).items():
+            for (m,), p in self.seq.phis.phi(j + n - 1).items():
                 if m >= n - 1:
                     by_degree[m - n + 1] = by_degree.get(m - n + 1, 0) + c * p
         terms = {}
@@ -327,22 +328,23 @@ class GschurContext:
     def monomial_expansion(self, lam) -> dict[Partition, Fraction]:
         """Coefficients of the bialternant on monomial symmetric polynomials.
 
-        Peels the graded-lex leading term repeatedly; for a symmetric
-        polynomial every leading exponent is weakly decreasing, so each step
-        removes one m_mu.  Termination is guaranteed because the leading
-        monomial strictly decreases.
+        On a symmetric polynomial the coefficient of m_mu is that of x^mu,
+        so the expansion is read off the terms with weakly decreasing
+        exponents, in decreasing graded-lex order.  Symmetry is checked
+        first, under the transposition (1 2) and the n-cycle, which together
+        generate every permutation; a failure raises AssertionError.
         """
-        lam = check_partition(lam)
-        work = self.bialternant(lam)
-        out: dict[Partition, Fraction] = {}
-        while not work.is_zero:
-            e, c = work.leading_term()
-            mu = check_partition(e)
-            if pad(mu, self.n) != e:
-                raise AssertionError(f"non-symmetric remainder with leading {e}")
-            out[mu] = c
-            work = work - c * monomial_symmetric(self.n, mu)
-        return out
+        poly = self.bialternant(check_partition(lam))
+        n = self.n
+        if n > 1:
+            for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+                if poly.apply_permutation(perm) != poly:
+                    raise AssertionError(f"bialternant is not symmetric under {perm}")
+        return {
+            check_partition(e): c
+            for e, c in poly.sorted_terms()
+            if all(x >= y for x, y in zip(e, e[1:]))
+        }
 
     def alternation(self, g: MultiPoly) -> MultiPoly:
         """Signed sum of g over all permutations of the variables."""

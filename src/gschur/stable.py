@@ -21,9 +21,10 @@ numerator by Cauchy-Binet turns it into a sum of alternants a_{mu+delta}, so
 
 with l = l(lam) and mu padded with zeros to l parts: the bottom n - l rows of
 the full n x n minor form a unit triangular block, and the minor vanishes
-unless mu lies inside lam.  `_expand_at` takes these l x l scalar minors over
-one memoised phi table, which an interpolation shares across all of its
-sample counts; the fit itself solves its linear system in integers.
+unless mu lies inside lam.  `schur_expand_at` is the one finite-count
+expansion: it takes these l x l scalar minors over the sequence's own phi
+table (`seq.phis`), which every sample count of every interpolation shares;
+the fit itself solves its linear system in integers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .coeffseq import CoeffSeq, PoleError, UniPolySeq
+from .coeffseq import CoeffSeq, PoleError
 from .engine import GschurContext, first_column_det, shift_coefficients
 from .exactalg import MultiPoly, determinant
 from .partitions import Partition, check_partition, contains, pad, partitions_up_to
@@ -169,7 +170,6 @@ class RationalFunctionOfD:
 # -- classical Schur polynomials (self-hosted, a = b = 0) -------------------
 
 _classical_contexts: dict[int, GschurContext] = {}
-_classical_schur_cache: dict[tuple[int, Partition], MultiPoly] = {}
 
 
 def classical_schur(k: int, mu) -> MultiPoly:
@@ -179,18 +179,12 @@ def classical_schur(k: int, mu) -> MultiPoly:
         return MultiPoly.one(0) if not mu else MultiPoly.zero(0)
     if len(mu) > k:
         return MultiPoly.zero(k)
-    key = (k, mu)
-    got = _classical_schur_cache.get(key)
-    if got is None:
-        ctx = _classical_contexts.get(k)
-        if ctx is None:
-            from .presets import schur as _schur_preset
+    ctx = _classical_contexts.get(k)
+    if ctx is None:
+        from .presets import schur as _schur_preset
 
-            ctx = GschurContext(k, _schur_preset())
-            _classical_contexts[k] = ctx
-        got = ctx.bialternant(mu)
-        _classical_schur_cache[key] = got
-    return got
+        ctx = _classical_contexts[k] = GschurContext(k, _schur_preset())
+    return ctx.bialternant(mu)
 
 
 def expand_in_classical_schur(poly: MultiPoly) -> dict[Partition, Fraction]:
@@ -221,20 +215,13 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
 
     Requires n >= l(lam).  The answer is exact, zero coefficients are
     dropped, and its support is contained in the diagrams inside lam.
-    """
-    return _expand_at(check_partition(lam), UniPolySeq(seq), n)
-
-
-def _expand_at(
-    lam: Partition, phi_seq: UniPolySeq, n: int
-) -> dict[Partition, Fraction]:
-    """`schur_expand_at` on a checked lam, reading phi from `phi_seq`.
 
     Each coefficient is the l x l minor of the phi coefficients on rows
     lam_j + n - 1 - j and columns mu_k + n - 1 - k (0-based j, k); only
-    phi_0..phi_{lam_1 + n - 1} are read.  The keys come in decreasing
-    graded-lex order, as a triangular solve would find them.
+    phi_0..phi_{lam_1 + n - 1} are read, from `seq.phis`.  The keys come in
+    decreasing graded-lex order, as a triangular solve would find them.
     """
+    lam = check_partition(lam)
     l = len(lam)
     if n < l:
         raise ValueError(f"need at least {l} variables for {lam}")
@@ -242,7 +229,7 @@ def _expand_at(
         return {(): _F(1)}
     # Row j maps m to [z^m] phi_{lam_j + n - 1 - j} as an arity-0 constant.
     rows = [
-        {m: MultiPoly.constant(0, c) for (m,), c in phi_seq.phi(i).items()}
+        {m: MultiPoly.constant(0, c) for (m,), c in seq.phis.phi(i).items()}
         for i in (part + n - 1 - j for j, part in enumerate(lam))
     ]
     zero = MultiPoly.zero(0)
@@ -356,18 +343,13 @@ def _check_degree_bound(degree_bound: int) -> None:
         raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
 
 
-def _sample_range(lam: Partition, degree_bound: int) -> list[int]:
-    start = max(len(lam), 1)
-    return list(range(start, start + 2 * degree_bound + 3))
-
-
 def _interpolate_all(
     lam: Partition, seq: CoeffSeq, degree_bound: int
 ) -> dict[Partition, RationalFunctionOfD]:
-    ns = _sample_range(lam, degree_bound)
+    start = max(len(lam), 1)
+    ns = range(start, start + 2 * degree_bound + 3)
     xs = [_F(n) for n in ns]
-    phi_seq = UniPolySeq(seq)
-    expansions = [_expand_at(lam, phi_seq, n) for n in ns]
+    expansions = [schur_expand_at(lam, seq, n) for n in ns]
     support = sorted(
         {mu for exp in expansions for mu in exp}, key=lambda p: (sum(p), p)
     )
@@ -436,7 +418,7 @@ def gschur_function(
     if not lam:
         return {(): _F(1)}
     if d.denominator == 1 and d >= len(lam):
-        return {mu: c for mu, c in schur_expand_at(lam, seq, int(d)).items() if c}
+        return schur_expand_at(lam, seq, int(d))
     family = interpolate_c_family(lam, seq, degree_bound)
     out: dict[Partition, Fraction] = {}
     for mu, func in family.items():

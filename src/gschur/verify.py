@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import presets as presets_mod
-from .coeffseq import CoeffSeq, UniPolySeq, random_coeffseq, random_polynomial_coeffseq
+from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
 from .engine import GschurContext
 from .exactalg import MultiPoly, poly_to_json_terms
 from .partitions import dominated_partial_sums, partitions_up_to
@@ -237,7 +237,7 @@ def expected_laurent_phi(preset_name: str, i: int) -> MultiPoly:
 def laurent_identity_holds(seq: CoeffSeq, i: int) -> bool:
     """Check phi_i at z = x + 1/x against the preset's Laurent character."""
     z_sub = MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1)
-    value = UniPolySeq(seq).phi(i).compose([z_sub])
+    value = seq.phis.phi(i).compose([z_sub])
     return laurent_reduce(value) == expected_laurent_phi(seq.name, i)
 
 

@@ -393,6 +393,8 @@ FLOAT_SEQ = json.dumps({"a": [0.5, 1], "b": ["0", "1"]})
 # bound runs past the table's end.
 RANDOM_SEQ = json.dumps(coeffseq_to_json(random_coeffseq(random.Random(0)), 64))
 
+SEQ_FILE_COMPUTE = ["compute", "--seq-file", "{seq}", "--n", "2", "--lambda", "1"]
+
 EXIT_CODE_CASES = [
     # (case id, argv, body of the file at {seq} or None for no file, exit code)
     ("float-coefficient", ["compute", "--seq-file", "{seq}", "--n", "1",
@@ -423,6 +425,20 @@ EXIT_CODE_CASES = [
     ("negative-trials", ["verify", "--property", "jt", "--trials", "-1"], None, 2),
     ("zero-max-vars", ["verify", "--property", "jt", "--max-vars", "0"], None, 2),
     ("no-checks", ["verify", "--property", "lemma", "--max-vars", "1"], None, 2),
+    ("seq-file-not-object", SEQ_FILE_COMPUTE, "5", 2),
+    ("seq-file-string-tables", SEQ_FILE_COMPUTE,
+     json.dumps({"a": "123", "b": "456"}), 2),
+    ("seq-file-object-table", SEQ_FILE_COMPUTE,
+     json.dumps({"a": {"0": 1, "1": 1, "2": 1}, "b": ["1", "1", "1"]}), 2),
+    ("seq-file-negative-not-maps", SEQ_FILE_COMPUTE,
+     json.dumps({"a": ["1"], "b": ["1"], "negative": {"a": 5}}), 2),
+    ("seq-file-negative-array", SEQ_FILE_COMPUTE,
+     json.dumps({"a": ["1"], "b": ["1"], "negative": {"b": []}}), 2),
+    # A file's "name" is not read, so it cannot unlock the preset-only route.
+    ("seq-file-name-is-not-a-preset", ["compute", "--seq-file", "{seq}", "--n", "2",
+                                       "--lambda", "2,1", "--method", "fh"],
+     json.dumps({"name": "sp", "a": [str(i) for i in range(1, 9)],
+                 "b": ["1"] * 8}), 2),
 ]
 
 

@@ -42,9 +42,6 @@ def test_table_overflow_raises_without_padding():
     seq = CoeffSeq.from_tables([F(1)], [F(1)])
     with pytest.raises(IndexError):
         seq.a(1)
-    padded = CoeffSeq.from_tables([F(1)], [F(1)], pad_zero=True)
-    assert padded.a(1) == 0
-    assert padded.b(99) == 0
 
 
 def test_custom_negative_extension():
@@ -135,6 +132,22 @@ def test_phi_satisfies_the_recurrence(a_table, b_table):
         lhs = phi.phi(i + 1)
         rhs = (z() - seq.a(i)) * phi.phi(i) - seq.b(i) * phi.phi(i - 1)
         assert lhs == rhs
+
+
+def test_each_sequence_owns_one_phi_table():
+    seq = CoeffSeq.from_tables([F(1)] * 3, [F(2)] * 3)
+    assert seq.phis.phi(3) is seq.phis.phi(3)
+    other = seq.with_negative({-1: F(7)}, {})
+    assert other.phis is not seq.phis
+    assert other.phis.phi(3) == seq.phis.phi(3)
+
+
+def test_phi_failure_is_not_memoised():
+    seq = CoeffSeq.from_tables([F(1)] * 2, [F(1)] * 2)
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            seq.phis.phi(4)
+    assert seq.phis.phi(2).leading_term() == ((2,), 1)
 
 
 def test_pole_error_carries_index():

@@ -34,7 +34,7 @@ def seeded_seq(seed):
 def test_bialternant_single_variable_is_phi():
     ctx = GschurContext(1, sp())
     assert ctx.bialternant((2,)) == xv(0, 1) ** 2 - 1
-    assert ctx.bialternant((5,)) == ctx.phi_seq.phi(5)
+    assert ctx.bialternant((5,)) == ctx.seq.phis.phi(5)
 
 
 def test_bialternant_classical_pinned():
@@ -320,6 +320,13 @@ def test_monomial_expansion_reconstructs_the_polynomial():
         rebuilt = rebuilt + c * monomial_symmetric(3, mu)
     assert rebuilt == ctx.bialternant(lam)
     assert expansion[lam] == 1
+
+
+def test_monomial_expansion_rejects_a_non_symmetric_polynomial(monkeypatch):
+    ctx = GschurContext(2, schur())
+    monkeypatch.setattr(ctx, "bialternant", lambda lam: xv(0, 2) ** 2)
+    with pytest.raises(AssertionError):
+        ctx.monomial_expansion((2,))
 
 
 def test_permutation_sign():

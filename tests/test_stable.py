@@ -158,6 +158,29 @@ def test_schur_expand_at_needs_enough_variables():
     assert schur_expand_at((), seeded_table(3), 2) == {(): F(1)}
 
 
+def test_every_layer_reads_each_coefficient_once():
+    # All routes read phi from the sequence's own table, so a closed-form
+    # coefficient is evaluated at most once per sequence and index.
+    reads = Counter()
+
+    def counted(name, formula):
+        def value(x):
+            reads[name, x] += 1
+            return formula(x)
+
+        return value
+
+    seq = CoeffSeq.from_functions(
+        counted("a", lambda x: x), counted("b", lambda x: x + 1)
+    )
+    schur_expand_at((2, 1), seq, 5)
+    interpolate_c_family((2, 1), seq)
+    gschur_function((2, 1), seq, F(1, 3))
+    for n in (2, 3):
+        GschurContext(n, seq).bialternant((2, 1))
+    assert reads and max(reads.values()) == 1
+
+
 def test_single_box_constant_term_is_negated_partial_sum():
     seq = factorial([2, 3, 5, 7, 11, 13])
     for n in range(1, 6):
