@@ -13,121 +13,41 @@ determinant, compact character form), expands them on monomial and classical
 Schur bases, specialises them to classical characters, factorial Schur
 polynomials and multivariate Jacobi polynomials, and extends them to a
 rational dimension parameter and to two-alphabet (super) realisations.
+
+The names in `_EXPORTS` are importable from the package itself; each is
+loaded from its home module on first use, so `import gschur` loads none of
+the modules.  Every other name is imported from its module, e.g.
+`from gschur.presets import sp`.
 """
 
-from .coeffseq import (
-    CoeffSeq,
-    PoleError,
-    UniPolySeq,
-    coeffseq_from_json,
-    coeffseq_to_json,
-    load_coeffseq,
-    random_coeffseq,
-    random_polynomial_coeffseq,
-)
-from .engine import GschurContext, monomial_symmetric, shift_coefficients
-from .exactalg import (
-    DivisionNotExactError,
-    MultiPoly,
-    determinant,
-    exact_divide,
-    format_poly_text,
-    grlex_key,
-    poly_from_json_terms,
-    poly_to_json_terms,
-    vandermonde,
-)
-from .partitions import (
-    Partition,
-    check_partition,
-    conjugate,
-    contains,
-    diagonal_rank,
-    frobenius_coordinates,
-    index_set_identity,
-    parse_partition,
-    partitions_of,
-    partitions_up_to,
-    weight,
-)
-from .presets import (
-    bc_jacobi,
-    boundary_insensitivity,
-    factorial,
-    fh_character_det,
-    schur,
-    so_even,
-    so_odd,
-    sp,
-)
-from .stable import (
-    InterpolationInconsistentError,
-    RationalFunctionOfD,
-    SuperAlphabet,
-    classical_schur,
-    expand_in_classical_schur,
-    gschur_function,
-    interpolate_c_family,
-    jt_infinite_check,
-    realize_expansion,
-    schur_expand_at,
-    super_schur,
-)
-from .verify import SuiteReport, run_property
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoeffSeq",
-    "DivisionNotExactError",
-    "GschurContext",
-    "InterpolationInconsistentError",
-    "MultiPoly",
-    "Partition",
-    "PoleError",
-    "RationalFunctionOfD",
-    "SuiteReport",
-    "SuperAlphabet",
-    "UniPolySeq",
-    "bc_jacobi",
-    "boundary_insensitivity",
-    "check_partition",
-    "classical_schur",
-    "coeffseq_from_json",
-    "coeffseq_to_json",
-    "conjugate",
-    "contains",
-    "determinant",
-    "diagonal_rank",
-    "exact_divide",
-    "expand_in_classical_schur",
-    "factorial",
-    "fh_character_det",
-    "format_poly_text",
-    "frobenius_coordinates",
-    "grlex_key",
-    "gschur_function",
-    "index_set_identity",
-    "interpolate_c_family",
-    "jt_infinite_check",
-    "load_coeffseq",
-    "monomial_symmetric",
-    "parse_partition",
-    "partitions_of",
-    "partitions_up_to",
-    "poly_from_json_terms",
-    "poly_to_json_terms",
-    "random_coeffseq",
-    "random_polynomial_coeffseq",
-    "realize_expansion",
-    "run_property",
-    "schur",
-    "schur_expand_at",
-    "shift_coefficients",
-    "so_even",
-    "so_odd",
-    "sp",
-    "super_schur",
-    "vandermonde",
-    "weight",
-]
+_EXPORTS = {
+    "coeffseq": ("CoeffSeq", "PoleError", "UniPolySeq", "random_coeffseq"),
+    "engine": ("GschurContext",),
+    "exactalg": ("DivisionNotExactError", "MultiPoly"),
+    "presets": ("bc_jacobi", "factorial"),
+    "stable": (
+        "InterpolationInconsistentError",
+        "SuperAlphabet",
+        "gschur_function",
+        "interpolate_c_family",
+        "jt_infinite_check",
+        "super_schur",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import an exported name's home module on first access (PEP 562)."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -8,9 +8,13 @@ any-d expansion with an optional determinant cross-check.
 Exit codes: 0 on success or a verified identity, 1 when an identity is
 violated (counterexamples are printed), 2 for usage or contract errors
 (including unreadable or malformed sequence files and zero denominators in
-rational arguments), and 3 for mathematical failures (poles, inconsistent
-interpolation, inexact division).  Identical invocations, including the
+rational arguments, and an unknown `verify --property` name), and 3 for
+mathematical failures: any `ArithmeticError`, which covers poles, inconsistent
+interpolation and inexact division.  Identical invocations, including the
 seed, produce byte-identical output.
+
+Each subcommand imports the layers it runs: `compute` and `expand --basis
+monomial` load neither the stable layer nor the verification suites.
 """
 
 from __future__ import annotations
@@ -20,25 +24,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .coeffseq import PoleError, load_coeffseq
+from .coeffseq import load_coeffseq
 from .engine import GschurContext
-from .exactalg import (
-    DivisionNotExactError,
-    MultiPoly,
-    format_poly_text,
-    poly_to_json_terms,
-)
+from .exactalg import MultiPoly, _join_signed, format_poly_text, poly_to_json_terms
 from .partitions import format_partition, parse_partition
 from .presets import fh_character_det, make
-from .stable import (
-    InterpolationInconsistentError,
-    SuperAlphabet,
-    gschur_function,
-    jt_infinite_check,
-    schur_expand_at,
-    super_schur,
-)
-from .verify import PROPERTY_NAMES, run_property
 
 PRESET_NAMES = ("schur", "so_odd", "so_even", "sp", "factorial", "bc_jacobi")
 
@@ -51,12 +41,10 @@ def _latex_fraction(value: Fraction) -> str:
 
 def format_poly_latex(poly: MultiPoly, names=None) -> str:
     """LaTeX rendering with explicit subscripted tokens, deterministic order."""
-    if poly.is_zero:
-        return "0"
     if names is None:
         names = [f"x_{{{i + 1}}}" for i in range(poly.arity)]
-    pieces = []
-    for pos, (e, c) in enumerate(poly.sorted_terms()):
+    terms = []
+    for e, c in poly.sorted_terms():
         mono = "".join(
             f"{names[i]}^{{{k}}}" if k > 1 else names[i]
             for i, k in enumerate(e)
@@ -69,11 +57,8 @@ def format_poly_latex(poly: MultiPoly, names=None) -> str:
             body = mono
         else:
             body = f"{_latex_fraction(mag)} {mono}"
-        if pos == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(pieces)
+        terms.append((body, c))
+    return _join_signed(terms) or "0"
 
 
 def _render_poly(poly: MultiPoly, fmt: str, names=None, latex_names=None) -> str:
@@ -91,14 +76,10 @@ def _render_expansion(expansion, fmt: str) -> str:
             [{"partition": list(mu), "c": str(c)} for mu, c in items]
         )
     if fmt == "latex":
-        pieces = []
-        for pos, (mu, c) in enumerate(items):
-            body = f"{_latex_fraction(abs(c))} S_{{({format_partition(mu)})}}"
-            if pos == 0:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(pieces) if pieces else "0"
+        return _join_signed(
+            (f"{_latex_fraction(abs(c))} S_{{({format_partition(mu)})}}", c)
+            for mu, c in items
+        ) or "0"
     lines = [f"{format_partition(mu) or 'empty'}: {c}" for mu, c in items]
     return "\n".join(lines) if lines else "empty expansion"
 
@@ -169,12 +150,16 @@ def _cmd_expand(args) -> int:
     if args.basis == "monomial":
         expansion = GschurContext(args.n, seq).monomial_expansion(lam)
     else:
+        from .stable import schur_expand_at
+
         expansion = schur_expand_at(lam, seq, args.n)
     print(_render_expansion(expansion, args.format))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_property
+
     report = run_property(
         args.property,
         trials=args.trials,
@@ -194,6 +179,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_super(args) -> int:
+    from .stable import SuperAlphabet, super_schur
+
     seq = _sequence_from_args(args)
     lam = parse_partition(args.lam)
     alphabet = SuperAlphabet(args.n, args.m)
@@ -209,6 +196,8 @@ def _cmd_super(args) -> int:
 
 
 def _cmd_stable(args) -> int:
+    from .stable import gschur_function, jt_infinite_check
+
     if args.n_eval < 1:
         raise ValueError("--n-eval must be at least 1")
     seq = _sequence_from_args(args)
@@ -276,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a seeded property suite")
     verify.add_argument(
-        "--property", required=True, choices=PROPERTY_NAMES
+        "--property",
+        required=True,
+        help="suite to run; an unknown name lists the suites",
     )
     verify.add_argument("--trials", type=int, default=5)
     verify.add_argument("--seed", type=int, default=0)
@@ -330,7 +321,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (PoleError, InterpolationInconsistentError, DivisionNotExactError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, IndexError, OSError) as exc:

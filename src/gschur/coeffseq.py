@@ -43,7 +43,7 @@ class PoleError(ZeroDivisionError):
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -102,8 +102,8 @@ class CoeffSeq:
     ) -> "CoeffSeq":
         return cls(
             kind="table",
-            a_table=[_to_fraction(v) for v in a_table],
-            b_table=[_to_fraction(v) for v in b_table],
+            a_table=a_table,
+            b_table=b_table,
             negative_a=negative_a,
             negative_b=negative_b,
             name=name,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -239,25 +239,13 @@ class MultiPoly:
 
     # -- substitution and reshaping ---------------------------------------
 
-    def bind(self, index: int, value: Union[Scalar, "MultiPoly"]) -> "MultiPoly":
-        """Substitute a scalar or same-ring polynomial for one variable.
+    def bind(self, index: int, value: Scalar) -> "MultiPoly":
+        """Substitute a scalar for one variable.
 
-        The arity is preserved; after a scalar binding the variable simply no
-        longer occurs.
+        The arity is preserved; the variable simply no longer occurs.
         """
         if not 0 <= index < self.arity:
             raise ValueError(f"variable index {index} out of range")
-        if isinstance(value, MultiPoly):
-            self._check_same_ring(value)
-            powers: list[MultiPoly] = [MultiPoly.one(self.arity)]
-            out = MultiPoly.zero(self.arity)
-            for e, c in self._terms.items():
-                k = e[index]
-                while len(powers) <= k:
-                    powers.append(powers[-1] * value)
-                rest = tuple(0 if i == index else v for i, v in enumerate(e))
-                out = out + MultiPoly.monomial(self.arity, rest, c) * powers[k]
-            return out
         v = _coerce_scalar(value)
         out_terms: dict[Exponent, Fraction] = {}
         for e, c in self._terms.items():
@@ -306,20 +294,6 @@ class MultiPoly:
                     term = term * power(i, k)
             out = out + term
         return out
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value of the polynomial at a rational point."""
-        if len(point) != self.arity:
-            raise ValueError("point has the wrong number of coordinates")
-        vals = [_coerce_scalar(v) for v in point]
-        total = _ZERO
-        for e, c in self._terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v ** k
-            total += term
-        return total
 
     def prepend_variable(self) -> "MultiPoly":
         """Reinterpret in a ring with one extra leading variable (x_i -> x_{i+1})."""
@@ -564,25 +538,28 @@ def poly_to_json_terms(poly: MultiPoly) -> list[dict]:
     return [{"e": list(e), "c": str(c)} for e, c in poly.sorted_terms()]
 
 
-def poly_from_json_terms(arity: int, data: Sequence[Mapping]) -> MultiPoly:
-    terms: dict[Exponent, Fraction] = {}
-    for item in data:
-        e = tuple(int(v) for v in item["e"])
-        c = Fraction(item["c"])
-        if e in terms:
-            raise ValueError(f"duplicate exponent tuple {e} in serialized polynomial")
-        terms[e] = c
-    return MultiPoly(arity, terms)
+def _join_signed(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """Join (body, coefficient) pairs as a signed sum of magnitudes.
+
+    The first body keeps its own sign; later ones are joined with " + " or
+    " - " by the sign of their coefficient.  Every printer of the package
+    (text, LaTeX, Schur-basis expansions) writes its sums through here.
+    """
+    pieces: list[str] = []
+    for body, c in terms:
+        if pieces:
+            pieces.append(f" + {body}" if c > 0 else f" - {body}")
+        else:
+            pieces.append(body if c > 0 else f"-{body}")
+    return "".join(pieces)
 
 
 def format_poly_text(poly: MultiPoly, names: Sequence[str] | None = None) -> str:
     """Plain-text rendering such as ``x1^2 - 1``, deterministic term order."""
-    if poly.is_zero:
-        return "0"
     if names is None:
         names = [f"x{i + 1}" for i in range(poly.arity)]
-    pieces: list[str] = []
-    for pos, (e, c) in enumerate(poly.sorted_terms()):
+    terms = []
+    for e, c in poly.sorted_terms():
         mono = "*".join(
             f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
         )
@@ -593,8 +570,5 @@ def format_poly_text(poly: MultiPoly, names: Sequence[str] | None = None) -> str
             body = mono
         else:
             body = f"{mag}*{mono}"
-        if pos == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(pieces)
+        terms.append((body, c))
+    return _join_signed(terms) or "0"

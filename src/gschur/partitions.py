@@ -31,10 +31,6 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-def weight(p: Partition) -> int:
-    return sum(p)
-
-
 def pad(p: Partition, n: int) -> tuple[int, ...]:
     """Extend with zeros to exactly n entries."""
     if len(p) > n:

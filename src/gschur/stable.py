@@ -25,6 +25,10 @@ unless mu lies inside lam.  `schur_expand_at` is the one finite-count
 expansion: it takes these l x l scalar minors over the sequence's own phi
 table (`seq.phis`), which every sample count of every interpolation shares;
 the fit itself solves its linear system in integers.
+
+Samples that no rational function within the degree bound explains raise
+`InterpolationInconsistentError`, an `ArithmeticError` like the poles and
+inexact divisions of the lower layers.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError
 from .engine import GschurContext, first_column_det, shift_coefficients
-from .exactalg import MultiPoly, determinant
+from .exactalg import MultiPoly, determinant, format_poly_text
 from .partitions import Partition, check_partition, contains, pad, partitions_up_to
+from .presets import schur
 
 _F = Fraction
 
 
-class InterpolationInconsistentError(Exception):
+class InterpolationInconsistentError(ArithmeticError):
     """Samples cannot be explained by a rational function within the bound."""
 
 
@@ -50,10 +55,6 @@ class SuperAlphabet(NamedTuple):
 
     n: int
     m: int
-
-    @property
-    def superdimension(self) -> int:
-        return self.n - self.m
 
 
 # -- univariate helpers over Fraction coefficient lists ---------------------
@@ -134,14 +135,6 @@ class RationalFunctionOfD:
             raise PoleError(x, f"rational function has a pole at d = {x}")
         return _eval_coeffs(self.num, x) / bottom
 
-    @property
-    def num_degree(self) -> int:
-        return len(self.num) - 1
-
-    @property
-    def den_degree(self) -> int:
-        return len(self.den) - 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunctionOfD):
             return self.num == other.num and self.den == other.den
@@ -154,8 +147,6 @@ class RationalFunctionOfD:
     __hash__ = None
 
     def __repr__(self) -> str:
-        from .exactalg import format_poly_text
-
         def fmt(cs):
             if not cs:
                 return "0"
@@ -181,9 +172,7 @@ def classical_schur(k: int, mu) -> MultiPoly:
         return MultiPoly.zero(k)
     ctx = _classical_contexts.get(k)
     if ctx is None:
-        from .presets import schur as _schur_preset
-
-        ctx = _classical_contexts[k] = GschurContext(k, _schur_preset())
+        ctx = _classical_contexts[k] = GschurContext(k, schur())
     return ctx.bialternant(mu)
 
 

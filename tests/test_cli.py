@@ -185,7 +185,7 @@ def test_verify_counterexamples_exit_one(capsys, monkeypatch):
     def fake(name, *, trials, seed, max_weight, max_vars):
         return SuiteReport(name, checks=3, failures=[planted])
 
-    monkeypatch.setattr(cli, "run_property", fake)
+    monkeypatch.setattr(verify, "run_property", fake)
     code, out, _ = run(capsys, "verify", "--property", "jt")
     assert code == 1
     lines = out.splitlines()
@@ -425,6 +425,7 @@ EXIT_CODE_CASES = [
     ("negative-trials", ["verify", "--property", "jt", "--trials", "-1"], None, 2),
     ("zero-max-vars", ["verify", "--property", "jt", "--max-vars", "0"], None, 2),
     ("no-checks", ["verify", "--property", "lemma", "--max-vars", "1"], None, 2),
+    ("unknown-property", ["verify", "--property", "nope"], None, 2),
     ("seq-file-not-object", SEQ_FILE_COMPUTE, "5", 2),
     ("seq-file-string-tables", SEQ_FILE_COMPUTE,
      json.dumps({"a": "123", "b": "456"}), 2),
@@ -439,6 +440,9 @@ EXIT_CODE_CASES = [
                                        "--lambda", "2,1", "--method", "fh"],
      json.dumps({"name": "sp", "a": [str(i) for i in range(1, 9)],
                  "b": ["1"] * 8}), 2),
+    # JSON booleans are not numbers, although Python's bool is an int.
+    ("seq-file-booleans", SEQ_FILE_COMPUTE,
+     json.dumps({"a": [True, False, True], "b": [False, True, True]}), 2),
 ]
 
 
@@ -473,3 +477,21 @@ DEMOS = [
 def test_demo_runs(demo):
     proc = run_python(str(SRC.parent / "demos" / demo))
     assert proc.returncode == 0, proc.stderr
+
+
+LAZY_IMPORT_PROBE = """
+import sys
+from gschur import cli
+codes = [
+    cli.main(["compute", "--preset", "sp", "--n", "2", "--lambda", "2,1"]),
+    cli.main(["expand", "--preset", "schur", "--n", "2", "--lambda", "2,1",
+              "--basis", "monomial"]),
+]
+print(codes, sorted(m for m in sys.modules if m in ("gschur.stable", "gschur.verify")))
+"""
+
+
+def test_compute_and_monomial_expand_load_neither_stable_nor_verify():
+    proc = run_python("-c", LAZY_IMPORT_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"

@@ -14,7 +14,6 @@ from gschur.exactalg import (
     exact_divide,
     format_poly_text,
     grlex_key,
-    poly_from_json_terms,
     poly_to_json_terms,
     vandermonde,
 )
@@ -124,11 +123,11 @@ def test_power_and_division_by_scalar():
         p / 0
 
 
-def test_bind_scalar_and_poly():
+def test_bind_scalar():
     p = x(0) ** 2 * x(1) - x(1)
     assert p.bind(0, 2) == 4 * x(1) - x(1)
-    # substituting a polynomial keeps the arity
-    assert p.bind(0, x(1)) == x(1) ** 3 - x(1)
+    # the bound variable no longer occurs, and the arity is kept
+    assert p.bind(1, F(1, 2)) == F(1, 2) * x(0) ** 2 - F(1, 2)
 
 
 def test_compose_matches_manual_substitution():
@@ -136,12 +135,6 @@ def test_compose_matches_manual_substitution():
     q = p.compose([x(1, 3) + x(2, 3), x(0, 3)])
     expected = (x(1, 3) + x(2, 3)) ** 2 + x(0, 3)
     assert q == expected
-
-
-@given(small_polys(), st.integers(-3, 3), st.integers(-3, 3))
-@settings(max_examples=40, deadline=None)
-def test_evaluate_agrees_with_bind(p, u, v):
-    assert p.evaluate([u, v]) == p.bind(0, u).bind(1, v).constant_term
 
 
 def test_prepend_variable_shifts_indices():
@@ -325,16 +318,10 @@ def test_determinant_shape_checks():
 @settings(max_examples=40, deadline=None)
 def test_json_roundtrip(p):
     data = poly_to_json_terms(p)
-    assert poly_from_json_terms(2, data) == p
+    assert MultiPoly(2, {tuple(item["e"]): F(item["c"]) for item in data}) == p
     # terms must come out in descending graded-lex order
     keys = [tuple(item["e"]) for item in data]
     assert keys == sorted(keys, key=grlex_key, reverse=True)
-
-
-def test_json_rejects_duplicate_exponents():
-    data = [{"e": [1, 0], "c": "1"}, {"e": [1, 0], "c": "2"}]
-    with pytest.raises(ValueError):
-        poly_from_json_terms(2, data)
 
 
 def test_format_poly_text_pinned():
