@@ -255,7 +255,8 @@ def coeffseq_from_json(obj) -> CoeffSeq:
     """Build a table-kind sequence from the JSON file format.
 
     The format is an object ``{"a": [...], "b": [...], "negative": "zero"}``
-    whose arrays hold integers or decimal-free rational strings; `negative`
+    whose arrays hold integers or strings read exactly by `Fraction`, such as
+    "-3/2", "1.5" (3/2) or "1e3" (1000); JSON floats are rejected.  `negative`
     may instead be an object with optional "a" and "b" objects mapping
     negative indices to values.  Other keys, `name` included, are not read.
     Any other shape, or an entry that is not an exact rational, raises

@@ -43,6 +43,7 @@ from .exactalg import MultiPoly, determinant, exact_divide, vandermonde
 from .partitions import (
     Partition,
     check_partition,
+    compositions,
     diagonal_rank,
     frobenius_coordinates,
     pad,
@@ -101,16 +102,6 @@ def shift_coefficients(
                     value.pop(j, None)
     memo[key] = value
     return value
-
-
-def _exponents(k: int, degree: int):
-    """All exponent tuples of length k >= 1 and the given total degree."""
-    if k == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _exponents(k - 1, degree - first):
-            yield (first,) + rest
 
 
 def first_column_det(
@@ -255,7 +246,7 @@ class GschurContext:
         terms = {}
         for degree, c in by_degree.items():
             if c:
-                for e in _exponents(n, degree):
+                for e in compositions(n, degree):
                     terms[e] = c
         got = self._h_shift_memo[key] = MultiPoly(n, terms)
         return got
@@ -291,25 +282,6 @@ class GschurContext:
             got = self.jacobi_trudi((u + 1,) + (1,) * v)
             self._hook_memo[key] = got
         return got
-
-    def delta_minor(self, i: int, j: int) -> MultiPoly:
-        """Signed maximal minor of the j x (j+1) array of shifted values.
-
-        Row t (for t = 1..j) of the array carries h^{(c)}_{1-t} across
-        columns c = 0..j; the minor omits the i-th column (1-based) and
-        carries the sign (-1)^(i-1).  For i > j + 1 the value is zero, and
-        the j = 0 edge case is the empty determinant 1.
-        """
-        if i < 1 or j < 0:
-            raise ValueError("need i >= 1 and j >= 0")
-        if i > j + 1:
-            return MultiPoly.zero(self.n)
-        sign = Fraction(-1) ** (i - 1)
-        if j == 0:
-            return MultiPoly.constant(self.n, sign)
-        cols = [c for c in range(j + 1) if c != i - 1]
-        rows = [[self.h_shift(1 - t, c) for c in cols] for t in range(1, j + 1)]
-        return sign * determinant(rows)
 
     def giambelli(self, lam) -> MultiPoly:
         """Determinant of hooks over the Frobenius coordinates of lam."""

@@ -125,6 +125,22 @@ def partitions_of(total: int, max_part: int | None = None) -> Iterator[Partition
             yield (first,) + rest
 
 
+def compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `length` nonnegative integers summing to `total`.
+
+    Lexicographically decreasing, so (total, 0, ..., 0) comes first; nothing
+    for a negative total, and () alone for length 0 and total 0.
+    """
+    if total < 0 or (length == 0 and total):
+        return
+    if length <= 1:
+        yield (total,) if length else ()
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(length - 1, total - first):
+            yield (first,) + rest
+
+
 def partitions_up_to(max_weight: int, max_length: int | None = None) -> Iterator[Partition]:
     """Partitions of every weight 0..max_weight, ordered by weight then revlex."""
     for w in range(max_weight + 1):

@@ -11,6 +11,11 @@ values (`gschur_function`).  On top of that sit the parameterised Jacobi-Trudi
 consistency check (`jt_infinite_check`) and the super-symmetric realisation
 (`super_schur`).
 
+A coefficient map becomes a polynomial in one place, `realize_expansion`:
+Jacobi-Trudi determinants over the complete homogeneous functions of n x and
+m y variables, written from their generating function, so no realisation
+goes through the bialternant it is compared against.
+
 The expensive step, expanding at a single integer count n, needs no
 polynomials in x at all.  Write C_{i,m} = [z^m] phi_i for the lower
 unitriangular coefficient matrix of the family.  Expanding each row
@@ -34,14 +39,16 @@ inexact divisions of the lower layers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError
-from .engine import GschurContext, first_column_det, shift_coefficients
+from .engine import first_column_det, shift_coefficients
 from .exactalg import MultiPoly, determinant, format_poly_text
-from .partitions import Partition, check_partition, contains, pad, partitions_up_to
-from .presets import schur
+from .partitions import (
+    Partition, check_partition, compositions, contains, pad, partitions_up_to
+)
 
 _F = Fraction
 
@@ -158,22 +165,61 @@ class RationalFunctionOfD:
         return f"({fmt(self.num)})/({fmt(self.den)})"
 
 
-# -- classical Schur polynomials (self-hosted, a = b = 0) -------------------
+# -- realisation on n x and m y variables ------------------------------------
 
-_classical_contexts: dict[int, GschurContext] = {}
+
+def super_complete_homogeneous(n: int, m: int, upto: int) -> list[MultiPoly]:
+    """h_0..h_upto on n x and m y variables, x variables first.
+
+    Read off the generating function prod_j (1 - y_j t) / prod_i (1 - x_i t):
+    the coefficient of x^alpha y^beta in h_d is (-1)^|beta| when every beta_j
+    is 0 or 1 and |alpha| + |beta| = d, and 0 otherwise.  With m = 0 these
+    are the classical complete homogeneous polynomials.
+    """
+    hs = []
+    for d in range(upto + 1):
+        terms = {}
+        for beta in product((0, 1), repeat=m):
+            k = sum(beta)
+            for alpha in compositions(n, d - k):
+                terms[alpha + beta] = (-1) ** k
+        hs.append(MultiPoly(n + m, terms))
+    return hs
+
+
+def realize_expansion(
+    expansion: Mapping[Partition, Fraction], n: int, m: int = 0
+) -> MultiPoly:
+    """Polynomial of a Schur-basis coefficient map on n x and m y variables.
+
+    Each s_mu is its Jacobi-Trudi determinant det[h_{mu_j - j + c}] over
+    `super_complete_homogeneous`, the hook Schur function of the two
+    alphabets.  It vanishes exactly when mu_{n+1} > m, so those mu are
+    skipped; with m = 0 that is the truncation of a symmetric function to n
+    variables, which drops every mu with more than n rows.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("alphabet sizes must be nonnegative")
+    inside = {
+        mu: c for mu, c in expansion.items() if c and (len(mu) <= n or mu[n] <= m)
+    }
+    depth = max((mu[0] + len(mu) - 1 for mu in inside if mu), default=0)
+    hs = super_complete_homogeneous(n, m, depth)
+    zero = MultiPoly.zero(n + m)
+
+    def h_entry(i: int, c: int) -> MultiPoly:
+        return hs[i + c] if i + c >= 0 else zero
+
+    out = zero
+    for mu, c in inside.items():
+        indices = [part - j for j, part in enumerate(mu)]
+        out = out + c * first_column_det(h_entry, indices, n + m)
+    return out
 
 
 def classical_schur(k: int, mu) -> MultiPoly:
     """Ordinary Schur polynomial in k variables; zero when mu has > k rows."""
-    mu = check_partition(mu)
-    if k == 0:
-        return MultiPoly.one(0) if not mu else MultiPoly.zero(0)
-    if len(mu) > k:
-        return MultiPoly.zero(k)
-    ctx = _classical_contexts.get(k)
-    if ctx is None:
-        ctx = _classical_contexts[k] = GschurContext(k, schur())
-    return ctx.bialternant(mu)
+    return realize_expansion({check_partition(mu): 1}, k)
 
 
 def expand_in_classical_schur(poly: MultiPoly) -> dict[Partition, Fraction]:
@@ -327,9 +373,12 @@ def _fit_and_validate(
     return fit
 
 
+_DEGREE_BOUND_CAP = 32
+
+
 def _check_degree_bound(degree_bound: int) -> None:
-    if degree_bound < 1:
-        raise ValueError(f"degree bound must be at least 1, got {degree_bound}")
+    if not 1 <= degree_bound <= _DEGREE_BOUND_CAP:
+        raise ValueError(f"degree bound {degree_bound} not in 1..{_DEGREE_BOUND_CAP}")
 
 
 def _interpolate_all(
@@ -349,9 +398,6 @@ def _interpolate_all(
     return out
 
 
-_DEGREE_BOUND_CAP = 32
-
-
 def interpolate_c_family(
     lam, seq: CoeffSeq, degree_bound: int = 4
 ) -> dict[Partition, RationalFunctionOfD]:
@@ -359,8 +405,8 @@ def interpolate_c_family(
 
     Starts at the given degree bound and doubles it (re-sampling at more
     integer counts) whenever the samples cannot be explained, up to a hard
-    cap that turns runaway growth into an error.  The bound must be at
-    least 1.
+    cap of 32 that turns runaway growth into an error.  A bound outside
+    1..32 raises ValueError before any sampling.
 
     A table-backed sequence may run out of entries on a retry; the samples
     it did have were inconsistent, so that inconsistency is raised, chained
@@ -399,7 +445,7 @@ def gschur_function(
     succeed, and the direct route stays meaningful for table sequences whose
     coefficients have no rational interpolant at all.
 
-    A degree bound below 1 raises ValueError, on the integer path too.
+    A degree bound outside 1..32 raises ValueError, on the integer path too.
     """
     _check_degree_bound(degree_bound)
     lam = check_partition(lam)
@@ -414,19 +460,6 @@ def gschur_function(
         value = func(d)
         if value:
             out[mu] = value
-    return out
-
-
-def realize_expansion(expansion: Mapping[Partition, Fraction], k: int) -> MultiPoly:
-    """Concrete k-variable polynomial of a Schur-basis coefficient map.
-
-    Partitions with more than k rows contribute nothing, implementing the
-    truncation of a symmetric function to finitely many variables.
-    """
-    out = MultiPoly.zero(k)
-    for mu, c in sorted(expansion.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        if c:
-            out = out + c * classical_schur(k, mu)
     return out
 
 
@@ -472,63 +505,16 @@ def jt_infinite_check(
 # -- super-symmetric realisation -------------------------------------------
 
 
-def super_power_sum(n: int, m: int, k: int) -> MultiPoly:
-    """p_k on the super alphabet: sum of x powers minus sum of y powers."""
-    if k < 1:
-        raise ValueError("power sums are indexed from 1")
-    arity = n + m
-    terms = {}
-    for i in range(n):
-        e = [0] * arity
-        e[i] = k
-        terms[tuple(e)] = _F(1)
-    for j in range(m):
-        e = [0] * arity
-        e[n + j] = k
-        terms[tuple(e)] = _F(-1)
-    return MultiPoly(arity, terms)
-
-
-def super_complete_homogeneous(n: int, m: int, upto: int) -> list[MultiPoly]:
-    """h_0..h_upto on the super alphabet, generated by Newton's identities."""
-    arity = n + m
-    hs = [MultiPoly.one(arity)]
-    ps = [None] + [super_power_sum(n, m, k) for k in range(1, upto + 1)]
-    for k in range(1, upto + 1):
-        acc = MultiPoly.zero(arity)
-        for i in range(1, k + 1):
-            acc = acc + ps[i] * hs[k - i]
-        hs.append(acc / k)
-    return hs
-
-
 def super_schur(
     lam, seq: CoeffSeq, alphabet: SuperAlphabet, degree_bound: int = 4
 ) -> MultiPoly:
     """Super-symmetric realisation at superdimension d = n - m.
 
-    Expands the any-d object at d = n - m and realises each classical Schur
-    function on the super alphabet through its Jacobi-Trudi determinant over
-    super complete homogeneous functions.  The first n variables are the x
-    family, the remaining m the y family.
+    The any-d object at d = n - m, realised by `realize_expansion` on the
+    alphabet's n x and m y variables.
     """
     lam = check_partition(lam)
     n, m = alphabet
     if n < 0 or m < 0:
         raise ValueError("alphabet sizes must be nonnegative")
-    arity = n + m
-    coeffs = gschur_function(lam, seq, Fraction(n - m), degree_bound)
-    depth = 0
-    for mu in coeffs:
-        if mu:
-            depth = max(depth, mu[0] + len(mu) - 1)
-    hs = super_complete_homogeneous(n, m, depth)
-
-    def h_entry(i: int, c: int) -> MultiPoly:
-        return hs[i + c] if i + c >= 0 else MultiPoly.zero(arity)
-
-    out = MultiPoly.zero(arity)
-    for mu, c in sorted(coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        indices = [mu[j] - j for j in range(len(mu))]
-        out = out + c * first_column_det(h_entry, indices, arity)
-    return out
+    return realize_expansion(gschur_function(lam, seq, n - m, degree_bound), n, m)

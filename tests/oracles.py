@@ -3,8 +3,9 @@
 Everything here is deliberately naive: determinants by summing over all
 permutations, products by a double loop over `Fraction` terms, kernel vectors
 by Gauss-Jordan over `Fraction`, Schur polynomials by listing semistandard
-tableaux.  Slow, but with no shared code paths with the package internals
-beyond the MultiPoly container and its `+`/`-`.
+tableaux, super complete homogeneous functions by Newton's identities.  Slow,
+but with no shared code paths with the package internals beyond the
+MultiPoly container and its `+`/`-`.
 """
 
 from fractions import Fraction
@@ -40,6 +41,32 @@ def leibniz_det(rows):
         signed = prod if inversions % 2 == 0 else -prod
         total = signed if total is None else total + signed
     return total
+
+
+def newton_complete_homogeneous(n, m, upto):
+    """h_0..h_upto on n x and m y variables (x first) by Newton's identities.
+
+    k h_k = sum_{i=1..k} p_i h_{k-i}, with the super power sums
+    p_i = sum x^i - sum y^i, multiplying with `fraction_product`.
+    """
+    arity = n + m
+
+    def power_sum(i):
+        terms = {}
+        for v in range(arity):
+            e = [0] * arity
+            e[v] = i
+            terms[tuple(e)] = Fraction(1 if v < n else -1)
+        return MultiPoly(arity, terms)
+
+    ps = [None] + [power_sum(i) for i in range(1, upto + 1)]
+    hs = [MultiPoly(arity, {(0,) * arity: Fraction(1)})]
+    for k in range(1, upto + 1):
+        acc = MultiPoly(arity)
+        for i in range(1, k + 1):
+            acc = acc + fraction_product(ps[i], hs[k - i])
+        hs.append(MultiPoly(arity, {e: c / k for e, c in acc.items()}))
+    return hs
 
 
 def fraction_kernel_vector(rows):

@@ -408,8 +408,15 @@ EXIT_CODE_CASES = [
     ("degree-bound-zero", ["stable", "--preset", "factorial", "--a-table",
                            "0,1,2,3,4,5,6,7,8", "--d", "1/2", "--lambda", "1",
                            "--degree-bound", "0"], None, 2),
+    ("degree-bound-above-cap", ["stable", "--preset", "bc_jacobi", "--p", "1",
+                                "--q", "-3", "--d", "1/3", "--lambda", "2,1",
+                                "--degree-bound", "33"], None, 2),
     ("pole", ["compute", "--preset", "bc_jacobi", "--p", "1", "--q", "1",
               "--n", "2", "--lambda", "1"], None, 3),
+    # The alphabet is checked before the expansion can reach the pole.
+    ("super-negative-alphabet", ["super", "--preset", "bc_jacobi", "--p", "1",
+                                 "--q", "1", "--probe-upto", "0", "--n", "-1",
+                                 "--m", "0", "--lambda", "1"], None, 2),
     ("inconsistent-interpolation", ["stable", "--seq-file", "{seq}", "--d", "1/3",
                                     "--lambda", "1"], RANDOM_SEQ, 3),
     ("n-eval-zero", ["stable", "--preset", "sp", "--d", "1/3", "--lambda", "2",

@@ -260,21 +260,6 @@ def test_hook_shape_errors():
         ctx.hook(1, -1)
 
 
-def test_delta_minor_pinned():
-    ctx = GschurContext(2, seeded_seq(11))
-    assert ctx.delta_minor(1, 0) == MultiPoly.one(2)
-    for k in (1, 2, 3):
-        assert ctx.delta_minor(k, k - 1) == MultiPoly.constant(2, F(-1) ** (k - 1))
-    assert ctx.delta_minor(4, 1).is_zero
-    with pytest.raises(ValueError):
-        ctx.delta_minor(0, 1)
-
-
-def test_delta_minor_classical_first_case():
-    ctx = GschurContext(2, schur())
-    assert ctx.delta_minor(1, 1) == ctx.h(1)
-
-
 def test_giambelli_pinned_two_by_two():
     ctx = GschurContext(2, schur())
     # λ=(2,2) has Frobenius coordinates (1,0 | 1,0)

@@ -1,12 +1,14 @@
 """Partition combinatorics tests."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gschur.partitions import (
     check_partition,
+    compositions,
     conjugate,
     contains,
     diagonal_rank,
@@ -138,6 +140,20 @@ def test_partitions_up_to_respects_length_bound():
     assert (2, 2) in ps
     assert () in ps
     assert len(ps) == len(set(ps))
+
+
+def test_compositions_edges_counts_and_order():
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(0, 2)) == []
+    assert list(compositions(3, -1)) == []
+    assert list(compositions(1, 4)) == [(4,)]
+    assert list(compositions(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+    for length in range(1, 5):
+        for total in range(7):
+            got = list(compositions(length, total))
+            assert len(got) == comb(total + length - 1, length - 1)
+            assert got == sorted(got, reverse=True)
+            assert all(len(e) == length and sum(e) == total for e in got)
 
 
 def test_index_set_identity_small_cases():

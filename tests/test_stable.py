@@ -15,7 +15,7 @@ from gschur.coeffseq import (
     random_coeffseq,
     random_polynomial_coeffseq,
 )
-from gschur.engine import GschurContext
+from gschur.engine import GschurContext, first_column_det
 from gschur.exactalg import MultiPoly
 from gschur.partitions import contains, partitions_up_to
 from gschur.presets import bc_jacobi, factorial, schur, sp
@@ -33,11 +33,14 @@ from gschur.stable import (
     realize_expansion,
     schur_expand_at,
     super_complete_homogeneous,
-    super_power_sum,
     super_schur,
 )
 
-from oracles import fraction_kernel_vector, schur_by_tableaux
+from oracles import (
+    fraction_kernel_vector,
+    newton_complete_homogeneous,
+    schur_by_tableaux,
+)
 
 F = Fraction
 
@@ -77,8 +80,8 @@ def test_rational_function_pole_and_repr():
 
 
 def test_classical_schur_matches_tableaux():
-    for k in (1, 2, 3):
-        for mu in partitions_up_to(4, k):
+    for k in (1, 2, 3, 4):
+        for mu in partitions_up_to(5, k):
             assert classical_schur(k, mu) == schur_by_tableaux(mu, k)
     assert classical_schur(2, (1, 1, 1)).is_zero
     assert classical_schur(0, ()) == MultiPoly.one(0)
@@ -318,6 +321,18 @@ def test_degree_bound_below_one_is_rejected():
         super_schur((1,), seq, SuperAlphabet(1, 1), degree_bound=0)
     with pytest.raises(ValueError):
         jt_infinite_check((1,), seq, F(1, 2), 2, degree_bound=0)
+    # Above the doubling cap the first attempt alone could run for minutes.
+    for bound in (33, 128):
+        with pytest.raises(ValueError):
+            interpolate_c_family((1,), seq, degree_bound=bound)
+        with pytest.raises(ValueError):
+            gschur_function((1,), seq, F(1, 2), degree_bound=bound)
+        with pytest.raises(ValueError):
+            gschur_function((1,), seq, 3, degree_bound=bound)
+        with pytest.raises(ValueError):
+            super_schur((1,), seq, SuperAlphabet(1, 1), degree_bound=bound)
+        with pytest.raises(ValueError):
+            jt_infinite_check((1,), seq, F(1, 2), 2, degree_bound=bound)
 
 
 def test_gschur_function_integer_arguments():
@@ -342,6 +357,8 @@ def test_realize_expansion():
     got = realize_expansion({(): F(2), (1,): F(-1)}, k)
     assert got == MultiPoly.constant(k, 2) - MultiPoly.variable(k, 0) - MultiPoly.variable(k, 1)
     assert realize_expansion({(1, 1, 1): F(5)}, 2).is_zero
+    with pytest.raises(ValueError):
+        realize_expansion({(1,): F(1)}, 1, -1)
 
 
 # -- the parameterised Jacobi-Trudi identity --------------------------------
@@ -374,12 +391,31 @@ def test_jt_infinite_random_polynomial_sequence():
 # -- super-symmetric realisation -------------------------------------------
 
 
-def test_super_power_sum_signs():
-    p1 = super_power_sum(2, 1, 1)
-    x1, x2, y1 = (MultiPoly.variable(3, i) for i in range(3))
-    assert p1 == x1 + x2 - y1
-    with pytest.raises(ValueError):
-        super_power_sum(2, 1, 0)
+def test_super_complete_homogeneous_matches_newton():
+    for n in range(4):
+        for m in range(4):
+            assert super_complete_homogeneous(n, m, 6) == newton_complete_homogeneous(
+                n, m, 6
+            )
+
+
+def test_hook_schur_vanishes_exactly_outside_the_hook():
+    # det[h_{mu_j - j + c}] on n x and m y variables is zero exactly when
+    # mu_{n+1} > m, the rows `realize_expansion` skips.
+    for n in range(3):
+        for m in range(3):
+            hs = super_complete_homogeneous(n, m, 6)
+            zero = MultiPoly.zero(n + m)
+
+            def h_entry(i, c):
+                return hs[i + c] if i + c >= 0 else zero
+
+            for mu in partitions_up_to(6):
+                det = first_column_det(
+                    h_entry, [part - j for j, part in enumerate(mu)], n + m
+                )
+                outside = len(mu) > n and mu[n] > m
+                assert det.is_zero == outside, (n, m, mu)
 
 
 def test_super_complete_homogeneous_one_one():
@@ -406,7 +442,9 @@ def test_super_schur_without_odd_variables_is_bialternant():
 def test_super_schur_single_box():
     seq = factorial([2, 3, 5, 7, 11])
     got = super_schur((1,), seq, SuperAlphabet(3, 1))
-    assert got == super_power_sum(3, 1, 1) + MultiPoly.constant(4, -5)
+    x1, x2, x3, y1 = (MultiPoly.variable(4, i) for i in range(4))
+    # c_() at d = 2 is -(a(0) + a(1)) = -5
+    assert got == x1 + x2 + x3 - y1 - MultiPoly.constant(4, 5)
 
 
 def test_super_schur_cancellation():
