@@ -14,7 +14,8 @@ exercise the fact that downstream determinants never depend on the choice.
 Each sequence owns one memoised family, `seq.phis`, built with it; every
 route of the package (bialternant rows, one-row polynomials, the stable
 layer's scalar minors) reads phi_i from there, so each coefficient a(j),
-b(j) that the family needs is evaluated once per sequence.
+b(j) that the family needs is evaluated once per sequence.  Next to it,
+`seq.families` memoises the stable layer's successful interpolations.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ class CoeffSeq:
     Use `from_tables` for finite data and `from_functions` for closed forms.
     `a(i)` / `b(i)` take integer indices; `a_at(x)` / `b_at(x)` evaluate a
     closed form at an arbitrary rational and are rejected for table kind.
-    `phis` is the sequence's own memoised recurrence family.
+    `phis` is the sequence's own memoised recurrence family.  `families`
+    maps (partition, degree bound) to the family `stable.interpolate_c_family`
+    fitted for that request; it holds successes only and starts empty, so
+    `with_negative` gets its own.
     """
 
     def __init__(
@@ -89,6 +93,7 @@ class CoeffSeq:
         if kind == "closed-form" and (a_func is None or b_func is None):
             raise ValueError("closed-form kind needs both a and b callables")
         self.phis = UniPolySeq(self)
+        self.families: dict = {}
 
     @classmethod
     def from_tables(

@@ -29,7 +29,9 @@ the full n x n minor form a unit triangular block, and the minor vanishes
 unless mu lies inside lam.  `schur_expand_at` is the one finite-count
 expansion: it takes these l x l scalar minors over the sequence's own phi
 table (`seq.phis`), which every sample count of every interpolation shares;
-the fit itself solves its linear system in integers.
+the fit itself solves its linear system in integers, and each sequence
+keeps its successful fits (`seq.families`), so the one-row families that
+`jt_infinite_check` needs, or a family evaluated at many d, are fitted once.
 
 Samples that no rational function within the degree bound explains raise
 `InterpolationInconsistentError`, an `ArithmeticError` like the poles and
@@ -43,7 +45,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .coeffseq import CoeffSeq, PoleError
+from .coeffseq import CoeffSeq, PoleError, _to_fraction
 from .engine import first_column_det, shift_coefficients
 from .exactalg import MultiPoly, determinant, format_poly_text
 from .partitions import (
@@ -136,7 +138,8 @@ class RationalFunctionOfD:
         self.den = tuple(c / lead for c in den)
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
+        """Value at an exact rational x; a float or bool raises TypeError."""
+        x = _to_fraction(x)
         bottom = _eval_coeffs(self.den, x)
         if bottom == 0:
             raise PoleError(x, f"rational function has a pole at d = {x}")
@@ -412,14 +415,22 @@ def interpolate_c_family(
     it did have were inconsistent, so that inconsistency is raised, chained
     from the IndexError.  Running out on the first attempt stays an
     IndexError.
+
+    Each success is memoised in `seq.families` under (lam, the requested
+    bound), so a later request for the same pair fits nothing; the caller
+    gets a fresh dict each time.  Failures are not stored and are raised
+    again on every call.
     """
     _check_degree_bound(degree_bound)
     lam = check_partition(lam)
+    key = (lam, degree_bound)
+    if key in seq.families:
+        return dict(seq.families[key])
     bound = degree_bound
     inconsistency = None
     while True:
         try:
-            return _interpolate_all(lam, seq, bound)
+            family = _interpolate_all(lam, seq, bound)
         except InterpolationInconsistentError as exc:
             if 2 * bound > _DEGREE_BOUND_CAP:
                 raise
@@ -428,6 +439,9 @@ def interpolate_c_family(
             if inconsistency is None:
                 raise
             raise inconsistency from exc
+        else:
+            seq.families[key] = family
+            return dict(family)
         bound *= 2
 
 
@@ -446,10 +460,12 @@ def gschur_function(
     coefficients have no rational interpolant at all.
 
     A degree bound outside 1..32 raises ValueError, on the integer path too.
+    d_value must be exact (int, Fraction or a string Fraction reads); a
+    float or bool raises TypeError.
     """
     _check_degree_bound(degree_bound)
     lam = check_partition(lam)
-    d = Fraction(d_value)
+    d = _to_fraction(d_value)
     if not lam:
         return {(): _F(1)}
     if d.denominator == 1 and d >= len(lam):
@@ -473,14 +489,14 @@ def jt_infinite_check(
     arguments are offset by d - 1 (so the sequence must be closed form,
     evaluable off the integers).  Both sides are compared after
     truncation to n_eval variables, which is faithful because truncation is a
-    ring homomorphism.
+    ring homomorphism.  A float or bool d_value raises TypeError.
     """
     if not seq.is_closed_form:
         raise ValueError("the parameterised recursion needs a closed-form sequence")
     if n_eval < 1:
         raise ValueError("need at least one evaluation variable")
     lam = check_partition(lam)
-    d = Fraction(d_value)
+    d = _to_fraction(d_value)
     l = len(lam)
     rhs = realize_expansion(gschur_function(lam, seq, d, degree_bound), n_eval)
     if l == 0:

@@ -216,13 +216,68 @@ def test_interpolation_rejects_table_coefficients():
 def test_table_running_out_on_a_retry_is_an_inconsistency():
     # Five samples at bound 1 fit in a 6-entry random table and are
     # inconsistent; the retry at bound 2 needs entries the table lacks.
+    # Failures are never memoised, so a second call fails the same way.
     seq = random_coeffseq(random.Random(0), length=6)
-    with pytest.raises(InterpolationInconsistentError) as caught:
-        interpolate_c_family((1,), seq, degree_bound=1)
-    assert isinstance(caught.value.__cause__, IndexError)
+    for _ in range(2):
+        with pytest.raises(InterpolationInconsistentError) as caught:
+            interpolate_c_family((1,), seq, degree_bound=1)
+        assert isinstance(caught.value.__cause__, IndexError)
     # Too short for the first attempt: the IndexError itself.
-    with pytest.raises(IndexError):
-        interpolate_c_family((1,), random_coeffseq(random.Random(0), length=4), 1)
+    short = random_coeffseq(random.Random(0), length=4)
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            interpolate_c_family((1,), short, 1)
+    # a(1) is a pole of bc_jacobi(1, 1), and the samples need it.
+    poles = bc_jacobi(1, 1, probe_upto=0)
+    for _ in range(2):
+        with pytest.raises(PoleError) as caught:
+            interpolate_c_family((1,), poles)
+        assert caught.value.index == 1
+    assert not seq.families and not short.families and not poles.families
+
+
+def test_each_family_is_fitted_once_per_sequence(monkeypatch):
+    samples = Counter()
+    expand = stable.schur_expand_at
+
+    def counted(lam, seq, n):
+        samples[lam, n] += 1
+        return expand(lam, seq, n)
+
+    monkeypatch.setattr(stable, "schur_expand_at", counted)
+    seq = CoeffSeq.from_functions(lambda x: F(1), lambda x: x)
+    lam = (2, 1)
+    interpolate_c_family(lam, seq)
+    for d in (F(1, 3), F(7, 5)):
+        gschur_function(lam, seq, d)
+    super_schur(lam, seq, SuperAlphabet(2, 2))  # d = 0 < l(lam)
+    assert jt_infinite_check(lam, seq, F(1, 3), 2)
+    # Every family fits at bound 4 on its first attempt, at the 11 counts
+    # from max(l, 1); the check needs the one-row families (j,), j <= 3.
+    assert samples == Counter(
+        {(mu, n): 1 for mu in (lam, (1,), (2,), (3,))
+         for n in range(max(len(mu), 1), max(len(mu), 1) + 11)}
+    )
+
+
+def test_memoised_family_matches_a_fresh_sequence():
+    seq = random_polynomial_coeffseq(random.Random(3))
+    first = interpolate_c_family((2, 1), seq)
+    memoised = interpolate_c_family((2, 1), seq)
+    fresh = interpolate_c_family((2, 1), random_polynomial_coeffseq(random.Random(3)))
+    # == on RationalFunctionOfD compares the reduced coefficient tuples.
+    assert list(memoised.items()) == list(first.items()) == list(fresh.items())
+
+
+def test_mutating_a_returned_family_leaves_the_memo_intact():
+    seq = factorial(lambda x: x)
+    family = interpolate_c_family((1,), seq, degree_bound=2)
+    expected = dict(family)
+    family.clear()
+    interpolate_c_family((1,), seq, degree_bound=2)[(5,)] = RationalFunctionOfD([1], [1])
+    assert interpolate_c_family((1,), seq, degree_bound=2) == expected
+    value = gschur_function((1,), seq, F(7, 2), degree_bound=2)
+    assert value == {(1,): F(1), (): F(-35, 8)}
 
 
 def test_one_interpolation_attempt_reads_each_coefficient_once():
@@ -340,6 +395,18 @@ def test_gschur_function_integer_arguments():
     direct = {m: c for m, c in schur_expand_at((2, 1), seq, 3).items() if c}
     assert gschur_function((2, 1), seq, 3) == direct
     assert gschur_function((), seq, F(1, 3)) == {(): F(1)}
+
+
+@pytest.mark.parametrize("d", [0.1, 2.0, True, False])
+def test_parameter_must_be_exact(d):
+    seq = factorial(lambda x: x)
+    family = interpolate_c_family((1,), seq)
+    with pytest.raises(TypeError):
+        gschur_function((1,), seq, d)
+    with pytest.raises(TypeError):
+        jt_infinite_check((1,), seq, d, 2)
+    with pytest.raises(TypeError):
+        family[()](d)
 
 
 def test_gschur_function_classical_off_integer():
