@@ -19,9 +19,9 @@ with h_d the classical complete homogeneous polynomial of degree d.  The
 shift recursion is linear in its base family, so each shifted one-row
 polynomial is a scalar combination h_i^{(r)} = sum_j c_j S_(j) whose c_j
 depend only on a, b and the offset; `shift_coefficients` computes those
-scalars, and `h_shift` folds them into one scalar per degree d.  The h_d of
-different degrees have disjoint monomial supports, so each scalar is
-written straight onto its monomials once, with no polynomial arithmetic.
+scalars, and `h_shift` folds them into one scalar per degree d, as integer
+numerators over one denominator.  The h_d of different degrees have disjoint
+monomial supports, so each is written straight onto its monomials once.
 The stable layer reads the same phi coefficients as scalar minors and builds
 no one-row polynomials.
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Callable
 
 from .coeffseq import CoeffSeq
@@ -127,9 +128,7 @@ def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
     mu = check_partition(mu)
     if len(mu) > n:
         return MultiPoly.zero(n)
-    exps = pad(mu, n)
-    terms = {e: Fraction(1) for e in set(permutations(exps))}
-    return MultiPoly(n, terms)
+    return MultiPoly._make(n, dict.fromkeys(set(permutations(pad(mu, n))), 1))
 
 
 def permutation_sign(perm) -> int:
@@ -162,6 +161,7 @@ class GschurContext:
         self._bialternant: dict[Partition, MultiPoly] = {}
         self._shift_memo: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
+        self._compositions: dict[int, list[tuple[int, ...]]] = {}
         self._hook_memo: dict[tuple[int, int], MultiPoly] = {}
         self._vdm: MultiPoly | None = None
         self._sub_context: "GschurContext | None" = None
@@ -179,12 +179,9 @@ class GschurContext:
         got = self._phi_injected.get(key)
         if got is None:
             uni = self.seq.phis.phi(degree_index)
-            terms = {}
-            for (e,), c in uni.items():
-                exps = tuple(e if i == var else 0 for i in range(self.n))
-                terms[exps] = c
-            got = MultiPoly(self.n, terms)
-            self._phi_injected[key] = got
+            before, after = (0,) * var, (0,) * (self.n - 1 - var)
+            num = {before + e + after: c for e, c in uni._num.items()}
+            got = self._phi_injected[key] = MultiPoly._make(self.n, num, uni._den)
         return got
 
     # -- route 1: bialternant ---------------------------------------------
@@ -238,17 +235,21 @@ class GschurContext:
             return got
         n = self.n
         coeffs = shift_coefficients(self.seq.a, self.seq.b, n, i, r, self._shift_memo)
-        by_degree: dict[int, Fraction] = {}
-        for j, c in coeffs.items():
-            for (m,), p in self.seq.phis.phi(j + n - 1).items():
+        parts = [(c, self.seq.phis.phi(j + n - 1)) for j, c in coeffs.items()]
+        den = lcm(*(c.denominator * phi._den for c, phi in parts))
+        by_degree: dict[int, int] = {}
+        for c, phi in parts:
+            scale = c.numerator * (den // (c.denominator * phi._den))
+            for (m,), p in phi._num.items():
                 if m >= n - 1:
-                    by_degree[m - n + 1] = by_degree.get(m - n + 1, 0) + c * p
+                    by_degree[m - n + 1] = by_degree.get(m - n + 1, 0) + scale * p
         terms = {}
         for degree, c in by_degree.items():
             if c:
-                for e in compositions(n, degree):
-                    terms[e] = c
-        got = self._h_shift_memo[key] = MultiPoly(n, terms)
+                if degree not in self._compositions:
+                    self._compositions[degree] = list(compositions(n, degree))
+                terms.update(dict.fromkeys(self._compositions[degree], c))
+        got = self._h_shift_memo[key] = MultiPoly._make(n, terms, den)
         return got
 
     def jacobi_trudi(self, lam) -> MultiPoly:

@@ -1,22 +1,23 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite map from exponent tuples (one entry per ring
-variable) to nonzero rational coefficients.  Canonical form is enforced on
-every construction: coefficients are `fractions.Fraction`, zero terms are
-never stored, so structural equality of term maps is polynomial equality.
+A polynomial is stored as FLINT's `fmpq_mpoly` stores one: nonzero integer
+numerators keyed by exponent tuples (one entry per ring variable) over one
+positive denominator, content-reduced so that the denominator shares no
+factor with every numerator (the zero polynomial has denominator 1).  That
+form is unique, so structural equality is polynomial equality.
 
 The global monomial order is graded lexicographic (total degree first, then
 lexicographic on the exponent tuple).  Leading-term extraction, the exact
 division loop, serialisation and printing all follow it, which keeps every
 output of the library deterministic.
 
-The costly loops (polynomial products, the cofactor sums of `determinant`
-and `exact_divide`) run in Python integers.  Each operand is cleared to
-integer numerators over one common denominator, with every exponent tuple
-packed into a single integer whose order is the graded lexicographic order;
-coefficients become `Fraction`s again once per output term.  The division
-loop takes its leading terms from a max-heap of packed exponents.  Sums,
-differences and scalar multiples stay on the `Fraction` maps.
+All arithmetic runs in Python integers: sums and differences rescale to the
+lcm of the two denominators, and the costly loops (products, the cofactor
+sums of `determinant`, `exact_divide`) also pack each exponent tuple into one
+integer ordered as graded lex; the division loop takes its leading terms
+from a max-heap of packed exponents.  Coefficients become reduced
+`Fraction`s only at the boundary: `items()`, `sorted_terms()`,
+`coefficient()`, printing and JSON.
 
 Polynomials are immutable by convention: no method mutates `self`, and all
 arithmetic returns fresh objects, so values can be shared freely between
@@ -34,8 +35,6 @@ Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 # Integer numerators keyed by packed exponents, and their common denominator.
 _Cleared = tuple[dict[int, int], int]
-
-_ZERO = Fraction(0)
 
 
 class DivisionNotExactError(ArithmeticError):
@@ -61,9 +60,11 @@ class MultiPoly:
     Construct with an explicit arity and a mapping from exponent tuples to
     coefficients; use the classmethod helpers for common shapes.  Variables
     are indexed from 0, so `variable(3, 0)` is x1 of a three-variable ring.
+    The public constructor validates every term; the package's own builders
+    write integer numerators through `_make` instead.
     """
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("arity", "_num", "_den")
 
     def __init__(self, arity: int, terms: Mapping[Exponent, Scalar] | None = None):
         if arity < 0:
@@ -71,7 +72,9 @@ class MultiPoly:
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                e = tuple(int(v) for v in exps)
+                e = tuple(exps)
+                if any(type(v) is not int for v in e):  # int() would truncate 1.9 to 1
+                    raise TypeError(f"exponents must be integers, got {e}")
                 if len(e) != arity:
                     raise ValueError(f"exponent tuple {e} does not match arity {arity}")
                 if any(v < 0 for v in e):
@@ -79,8 +82,22 @@ class MultiPoly:
                 c = _coerce_scalar(coeff)
                 if c:
                     clean[e] = c
-        self.arity = arity
-        self._terms = clean
+        # Over the lcm of reduced denominators the content is already 1.
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.arity, self._den = arity, den
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+
+    @classmethod
+    def _make(cls, arity: int, num: dict[Exponent, int], den: int = 1) -> "MultiPoly":
+        """Trusted constructor: nonzero integer numerators over den > 0."""
+        obj = object.__new__(cls)
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        obj.arity, obj._num, obj._den = arity, num, den
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -111,35 +128,36 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def items(self) -> Iterator[tuple[Exponent, Fraction]]:
         """Iterate over (exponent, coefficient) pairs in unspecified order."""
-        return iter(self._terms.items())
+        return ((e, Fraction(c, self._den)) for e, c in self._num.items())
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms sorted by the global monomial order, leading term first."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        order = sorted(self._num, key=grlex_key, reverse=True)
+        return [(e, Fraction(self._num[e], self._den)) for e in order]
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), _ZERO)
+        return Fraction(self._num.get(tuple(exponents), 0), self._den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.arity, _ZERO)
+        return self.coefficient((0,) * self.arity)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Greatest term in the graded lexicographic order."""
-        if not self._terms:
+        if not self._num:
             raise ValueError("the zero polynomial has no leading term")
-        e = max(self._terms, key=grlex_key)
-        return e, self._terms[e]
+        e = max(self._num, key=grlex_key)
+        return e, Fraction(self._num[e], self._den)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -147,60 +165,57 @@ class MultiPoly:
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
-    def __add__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_same_ring(other)
-            out = dict(self._terms)
-            for e, c in other._terms.items():
-                s = out.get(e, _ZERO) + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-            return self._wrap(out)
+    def _combine(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
-            return self + MultiPoly.constant(self.arity, other)
-        return NotImplemented
+            other = MultiPoly.constant(self.arity, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
+        self._check_same_ring(other)
+        den = lcm(self._den, other._den)
+        up, scale = den // self._den, sign * (den // other._den)
+        out = dict(self._num) if up == 1 else {e: c * up for e, c in self._num.items()}
+        get = out.get
+        for e, c in other._num.items():
+            s = get(e, 0) + c * scale
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return MultiPoly._make(self.arity, out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._wrap({e: -c for e, c in self._terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_same_ring(other)
-            out = dict(self._terms)
-            for e, c in other._terms.items():
-                s = out.get(e, _ZERO) - c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-            return self._wrap(out)
-        if isinstance(other, (int, Fraction)):
-            return self - MultiPoly.constant(self.arity, other)
-        return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
             return MultiPoly.constant(self.arity, other) - self
         return NotImplemented
 
+    def _scale(self, c: Scalar) -> "MultiPoly":
+        if not c:
+            return MultiPoly.zero(self.arity)
+        num = {e: k * c.numerator for e, k in self._num.items()}
+        return MultiPoly._make(self.arity, num, self._den * c.denominator)
+
+    def __neg__(self):
+        return self._scale(-1)
+
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check_same_ring(other)
-            if not self._terms or not other._terms:
+            if not self._num or not other._num:
                 return MultiPoly.zero(self.arity)
-            width = _field_width(_degree(self._terms) + _degree(other._terms))
-            a = _to_ints(self._terms, width)
-            b = _to_ints(other._terms, width)
-            return self._wrap(_from_ints(_product_sum([(1, a, b)]), self.arity, width))
+            width = _field_width(_degree(self._num) + _degree(other._num))
+            pair = (1, _to_ints(self, width), _to_ints(other, width))
+            return _from_ints(_product_sum([pair]), self.arity, width)
         if isinstance(other, (int, Fraction)):
-            c = _coerce_scalar(other)
-            if not c:
-                return MultiPoly.zero(self.arity)
-            return self._wrap({e: k * c for e, k in self._terms.items()})
+            return self._scale(_coerce_scalar(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -210,7 +225,7 @@ class MultiPoly:
             c = _coerce_scalar(other)
             if not c:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return self._wrap({e: k / c for e, k in self._terms.items()})
+            return self._scale(1 / c)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -221,16 +236,9 @@ class MultiPoly:
             result = result * self
         return result
 
-    def _wrap(self, terms: dict[Exponent, Fraction]) -> "MultiPoly":
-        # Internal fast path: `terms` is already canonical.
-        obj = object.__new__(MultiPoly)
-        obj.arity = self.arity
-        obj._terms = terms
-        return obj
-
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.arity == other.arity and self._terms == other._terms
+            return (self.arity, self._den, self._num) == (other.arity, other._den, other._num)
         if isinstance(other, (int, Fraction)):
             return self == MultiPoly.constant(self.arity, other)
         return NotImplemented
@@ -247,18 +255,15 @@ class MultiPoly:
         if not 0 <= index < self.arity:
             raise ValueError(f"variable index {index} out of range")
         v = _coerce_scalar(value)
-        out_terms: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            scaled = c * v ** e[index]
-            if not scaled:
-                continue
-            rest = tuple(0 if i == index else x for i, x in enumerate(e))
-            s = out_terms.get(rest, _ZERO) + scaled
-            if s:
-                out_terms[rest] = s
-            else:
-                out_terms.pop(rest, None)
-        return self._wrap(out_terms)
+        # Every term goes over v's denominator to the variable's top power.
+        most = max((e[index] for e in self._num), default=0)
+        out: dict[Exponent, int] = {}
+        for e, c in self._num.items():
+            k = e[index]
+            rest = e[:index] + (0,) + e[index + 1:]
+            out[rest] = out.get(rest, 0) + c * v.numerator**k * v.denominator ** (most - k)
+        out = {e: c for e, c in out.items() if c}
+        return MultiPoly._make(self.arity, out, self._den * v.denominator**most)
 
     def compose(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
         """Evaluate the polynomial at a tuple of polynomials.
@@ -287,7 +292,7 @@ class MultiPoly:
             return got
 
         out = MultiPoly.zero(target)
-        for e, c in self._terms.items():
+        for e, c in self.items():
             term = MultiPoly.constant(target, c)
             for i, k in enumerate(e):
                 if k:
@@ -297,19 +302,16 @@ class MultiPoly:
 
     def prepend_variable(self) -> "MultiPoly":
         """Reinterpret in a ring with one extra leading variable (x_i -> x_{i+1})."""
-        return MultiPoly(self.arity + 1, {(0,) + e: c for e, c in self._terms.items()})
+        num = {(0,) + e: c for e, c in self._num.items()}
+        return MultiPoly._make(self.arity + 1, num, self._den)
 
     def apply_permutation(self, perm: Sequence[int]) -> "MultiPoly":
         """Rename variable i to perm[i] for a permutation of 0..arity-1."""
         if sorted(perm) != list(range(self.arity)):
             raise ValueError("perm must be a permutation of the variable indices")
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            ne = [0] * self.arity
-            for i, k in enumerate(e):
-                ne[perm[i]] = k
-            out[tuple(ne)] = c
-        return self._wrap(out)
+        inverse = sorted(range(self.arity), key=perm.__getitem__)
+        num = {tuple([e[i] for i in inverse]): c for e, c in self._num.items()}
+        return MultiPoly._make(self.arity, num, self._den)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.arity}: {format_poly_text(self)})"
@@ -317,17 +319,16 @@ class MultiPoly:
 
 # -- integer kernels -------------------------------------------------------
 #
-# The product and division loops run on a cleared form of a polynomial: a
-# dict from packed exponents to integer numerators, plus one common
-# denominator.  An exponent tuple (e_1..e_n) packs into the integer whose
-# fields, most significant first, are (e_1 + ... + e_n, e_1, ..., e_n), each
-# `width` bits wide.  Adding packed keys adds exponent vectors as long as no
-# field outgrows its width, and comparing them compares in the graded
-# lexicographic order, so each loop sizes the width from the largest total
-# degree it can produce.
+# The product and division loops run on a packed form of a polynomial: its
+# numerators keyed by packed exponents, plus its denominator.  An exponent
+# tuple (e_1..e_n) packs into the integer whose fields, most significant
+# first, are (e_1 + ... + e_n, e_1, ..., e_n), each `width` bits wide.
+# Adding packed keys adds exponent vectors as long as no field outgrows its
+# width, and comparing them compares in the graded lexicographic order, so
+# each loop sizes the width from the largest total degree it can produce.
 
 
-def _degree(terms: Mapping[Exponent, Fraction]) -> int:
+def _degree(terms: Mapping[Exponent, object]) -> int:
     return max(map(sum, terms))
 
 
@@ -351,23 +352,19 @@ def _unpack(key: int, arity: int, width: int) -> Exponent:
     return tuple(out)
 
 
-def _to_ints(terms: Mapping[Exponent, Fraction], width: int) -> _Cleared:
-    """Packed integer numerators of `terms` over their least common denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return (
-        {_pack(e, width): c.numerator * (den // c.denominator) for e, c in terms.items()},
-        den,
-    )
+def _to_ints(poly: MultiPoly, width: int) -> _Cleared:
+    """Numerators of `poly` keyed by packed exponents, and its denominator."""
+    return {_pack(e, width): c for e, c in poly._num.items()}, poly._den
 
 
-def _from_ints(cleared: _Cleared, arity: int, width: int) -> dict[Exponent, Fraction]:
-    """Inverse of `_to_ints`: the canonical term map, zero numerators dropped."""
+def _from_ints(cleared: _Cleared, arity: int, width: int) -> MultiPoly:
+    """Inverse of `_to_ints`; the numerators must be nonzero."""
     nums, den = cleared
-    return {_unpack(k, arity, width): Fraction(c, den) for k, c in nums.items() if c}
+    return MultiPoly._make(arity, {_unpack(k, arity, width): c for k, c in nums.items()}, den)
 
 
 def _product_sum(pairs: Sequence[tuple[int, _Cleared, _Cleared]]) -> _Cleared:
-    """Sum of sign * a * b over (sign, a, b) triples of cleared polynomials.
+    """Sum of sign * a * b over (sign, a, b) triples of packed polynomials.
 
     The result's denominator is the least common multiple of the pairs'
     denominator products; each pair's scale factor is folded into the
@@ -400,15 +397,15 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     order: the leading term of the running remainder must always be divisible
     by the leading term of the divisor, otherwise no exact quotient exists.
 
-    Both polynomials are cleared of denominators and the loop runs in
-    integers.  Remainder terms wait in a max-heap of packed exponents; a
-    popped term whose coefficient has cancelled to zero is skipped.  When the
-    divisor's leading integer coefficient does not divide the remainder's
-    leading one, the remainder and the partial quotient are both scaled by
-    the missing factor (pseudo-division), which the quotient's denominator
-    absorbs at the end.  For an exact division this happens only when the
-    cleared divisor's coefficients share a factor (Gauss's lemma); the
-    Vandermonde, with leading coefficient 1, never scales.
+    The loop runs on the packed integer numerators of both polynomials.
+    Remainder terms wait in a max-heap of packed exponents; a popped term
+    whose coefficient has cancelled to zero is skipped.  When the divisor's
+    leading numerator does not divide the remainder's leading one, the
+    remainder and the partial quotient are both scaled by the missing factor
+    (pseudo-division), which the quotient's denominator absorbs at the end.
+    For an exact division this happens only when the divisor's numerators
+    share a factor (Gauss's lemma); the Vandermonde, with leading
+    coefficient 1, never scales.
     """
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -418,9 +415,9 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
         return MultiPoly.zero(numerator.arity)
     arity = numerator.arity
     # No remainder or quotient term outgrows the larger of the two degrees.
-    width = _field_width(max(_degree(numerator._terms), _degree(divisor._terms)))
-    rem, num_den = _to_ints(numerator._terms, width)
-    div, div_den = _to_ints(divisor._terms, width)
+    width = _field_width(max(_degree(numerator._num), _degree(divisor._num)))
+    rem, num_den = _to_ints(numerator, width)
+    div, div_den = _to_ints(divisor, width)
     lead_k = max(div)
     lead_c = div.pop(lead_k)
     lead_e = _unpack(lead_k, arity, width)
@@ -461,7 +458,7 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     # The loop found quot / scale = (num_den * numerator) / (div_den * divisor).
     for q in quot:
         quot[q] *= div_den
-    return numerator._wrap(_from_ints((quot, scale * num_den), arity, width))
+    return _from_ints((quot, scale * num_den), arity, width)
 
 
 # -- determinants ----------------------------------------------------------
@@ -473,10 +470,9 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     Cofactor expansion along the top row with memoised minors, which suits
     the small orders the engine uses.  The entries must share one ring.
 
-    The expansion runs on cleared integer forms: each cofactor is one fused
-    `sum of +-entry * minor` over the nonzero entries of its row, and the
-    minors stay in integer form, so coefficients become `Fraction`s only
-    once, in the result.
+    The expansion runs on packed integer numerators: each cofactor is one
+    fused `sum of +-entry * minor` over the nonzero entries of its row, and
+    the minors stay packed, so only the result is unpacked and reduced.
     """
     n = len(rows)
     if n == 0:
@@ -488,9 +484,9 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         raise ValueError("matrix entries must share one ring")
     # The determinant's total degree is at most the sum of the rows' largest.
     width = _field_width(
-        sum(max((_degree(p._terms) for p in row if p._terms), default=0) for row in rows)
+        sum(max((_degree(p._num) for p in row if p._num), default=0) for row in rows)
     )
-    cleared = [[_to_ints(p._terms, width) if p._terms else None for p in row] for row in rows]
+    cleared = [[_to_ints(p, width) if p._num else None for p in row] for row in rows]
     one = ({0: 1}, 1)
     memo: dict[int, _Cleared] = {}
 
@@ -518,16 +514,17 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         got = memo[mask] = _product_sum(pairs)
         return got
 
-    return rows[0][0]._wrap(_from_ints(minor((1 << n) - 1), arity, width))
+    return _from_ints(minor((1 << n) - 1), arity, width)
 
 
 def vandermonde(n: int) -> MultiPoly:
-    """The alternant prod_{i<j} (x_i - x_j); the empty product 1 for n <= 1."""
-    out = MultiPoly.one(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (MultiPoly.variable(n, i) - MultiPoly.variable(n, j))
-    return out
+    """prod_{i<j} (x_i - x_j) as the alternant det[x_i^(n-1-j)]; 1 for n <= 1."""
+    if n == 0:
+        return MultiPoly.one(0)
+    return determinant([
+        [MultiPoly.monomial(n, (0,) * i + (n - 1 - j,) + (0,) * (n - 1 - i)) for j in range(n)]
+        for i in range(n)
+    ])
 
 
 # -- serialisation and printing --------------------------------------------

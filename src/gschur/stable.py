@@ -186,7 +186,7 @@ def super_complete_homogeneous(n: int, m: int, upto: int) -> list[MultiPoly]:
             k = sum(beta)
             for alpha in compositions(n, d - k):
                 terms[alpha + beta] = (-1) ** k
-        hs.append(MultiPoly(n + m, terms))
+        hs.append(MultiPoly._make(n + m, terms))
     return hs
 
 

@@ -25,6 +25,16 @@ def fraction_product(a, b) -> MultiPoly:
     return MultiPoly(a.arity, terms)
 
 
+def fraction_linear(pairs) -> dict:
+    """sum of scale * terms over (scale, term map) pairs, on plain Fraction
+    dicts (no MultiPoly arithmetic); zero coefficients are dropped."""
+    out = {}
+    for scale, terms in pairs:
+        for e, c in terms.items():
+            out[e] = out.get(e, Fraction(0)) + Fraction(scale) * Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
 def leibniz_det(rows):
     """Determinant as the signed sum over all permutations, multiplying with
     `fraction_product`."""

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from gschur.exactalg import (
     vandermonde,
 )
 
-from oracles import fraction_product, leibniz_det
+from oracles import fraction_linear, fraction_product, leibniz_det
 
 F = Fraction
 
@@ -41,22 +42,33 @@ def small_polys(draw, arity=2, max_exp=3, max_terms=5):
     return MultiPoly(arity, terms)
 
 
-@st.composite
-def rational_polys(draw, arity=3, max_exp=2, max_terms=4):
-    """Polynomials whose coefficients have denominators up to 12."""
-    terms = draw(
-        st.dictionaries(
-            st.tuples(*[st.integers(0, max_exp)] * arity),
-            st.fractions(min_value=-9, max_value=9, max_denominator=12),
-            max_size=max_terms,
-        )
+def rational_terms(arity=3, max_exp=2, max_terms=4):
+    """Term maps with coefficients of denominator up to 12, zeros included."""
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * arity),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        max_size=max_terms,
     )
-    return MultiPoly(arity, terms)
+
+
+def rational_polys(arity=3, max_exp=2, max_terms=4):
+    """Polynomials whose coefficients have denominators up to 12."""
+    return rational_terms(arity, max_exp, max_terms).map(lambda t: MultiPoly(arity, t))
 
 
 def assert_canonical(p):
+    """Reduced nonzero Fraction coefficients, Fraction(0) for an absent
+    monomial, and the stored form's invariants: nonzero integer numerators
+    over a positive denominator sharing no factor with them."""
     for _, c in p.items():
         assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    if p.arity:
+        top = max((sum(e) for e, _ in p.items()), default=0)
+        absent = p.coefficient((top + 1,) + (0,) * (p.arity - 1))
+        assert type(absent) is Fraction and absent == 0
+    assert all(type(c) is int and c for c in p._num.values())
+    assert p._den > 0 and gcd(p._den, *p._num.values()) == 1
 
 
 def test_construction_strips_zero_coefficients():
@@ -64,6 +76,24 @@ def test_construction_strips_zero_coefficients():
     assert len(p) == 1
     assert p.coefficient((1, 0)) == 0
     assert p.coefficient((0, 1)) == 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly(2, {(1.9, 0): 1, (1, 0): 2}),
+        lambda: MultiPoly(2, {(1.0, 0): 1}),
+        lambda: MultiPoly(1, {(F(2),): 1}),
+        lambda: MultiPoly(2, {(True, 0): 1}),
+        lambda: MultiPoly.monomial(1, [F(3, 2)]),
+        lambda: MultiPoly.monomial(2, (0, "1")),
+    ],
+    ids=["float", "integral-float", "integral-fraction", "bool", "monomial-fraction", "str"],
+)
+def test_exponents_must_be_integers(build):
+    # Truncating would read {(1.9, 0): 1, (1, 0): 2} as 2*x1, losing a term.
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        build()
 
 
 def test_zero_polynomial_degree_convention():
@@ -331,3 +361,54 @@ def test_format_poly_text_pinned():
     assert format_poly_text(-F(1, 2) * x(0) + 2) == "-1/2*x1 + 2"
     assert format_poly_text(2 * x(0) * x(1)) == "2*x1*x2"
     assert format_poly_text(x(0), names=["z"]) == "z"
+
+
+# -- the stored integer form against plain Fraction dicts ------------------
+
+
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(st.just(k), rational_terms(arity=k))))
+@settings(max_examples=80, deadline=None)
+def test_items_round_trip_the_term_map(case):
+    arity, terms = case
+    p = MultiPoly(arity, terms)
+    assert dict(p.items()) == {e: c for e, c in terms.items() if c}
+    assert_canonical(p)
+
+
+@given(
+    rational_terms(),
+    rational_terms(),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_linear_arithmetic_matches_fraction_oracle(ta, tb, s, same):
+    if same:  # the same polynomial, written with a zero term more
+        tb = {**ta, (3, 3, 3): F(0)}
+    a, b = MultiPoly(3, ta), MultiPoly(3, tb)
+    for got, want in (
+        (a + b, fraction_linear([(1, ta), (1, tb)])),
+        (a - b, fraction_linear([(1, ta), (-1, tb)])),
+        (a * s, fraction_linear([(s, ta)])),
+        (s * a, fraction_linear([(s, ta)])),
+        (-a, fraction_linear([(-1, ta)])),
+    ):
+        assert dict(got.items()) == want
+        assert_canonical(got)
+    if s:
+        q = a / s
+        assert dict(q.items()) == fraction_linear([(1 / s, ta)])
+        assert_canonical(q)
+    assert (a == b) == (fraction_linear([(1, ta)]) == fraction_linear([(1, tb)]))
+
+
+@given(rational_polys(), rational_polys())
+@settings(max_examples=60, deadline=None)
+def test_equal_polynomials_from_different_paths_are_identical(p, q):
+    paths = [(p * 3) / 3, p + q - q, q + p - q, (p * F(7, 4)) * F(4, 7)]
+    if q:
+        paths.append(exact_divide(p * q, q))
+    for other in paths:
+        assert other == p
+        assert poly_to_json_terms(other) == poly_to_json_terms(p)
+        assert_canonical(other)
