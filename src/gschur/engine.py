@@ -50,6 +50,9 @@ from .partitions import (
     pad,
 )
 
+# The bialternant's determinants have n! terms; README has the measured times.
+_BIALTERNANT_VAR_CAP = 9
+
 
 def shift_coefficients(
     a_of: Callable,
@@ -191,8 +194,14 @@ class GschurContext:
 
         The partition is padded with zeros to n rows; row k carries
         phi_{lam_k + n - k} evaluated at each variable.  The division is
-        exact because the numerator is alternating.
+        exact because the numerator is alternating.  Its cost grows like n!,
+        so n above 9 raises ValueError.
         """
+        if self.n > _BIALTERNANT_VAR_CAP:
+            raise ValueError(
+                f"the bialternant is capped at {_BIALTERNANT_VAR_CAP} variables"
+                f" (n = {self.n}); use --method jt"
+            )
         lam = check_partition(lam)
         if len(lam) > self.n:
             raise ValueError(f"partition {lam} needs more than {self.n} variables")

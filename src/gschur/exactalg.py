@@ -44,7 +44,7 @@ class DivisionNotExactError(ArithmeticError):
 def _coerce_scalar(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 

@@ -28,10 +28,12 @@ with l = l(lam) and mu padded with zeros to l parts: the bottom n - l rows of
 the full n x n minor form a unit triangular block, and the minor vanishes
 unless mu lies inside lam.  `schur_expand_at` is the one finite-count
 expansion: it takes these l x l scalar minors over the sequence's own phi
-table (`seq.phis`), which every sample count of every interpolation shares;
-the fit itself solves its linear system in integers, and each sequence
-keeps its successful fits (`seq.families`), so the one-row families that
-`jt_infinite_check` needs, or a family evaluated at many d, are fitted once.
+table (`seq.phis`), which every sample count of every interpolation shares,
+as integer Bareiss determinants of the phi numerators over the product of
+the row denominators.  The fit solves its linear system and checks every
+sample in integers, and each sequence keeps its successful fits
+(`seq.families`), so the one-row families that `jt_infinite_check` needs,
+or a family evaluated at many d, are fitted once.
 
 Samples that no rational function within the degree bound explains raise
 `InterpolationInconsistentError`, an `ArithmeticError` like the poles and
@@ -42,12 +44,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, _to_fraction
 from .engine import first_column_det, shift_coefficients
-from .exactalg import MultiPoly, determinant, format_poly_text
+from .exactalg import MultiPoly, format_poly_text
 from .partitions import (
     Partition, check_partition, compositions, contains, pad, partitions_up_to
 )
@@ -76,8 +78,9 @@ def _trimmed(cs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _eval_coeffs(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = _F(0)
+def _eval_coeffs(cs, x):
+    """Horner evaluation; integer coefficients at an integer x stay ints."""
+    total = 0
     for c in reversed(cs):
         total = total * x + c
     return total
@@ -265,12 +268,11 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
         raise ValueError(f"need at least {l} variables for {lam}")
     if l == 0:
         return {(): _F(1)}
-    # Row j maps m to [z^m] phi_{lam_j + n - 1 - j} as an arity-0 constant.
-    rows = [
-        {m: MultiPoly.constant(0, c) for (m,), c in seq.phis.phi(i).items()}
-        for i in (part + n - 1 - j for j, part in enumerate(lam))
-    ]
-    zero = MultiPoly.zero(0)
+    # Row j holds the integer numerators of phi_{lam_j + n - 1 - j}; the
+    # product of the row denominators is every minor's denominator.
+    phis = [seq.phis.phi(part + n - 1 - j) for j, part in enumerate(lam)]
+    rows = [{m: c for (m,), c in phi._num.items()} for phi in phis]
+    den = prod(phi._den for phi in phis)
     inside = sorted(
         (mu for mu in partitions_up_to(sum(lam), l) if contains(lam, mu)),
         key=lambda mu: (sum(mu), mu),
@@ -279,34 +281,55 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
     out: dict[Partition, Fraction] = {}
     for mu in inside:
         cols = [part + n - 1 - k for k, part in enumerate(pad(mu, l))]
-        minor = determinant([[row.get(m, zero) for m in cols] for row in rows])
+        minor = _int_det([[row.get(m, 0) for m in cols] for row in rows])
         if minor:
-            out[mu] = minor.constant_term
+            out[mu] = Fraction(minor, den)
     return out
 
 
 # -- exact rational interpolation in the variable count ---------------------
 
 
-def _kernel_vector(rows: list[list[Fraction]]) -> list[Fraction]:
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss (1968) elimination.
+
+    Each step's entries are 2 x 2 minors divided exactly by the previous
+    pivot; a zero pivot is swapped with a lower row, flipping the sign.
+    """
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            sel = next((r for r in range(k + 1, len(m)) if m[r][k]), None)
+            if sel is None:
+                return 0
+            m[k], m[sel] = m[sel], m[k]
+            sign = -sign
+        pk = m[k][k]
+        for row in m[k + 1 :]:
+            f = row[k]
+            pairs = zip(row[k + 1 :], m[k][k + 1 :])
+            row[k + 1 :] = [(pk * a - f * b) // prev for a, b in pairs]
+        prev = pk
+    return sign * m[-1][-1] if m else 1
+
+
+def _kernel_vector(rows: list[list[int]]) -> list[Fraction]:
     """One nonzero kernel vector of an underdetermined homogeneous system.
 
     Requires strictly more columns than the rank, which the callers guarantee
     by construction; the first free column is set to 1 and the other free
     columns to 0, which makes the vector unique.
 
-    Gauss-Jordan runs fraction-free, as in Bareiss (1968) but dividing each
-    new row by its content instead of by the previous pivot: each row is
-    cleared to integers, a row is eliminated by an integer combination with
-    the pivot row, and each pivot row keeps its own pivot instead of being
+    Gauss-Jordan runs fraction-free on the integer rows, as in Bareiss
+    (1968) but dividing each new row by its content instead of by the
+    previous pivot: a row is eliminated by an integer combination with the
+    pivot row, and each pivot row keeps its own pivot instead of being
     scaled to 1.  The pivots are those of the reduced echelon form over Q,
     so the vector is the one the rational elimination would return.
     """
     ncols = len(rows[0])
-    m = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row))
-        m.append([v.numerator * (den // v.denominator) for v in row])
+    m = [list(row) for row in rows]
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
@@ -337,7 +360,7 @@ def _kernel_vector(rows: list[list[Fraction]]) -> list[Fraction]:
 
 
 def _fit_and_validate(
-    xs: list[Fraction], ys: list[Fraction], degree_bound: int
+    xs: Sequence[int], ys: list[Fraction], degree_bound: int
 ) -> RationalFunctionOfD:
     """Fit P/Q with deg P, deg Q <= bound, then check everywhere.
 
@@ -347,13 +370,18 @@ def _fit_and_validate(
     zero Q would force P to vanish at more points than its degree allows).
     The remaining points are pure validation.  A pole at a sample or a
     mismatched value raises InterpolationInconsistentError.
+
+    The sample counts x are integers, so everything runs in integers: each
+    condition is multiplied by y's denominator, and the fit is checked as
+    P(x) * den(y) == num(y) * Q(x) with P and Q cleared to integers.
     """
     g = degree_bound
-    node_count = 2 * g + 1
     rows = []
-    for x, y in zip(xs[:node_count], ys[:node_count]):
-        powers = [x ** j for j in range(g + 1)]
-        rows.append(powers + [-y * p for p in powers])
+    for x, y in zip(xs[: 2 * g + 1], ys):
+        powers = [x**j for j in range(g + 1)]
+        rows.append(
+            [y.denominator * p for p in powers] + [-y.numerator * p for p in powers]
+        )
     sol = _kernel_vector(rows)
     num = sol[: g + 1]
     den = sol[g + 1 :]
@@ -362,14 +390,17 @@ def _fit_and_validate(
             f"no rational function of degree <= {g} fits the samples"
         )
     fit = RationalFunctionOfD(num, den)
+    clear = lcm(*(c.denominator for c in fit.num + fit.den))
+    top, bottom = (
+        [c.numerator * (clear // c.denominator) for c in cs] for cs in (fit.num, fit.den)
+    )
     for x, y in zip(xs, ys):
-        try:
-            value = fit(x)
-        except PoleError as exc:
+        q = _eval_coeffs(bottom, x)
+        if not q:
             raise InterpolationInconsistentError(
                 f"fitted function has a pole at sample {x}"
-            ) from exc
-        if value != y:
+            )
+        if _eval_coeffs(top, x) * y.denominator != y.numerator * q:
             raise InterpolationInconsistentError(
                 f"fitted function disagrees with the sample at {x}"
             )
@@ -389,7 +420,6 @@ def _interpolate_all(
 ) -> dict[Partition, RationalFunctionOfD]:
     start = max(len(lam), 1)
     ns = range(start, start + 2 * degree_bound + 3)
-    xs = [_F(n) for n in ns]
     expansions = [schur_expand_at(lam, seq, n) for n in ns]
     support = sorted(
         {mu for exp in expansions for mu in exp}, key=lambda p: (sum(p), p)
@@ -397,7 +427,7 @@ def _interpolate_all(
     out: dict[Partition, RationalFunctionOfD] = {}
     for mu in support:
         ys = [exp.get(mu, _F(0)) for exp in expansions]
-        out[mu] = _fit_and_validate(xs, ys, degree_bound)
+        out[mu] = _fit_and_validate(ns, ys, degree_bound)
     return out
 
 

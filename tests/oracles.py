@@ -3,7 +3,8 @@
 Everything here is deliberately naive: determinants by summing over all
 permutations, products by a double loop over `Fraction` terms, kernel vectors
 by Gauss-Jordan over `Fraction`, Schur polynomials by listing semistandard
-tableaux, super complete homogeneous functions by Newton's identities.  Slow,
+tableaux, super complete homogeneous functions by Newton's identities,
+Schur-basis minors by the Leibniz sum over a `Fraction` phi table.  Slow,
 but with no shared code paths with the package internals beyond the
 MultiPoly container and its `+`/`-`.
 """
@@ -51,6 +52,60 @@ def leibniz_det(rows):
         signed = prod if inversions % 2 == 0 else -prod
         total = signed if total is None else total + signed
     return total
+
+
+def fraction_phi_table(seq, upto):
+    """Coefficient lists of phi_0..phi_upto, [z^m] phi_i at index m, from
+    phi_{j+1} = (z - a(j)) phi_j - b(j) phi_{j-1} on plain Fraction lists."""
+    table = [[Fraction(1)]]
+    prev2 = []
+    for j in range(upto):
+        prev = table[-1]
+        nxt = [Fraction(0)] + prev
+        for m, c in enumerate(prev):
+            nxt[m] -= seq.a(j) * c
+        for m, c in enumerate(prev2):
+            nxt[m] -= seq.b(j) * c
+        prev2 = prev
+        table.append(nxt)
+    return table
+
+
+def fraction_scalar_det(rows):
+    """Determinant of a square Fraction matrix as the signed permutation sum."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        prod = Fraction(1)
+        for i in range(n):
+            prod *= rows[i][perm[i]]
+        total += -prod if inversions % 2 else prod
+    return total
+
+
+def minor_expansion(lam, seq, n, mus):
+    """[s_mu] S_lam(x_1..x_n) for each mu in mus (at most l(lam) parts) as
+    the l x l Leibniz minor of the phi coefficients on rows lam_j + n - 1 - j
+    and columns mu_k + n - 1 - k; zero coefficients are dropped."""
+    l = len(lam)
+    table = fraction_phi_table(seq, max(lam, default=0) + n - 1)
+
+    def coeff(i, m):
+        return table[i][m] if m < len(table[i]) else Fraction(0)
+
+    out = {}
+    for mu in mus:
+        mu = tuple(mu) + (0,) * (l - len(mu))
+        minor = fraction_scalar_det(
+            [[coeff(lam[j] + n - 1 - j, mu[k] + n - 1 - k) for k in range(l)]
+             for j in range(l)]
+        )
+        if minor:
+            out[tuple(p for p in mu if p)] = minor
+    return out
 
 
 def newton_complete_homogeneous(n, m, upto):

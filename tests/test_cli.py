@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -216,6 +218,24 @@ def test_verify_check_counts_are_pinned(prop, max_weight, max_vars, checks):
     assert report.ok
 
 
+def test_fh_checks_boundary_once_per_shape_and_reports_every_preset(monkeypatch):
+    calls = Counter()
+
+    def broken(lam, n):
+        calls[n, lam] += 1
+        return len(lam) < 2
+
+    monkeypatch.setattr(verify, "boundary_insensitivity", broken)
+    report = run_property("fh", trials=1, seed=0, max_weight=3, max_vars=2)
+    assert report.checks == 92
+    assert set(calls.values()) == {1}
+    shapes = [(n, list(lam)) for n, lam in calls if len(lam) > 1]
+    boundary = [f for f in report.failures if f.get("kind") == "boundary"]
+    assert [(f["preset"], f["n"], f["lambda"]) for f in boundary] == [
+        (preset, n, lam) for preset in ("so_odd", "so_even", "sp") for n, lam in shapes
+    ]
+
+
 def _plus_one(original):
     def wrong(*args):
         value = original(*args)
@@ -341,6 +361,18 @@ def test_pole_exits_three(capsys):
     assert "error:" in err
 
 
+def test_bialternant_cap_fails_fast_and_jt_still_runs(capsys):
+    argv = ["compute", "--preset", "schur", "--n", "10", "--lambda", "1"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert "--method jt" in err
+    code, out, _ = run(capsys, *argv, "--method", "jt")
+    assert code == 0
+    assert out == " + ".join(f"x{i}" for i in range(1, 11)) + "\n"
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
@@ -411,6 +443,8 @@ EXIT_CODE_CASES = [
     ("degree-bound-above-cap", ["stable", "--preset", "bc_jacobi", "--p", "1",
                                 "--q", "-3", "--d", "1/3", "--lambda", "2,1",
                                 "--degree-bound", "33"], None, 2),
+    ("bialternant-above-cap", ["compute", "--preset", "schur", "--n", "10",
+                               "--lambda", "1"], None, 2),
     ("pole", ["compute", "--preset", "bc_jacobi", "--p", "1", "--q", "1",
               "--n", "2", "--lambda", "1"], None, 3),
     # The alphabet is checked before the expansion can reach the pole.

@@ -96,6 +96,25 @@ def test_exponents_must_be_integers(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly(2, {(1, 0): True, (0, 1): False}),
+        lambda: MultiPoly.constant(2, False),
+        lambda: MultiPoly.variable(2, 0) * True,
+        lambda: True * MultiPoly.variable(2, 0),
+        lambda: MultiPoly.variable(2, 0) + True,
+        lambda: False - MultiPoly.variable(2, 0),
+        lambda: MultiPoly.variable(2, 0) / True,
+    ],
+    ids=["constructor", "constant", "mul", "rmul", "add", "rsub", "truediv"],
+)
+def test_coefficients_must_not_be_bools(build):
+    # bool is an int subclass; reading True as 1 would hide a malformed input.
+    with pytest.raises(TypeError, match="got bool"):
+        build()
+
+
 def test_zero_polynomial_degree_convention():
     z = MultiPoly.zero(3)
     assert z.is_zero

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -18,12 +19,13 @@ from gschur.coeffseq import (
 from gschur.engine import GschurContext, first_column_det
 from gschur.exactalg import MultiPoly
 from gschur.partitions import contains, partitions_up_to
-from gschur.presets import bc_jacobi, factorial, schur, sp
+from gschur.presets import bc_jacobi, factorial, schur, so_even, so_odd, sp
 from gschur.stable import (
     InterpolationInconsistentError,
     RationalFunctionOfD,
     SuperAlphabet,
     _fit_and_validate,
+    _int_det,
     _kernel_vector,
     classical_schur,
     expand_in_classical_schur,
@@ -38,6 +40,8 @@ from gschur.stable import (
 
 from oracles import (
     fraction_kernel_vector,
+    leibniz_det,
+    minor_expansion,
     newton_complete_homogeneous,
     schur_by_tableaux,
 )
@@ -161,6 +165,55 @@ def test_schur_expand_at_needs_enough_variables():
     assert schur_expand_at((), seeded_table(3), 2) == {(): F(1)}
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [seeded_table(5), seeded_table(6), schur(), sp(), so_odd(), so_even(),
+     factorial([2, 3, 5, 7, 11, 13, 17, 19, 23]), bc_jacobi(1, -3)],
+    ids=["table5", "table6", "schur", "sp", "so_odd", "so_even", "factorial",
+         "bc_jacobi"],
+)
+def test_schur_expand_at_matches_leibniz_minors(seq):
+    for lam in partitions_up_to(4):
+        l = len(lam)
+        for n in range(max(l, 1), l + 4):
+            got = schur_expand_at(lam, seq, n)
+            # every mu with at most l parts, so the containment filter is
+            # checked too: minors outside lam must vanish
+            assert got == minor_expansion(lam, seq, n, partitions_up_to(sum(lam), l))
+            assert all(type(c) is Fraction for c in got.values())
+            order = sorted(got, key=lambda mu: (sum(mu), mu), reverse=True)
+            assert list(got) == order
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 5 x 5, often singular or with a zero
+    leading pivot."""
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**12, 10**12))
+    n = draw(st.integers(1, 5))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [s * a + t * b for a, b in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    if draw(st.booleans()):
+        rows.reverse()
+    return rows
+
+
+@given(integer_matrices())
+@settings(max_examples=150, deadline=None)
+def test_int_det_matches_leibniz(rows):
+    before = [list(row) for row in rows]
+    got = _int_det(rows)
+    assert type(got) is int
+    assert rows == before
+    constants = [[MultiPoly.constant(0, v) for v in row] for row in rows]
+    assert got == leibniz_det(constants).constant_term
+
+
 def test_every_layer_reads_each_coefficient_once():
     # All routes read phi from the sequence's own table, so a closed-form
     # coefficient is evaluated at most once per sequence and index.
@@ -207,8 +260,8 @@ def test_interpolation_rejects_table_coefficients():
     # The family would double its bound until the 64-entry table runs out,
     # so the fit is checked at one bound, on the samples the family uses.
     seq = seeded_table(0)
-    xs = [F(n) for n in range(1, 8)]
-    ys = [schur_expand_at((1,), seq, n).get((), F(0)) for n in range(1, 8)]
+    xs = range(1, 8)
+    ys = [schur_expand_at((1,), seq, n).get((), F(0)) for n in xs]
     with pytest.raises(InterpolationInconsistentError):
         _fit_and_validate(xs, ys, 2)
 
@@ -329,7 +382,13 @@ def underdetermined_systems(draw):
 @given(underdetermined_systems())
 @settings(max_examples=150, deadline=None)
 def test_kernel_vector_matches_fraction_oracle(rows):
-    got = _kernel_vector(rows)
+    # Clearing a row to integers scales it by a positive constant, which
+    # keeps the kernel and the reduced echelon pivots.
+    cleared = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        cleared.append([v.numerator * (den // v.denominator) for v in row])
+    got = _kernel_vector(cleared)
     assert got == fraction_kernel_vector(rows)
     assert all(type(v) is Fraction for v in got)
     assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
@@ -346,7 +405,7 @@ def test_fit_matches_fraction_oracle(g, num, den):
     num, den = num[: g + 1], den[: g + 1]
     assume(any(den))
     truth = RationalFunctionOfD(num, den)
-    xs = [F(n) for n in range(1, 2 * g + 4)]
+    xs = range(1, 2 * g + 4)
     try:
         ys = [truth(x) for x in xs]
     except PoleError:
@@ -355,6 +414,22 @@ def test_fit_matches_fraction_oracle(g, num, den):
     with mock.patch.object(stable, "_kernel_vector", fraction_kernel_vector):
         oracle = _fit_and_validate(xs, ys, g)
     assert (fit.num, fit.den) == (oracle.num, oracle.den) == (truth.num, truth.den)
+
+
+def test_fit_rejects_a_planted_disagreement():
+    # d/2 - d^2/2 at d = 1..7 fits at bound 2; one validation sample is off.
+    ys = [F(x - x * x, 2) for x in range(1, 8)]
+    assert _fit_and_validate(range(1, 8), ys, 2).num == (F(0), F(1, 2), F(-1, 2))
+    ys[-1] += F(1, 3)
+    with pytest.raises(InterpolationInconsistentError, match="disagrees .* at 7$"):
+        _fit_and_validate(range(1, 8), ys, 2)
+
+
+def test_fit_rejects_a_pole_at_a_sample():
+    # 1/(d - 5) fits the nodes 1, 2, 3; the validation sample 5 is its pole.
+    ys = [F(1, x - 5) for x in range(1, 5)] + [F(0)]
+    with pytest.raises(InterpolationInconsistentError, match="pole at sample 5$"):
+        _fit_and_validate(range(1, 6), ys, 1)
 
 
 def test_interpolate_c_family_doubles_the_bound():
