@@ -295,7 +295,7 @@ def load_coeffseq(path) -> CoeffSeq:
         return coeffseq_from_json(json.load(fh))
 
 
-def random_coeffseq(rng, length: int = 64, name: str | None = None) -> CoeffSeq:
+def random_coeffseq(rng, length: int = 64) -> CoeffSeq:
     """Seeded random table sequence used by the verification sweeps.
 
     Coefficients are small rationals p/q with |p| <= 9 and 1 <= q <= 4, which
@@ -307,12 +307,10 @@ def random_coeffseq(rng, length: int = 64, name: str | None = None) -> CoeffSeq:
 
     a = [draw() for _ in range(length)]
     b = [draw() for _ in range(length)]
-    return CoeffSeq.from_tables(a, b, name=name)
+    return CoeffSeq.from_tables(a, b)
 
 
-def random_polynomial_coeffseq(
-    rng, degree: int = 1, name: str | None = None
-) -> CoeffSeq:
+def random_polynomial_coeffseq(rng, degree: int = 1) -> CoeffSeq:
     """Seeded closed-form sequence with random polynomial a and b.
 
     Polynomial coefficients are the generic choice for which the stable-layer
@@ -335,4 +333,4 @@ def random_polynomial_coeffseq(
 
         return evaluate
 
-    return CoeffSeq.from_functions(draw_poly(), draw_poly(), name=name)
+    return CoeffSeq.from_functions(draw_poly(), draw_poly())

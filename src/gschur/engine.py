@@ -51,7 +51,7 @@ from .partitions import (
 )
 
 # The bialternant's determinants have n! terms; README has the measured times.
-_BIALTERNANT_VAR_CAP = 9
+BIALTERNANT_VAR_CAP = 9
 
 
 def shift_coefficients(
@@ -156,6 +156,8 @@ class GschurContext:
     """All determinantal routes for one (n, coefficient sequence) pair."""
 
     def __init__(self, n: int, seq: CoeffSeq):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"n must be an int, got {type(n).__name__}")
         if n < 1:
             raise ValueError("need at least one variable")
         self.n = n
@@ -197,9 +199,9 @@ class GschurContext:
         exact because the numerator is alternating.  Its cost grows like n!,
         so n above 9 raises ValueError.
         """
-        if self.n > _BIALTERNANT_VAR_CAP:
+        if self.n > BIALTERNANT_VAR_CAP:
             raise ValueError(
-                f"the bialternant is capped at {_BIALTERNANT_VAR_CAP} variables"
+                f"the bialternant is capped at {BIALTERNANT_VAR_CAP} variables"
                 f" (n = {self.n}); use --method jt"
             )
         lam = check_partition(lam)

@@ -4,7 +4,9 @@ Each suite sweeps an identity over the coefficient tables it is given (or
 over the fixed classical presets) and reports every counterexample it finds,
 with enough context to replay the failure: the trial number (the table's
 position in the input list), the table, the partition or shift indices and
-variable count, and both mismatched values.
+variable count, and both mismatched values.  The table-driven suites (the
+three routes, the lemma, the extension and the alternation) are one driver,
+`_sweep`, run with one check function per property.
 
 The suites take their tables as an explicit list and draw nothing
 themselves, apart from `suite_stable`'s polynomial table.  `run_property`
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from . import presets as presets_mod
 from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
-from .engine import GschurContext
+from .engine import BIALTERNANT_VAR_CAP, GschurContext
 from .exactalg import MultiPoly, poly_to_json_terms
 from .partitions import dominated_partial_sums, partitions_up_to
 from .presets import boundary_insensitivity, fh_character_det
@@ -69,35 +71,63 @@ def _seq_info(seq: CoeffSeq, upto: int = 24) -> dict:
 
 
 def _failure(name, trial, n, case: dict, seq, **values) -> dict:
-    return {
-        "property": name,
-        "trial": trial,
-        "n": n,
-        **case,
-        "seq": _seq_info(seq),
-        **values,
-    }
+    record = {"property": name, "trial": trial, "n": n, **case}
+    return {**record, "seq": _seq_info(seq), **values}
+
+
+def _lambda_cases(n: int, max_weight: int):
+    """Cases {"lambda": [...]} for the partitions of weight <= max_weight in n rows."""
+    for lam in partitions_up_to(max_weight, n):
+        yield {"lambda": list(lam)}
 
 
 def _shift_cases(n: int, first_i: int, first_r: int, last_i: int = 5):
-    """The (i, r) pairs with first_i <= i <= last_i and first_r <= r < i + 2n - 1."""
+    """Cases {"i": i, "r": r}, first_i <= i <= last_i and first_r <= r < i + 2n - 1."""
     for i in range(first_i, last_i + 1):
         for r in range(first_r, i + 2 * n - 1):
-            yield i, r
+            yield {"i": i, "r": r}
+
+
+def _sweep(checks, tables, ns, cases, contexts=GschurContext) -> dict[str, SuiteReport]:
+    """Run every named check on every case of every (table, n).
+
+    A check (ctx, case) returns None on success and the mismatched values
+    otherwise.  `cases(n)` yields the case dicts; `contexts(n, table)` builds
+    one ctx per (table, n), shared by all checks.  A failure names the table,
+    or the first member of a pair of tables.  Returns one report per name.
+    """
+    reports = {name: SuiteReport(name) for name in checks}
+    for trial, table in enumerate(tables):
+        seq = table if isinstance(table, CoeffSeq) else table[0]
+        for n in ns:
+            ctx = contexts(n, table)
+            for case in cases(n):
+                for name, check in checks.items():
+                    reports[name].checks += 1
+                    values = check(ctx, case)
+                    if values is not None:
+                        reports[name].failures.append(
+                            _failure(name, trial, n, case, seq, **values)
+                        )
+    return reports
+
+
+def _mismatch(lhs: MultiPoly, rhs: MultiPoly):
+    if lhs == rhs:
+        return None
+    return {"lhs": poly_to_json_terms(lhs), "rhs": poly_to_json_terms(rhs)}
 
 
 def _agrees_with_bialternant(route):
-    def check(ctx, lam):
-        lhs = route(ctx, lam)
-        rhs = ctx.bialternant(lam)
-        if lhs == rhs:
-            return None
-        return {"lhs": poly_to_json_terms(lhs), "rhs": poly_to_json_terms(rhs)}
+    def check(ctx, case):
+        lam = tuple(case["lambda"])
+        return _mismatch(route(ctx, lam), ctx.bialternant(lam))
 
     return check
 
 
-def _unitriangular(ctx, lam):
+def _unitriangular(ctx, case):
+    lam = tuple(case["lambda"])
     expansion = ctx.monomial_expansion(lam)
     bad = [mu for mu in expansion if not dominated_partial_sums(mu, lam, ctx.n)]
     if expansion.get(lam) == 1 and not bad:
@@ -105,7 +135,6 @@ def _unitriangular(ctx, lam):
     return {"leading": str(expansion.get(lam)), "outside": [list(mu) for mu in bad]}
 
 
-# Each check returns None on success and the mismatched values otherwise.
 _ROUTE_CHECKS = {
     "jt": _agrees_with_bialternant(lambda ctx, lam: ctx.jacobi_trudi(lam)),
     "giambelli": _agrees_with_bialternant(lambda ctx, lam: ctx.giambelli(lam)),
@@ -113,54 +142,51 @@ _ROUTE_CHECKS = {
 }
 
 
+def _residual_vanishes(ctx, case):
+    residual = ctx.lemma_residual(case["i"], case["r"])
+    return None if residual.is_zero else {"residual": poly_to_json_terms(residual)}
+
+
+def _ignores_extension(pair, case):
+    zero, custom = pair
+    i, r = case["i"], case["r"]
+    return _mismatch(zero.h_shift(i, r), custom.h_shift(i, r))
+
+
+def _bracket_identity(ctx, case):
+    n, i, r = ctx.n, case["i"], case["r"]
+    delta = MultiPoly.monomial(n, tuple(range(n - 1, -1, -1)), 1)
+    rhs_mono = MultiPoly.monomial(n, (r,) + tuple(range(n - 2, -1, -1)), 1)
+    return _mismatch(
+        ctx.alternation(ctx.h_shift(i, r) * delta),
+        ctx.alternation(ctx.phi_at_var(i + n - 1, 0) * rhs_mono),
+    )
+
+
 def suite_routes(seqs, max_weight, max_vars, names) -> dict[str, SuiteReport]:
     """One sweep over every table, n <= max_vars and |lambda| <= max_weight.
 
-    Checks the named properties of `_ROUTE_CHECKS` on each case, so they share
-    one context and its bialternant memo: "jt" (Jacobi-Trudi determinant vs
-    the defining bialternant), "giambelli" (hook determinant vs the
-    bialternant) and "triangularity" (the monomial expansion is
-    unitriangular for the partial-sum preorder).  Returns one report per
-    name.
+    The named checks share each context's bialternant memo: "jt"
+    (Jacobi-Trudi determinant vs the defining bialternant), "giambelli" (hook
+    determinant vs the bialternant) and "triangularity" (the monomial
+    expansion is unitriangular for the partial-sum preorder).
     """
-    reports = {name: SuiteReport(name) for name in names}
-    for trial, seq in enumerate(seqs):
-        for n in range(1, max_vars + 1):
-            ctx = GschurContext(n, seq)
-            for lam in partitions_up_to(max_weight, n):
-                for name, report in reports.items():
-                    report.checks += 1
-                    values = _ROUTE_CHECKS[name](ctx, lam)
-                    if values is not None:
-                        report.failures.append(
-                            _failure(
-                                name, trial, n, {"lambda": list(lam)}, seq, **values
-                            )
-                        )
-    return reports
+    return _sweep(
+        {name: _ROUTE_CHECKS[name] for name in names},
+        seqs,
+        range(1, max_vars + 1),
+        lambda n: _lambda_cases(n, max_weight),
+    )
 
 
 def suite_lemma(seqs, max_vars) -> SuiteReport:
     """Vanishing of the variable-splitting residual within its bound."""
-    report = SuiteReport("lemma")
-    for trial, seq in enumerate(seqs):
-        for n in range(2, max_vars + 1):
-            ctx = GschurContext(n, seq)
-            for i, r in _shift_cases(n, 3 - 2 * n, 1):
-                residual = ctx.lemma_residual(i, r)
-                report.checks += 1
-                if not residual.is_zero:
-                    report.failures.append(
-                        _failure(
-                            "lemma",
-                            trial,
-                            n,
-                            {"i": i, "r": r},
-                            seq,
-                            residual=poly_to_json_terms(residual),
-                        )
-                    )
-    return report
+    return _sweep(
+        {"lemma": _residual_vanishes},
+        seqs,
+        range(2, max_vars + 1),
+        lambda n: _shift_cases(n, 3 - 2 * n, 1),
+    )["lemma"]
 
 
 CUSTOM_NEGATIVE_A = {-1: _F(1, 2), -2: _F(-3), -3: _F(2, 3), -4: _F(-5, 4)}
@@ -173,28 +199,13 @@ def suite_extension(pairs, max_vars) -> SuiteReport:
     `pairs` holds (base, other) tables that differ only at negative indices,
     such as `(seq, seq.with_negative(CUSTOM_NEGATIVE_A, CUSTOM_NEGATIVE_B))`.
     """
-    report = SuiteReport("extension")
-    for trial, (seq, other) in enumerate(pairs):
-        for n in range(1, max_vars + 1):
-            ctx_zero = GschurContext(n, seq)
-            ctx_custom = GschurContext(n, other)
-            for i, r in _shift_cases(n, 2 - 2 * n, 0):
-                lhs = ctx_zero.h_shift(i, r)
-                rhs = ctx_custom.h_shift(i, r)
-                report.checks += 1
-                if lhs != rhs:
-                    report.failures.append(
-                        _failure(
-                            "extension",
-                            trial,
-                            n,
-                            {"i": i, "r": r},
-                            seq,
-                            lhs=poly_to_json_terms(lhs),
-                            rhs=poly_to_json_terms(rhs),
-                        )
-                    )
-    return report
+    return _sweep(
+        {"extension": _ignores_extension},
+        pairs,
+        range(1, max_vars + 1),
+        lambda n: _shift_cases(n, 2 - 2 * n, 0),
+        contexts=lambda n, pair: tuple(GschurContext(n, seq) for seq in pair),
+    )["extension"]
 
 
 # -- classical presets ------------------------------------------------------
@@ -257,34 +268,20 @@ def suite_fh(max_weight, max_vars) -> SuiteReport:
         for n in range(1, max_vars + 1):
             ctx = GschurContext(n, seq)
             for lam in partitions_up_to(max_weight, n):
-                fh = fh_character_det(ctx, lam)
-                jt = ctx.jacobi_trudi(lam)
+                case = {"preset": seq.name, "n": n, "lambda": list(lam)}
+                fh, jt = fh_character_det(ctx, lam), ctx.jacobi_trudi(lam)
                 bialt = ctx.bialternant(lam)
                 report.checks += 1
                 if fh != bialt or jt != bialt:
-                    report.failures.append(
-                        {
-                            "property": "fh",
-                            "preset": seq.name,
-                            "n": n,
-                            "lambda": list(lam),
-                            "fh": poly_to_json_terms(fh),
-                            "jt": poly_to_json_terms(jt),
-                            "bialternant": poly_to_json_terms(bialt),
-                        }
-                    )
+                    values = {"fh": fh, "jt": jt, "bialternant": bialt}
+                    terms = {k: poly_to_json_terms(v) for k, v in values.items()}
+                    report.failures.append({"property": "fh", **case, **terms})
                 report.checks += 1
                 if (n, lam) not in boundary:
                     boundary[n, lam] = boundary_insensitivity(lam, n)
                 if not boundary[n, lam]:
                     report.failures.append(
-                        {
-                            "property": "fh",
-                            "kind": "boundary",
-                            "preset": seq.name,
-                            "n": n,
-                            "lambda": list(lam),
-                        }
+                        {"property": "fh", "kind": "boundary", **case}
                     )
     return report
 
@@ -295,31 +292,12 @@ def suite_alternation(seqs, max_vars) -> SuiteReport:
     Sweeps n = 1..min(max_vars, 3): larger variable counts are skipped
     without notice, because the alternation sums over all n! permutations.
     """
-    report = SuiteReport("alternation")
-    for trial, seq in enumerate(seqs):
-        for n in range(1, min(max_vars, 3) + 1):
-            ctx = GschurContext(n, seq)
-            delta = MultiPoly.monomial(n, tuple(range(n - 1, -1, -1)), 1)
-            for i, r in _shift_cases(n, 0, 0, last_i=4):
-                lhs = ctx.alternation(ctx.h_shift(i, r) * delta)
-                rhs_mono = MultiPoly.monomial(
-                    n, (r,) + tuple(range(n - 2, -1, -1)), 1
-                )
-                rhs = ctx.alternation(ctx.phi_at_var(i + n - 1, 0) * rhs_mono)
-                report.checks += 1
-                if lhs != rhs:
-                    report.failures.append(
-                        _failure(
-                            "alternation",
-                            trial,
-                            n,
-                            {"i": i, "r": r},
-                            seq,
-                            lhs=poly_to_json_terms(lhs),
-                            rhs=poly_to_json_terms(rhs),
-                        )
-                    )
-    return report
+    return _sweep(
+        {"alternation": _bracket_identity},
+        seqs,
+        range(1, min(max_vars, 3) + 1),
+        lambda n: _shift_cases(n, 0, 0, last_i=4),
+    )["alternation"]
 
 
 def suite_stable(seqs, seed) -> SuiteReport:
@@ -336,12 +314,9 @@ def suite_stable(seqs, seed) -> SuiteReport:
     empty = family.get(())
     one = family.get((1,))
     closed_ok = (
-        one is not None
-        and one == 1
+        one == 1
         and empty is not None
-        and all(
-            empty(Fraction(d)) == -Fraction(d * (d - 1), 2) for d in range(1, 9)
-        )
+        and all(empty(Fraction(d)) == -Fraction(d * (d - 1), 2) for d in range(1, 9))
     )
     if not closed_ok:
         report.failures.append(
@@ -381,9 +356,7 @@ def suite_stable(seqs, seed) -> SuiteReport:
             family[mu](Fraction(n)) != direct.get(mu, Fraction(0)) for mu in family
         )
         if bad:
-            report.failures.append(
-                {"property": "stable", "kind": "held-out", "n": n}
-            )
+            report.failures.append({"property": "stable", "kind": "held-out", "n": n})
 
     # Parameterised determinant at a non-integer d for a closed form.
     report.checks += 1
@@ -394,13 +367,9 @@ def suite_stable(seqs, seed) -> SuiteReport:
     for seq in (presets_mod.schur(), poly_seq):
         report.checks += 1
         poly = super_schur((2, 1), seq, SuperAlphabet(2, 2))
-        slices = [
-            poly.bind(0, Fraction(t)).bind(2, Fraction(t)) for t in (0, 1, -2)
-        ]
+        slices = [poly.bind(0, Fraction(t)).bind(2, Fraction(t)) for t in (0, 1, -2)]
         if not (slices[0] == slices[1] == slices[2]):
-            report.failures.append(
-                {"property": "stable", "kind": "super-cancellation"}
-            )
+            report.failures.append({"property": "stable", "kind": "super-cancellation"})
     return report
 
 
@@ -416,6 +385,11 @@ def run_property(
         raise ValueError(f"unknown property {name!r}; pick from {PROPERTY_NAMES}")
     if trials < 1 or max_vars < 1 or max_weight < 0:
         raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
+    if name in (*_ROUTE_CHECKS, "fh") and max_vars > BIALTERNANT_VAR_CAP:
+        raise ValueError(
+            f"property {name} compares against the bialternant, which is capped at"
+            f" {BIALTERNANT_VAR_CAP} variables; lower --max-vars (got {max_vars})"
+        )
     rng = random.Random(seed)
     seqs = [random_coeffseq(rng) for _ in range(trials)]
     if name in _ROUTE_CHECKS:

@@ -14,7 +14,7 @@ import pytest
 import gschur
 from gschur import cli, verify
 from gschur.coeffseq import coeffseq_to_json, random_coeffseq
-from gschur.engine import GschurContext
+from gschur.engine import BIALTERNANT_VAR_CAP, GschurContext
 from gschur.exactalg import MultiPoly, format_poly_text
 from gschur.verify import SuiteReport, run_property
 
@@ -236,6 +236,18 @@ def test_fh_checks_boundary_once_per_shape_and_reports_every_preset(monkeypatch)
     ]
 
 
+@pytest.mark.parametrize("prop", ["jt", "giambelli", "triangularity", "fh"])
+def test_verify_refuses_max_vars_above_the_bialternant_cap_before_any_work(prop):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="--max-vars") as err:
+        run_property(
+            prop, trials=1, seed=0, max_weight=1, max_vars=BIALTERNANT_VAR_CAP + 1
+        )
+    assert time.perf_counter() - start < 0.5
+    assert f"capped at {BIALTERNANT_VAR_CAP} variables" in str(err.value)
+    assert "--method" not in str(err.value)
+
+
 def _plus_one(original):
     def wrong(*args):
         value = original(*args)
@@ -267,6 +279,8 @@ BROKEN_QUANTITIES = [
     ("lemma", GschurContext, "lemma_residual", _plus_one),
     ("extension", GschurContext, "h_shift", _plus_negative_a),
     ("fh", verify, "fh_character_det", _plus_one),
+    ("alternation", GschurContext, "phi_at_var", _plus_one),
+    ("stable", verify, "realize_expansion", _plus_one),
 ]
 
 
@@ -465,6 +479,8 @@ EXIT_CODE_CASES = [
                                        "--lambda", "2,1", "--basis", "schur"], None, 2),
     ("negative-trials", ["verify", "--property", "jt", "--trials", "-1"], None, 2),
     ("zero-max-vars", ["verify", "--property", "jt", "--max-vars", "0"], None, 2),
+    ("verify-above-bialternant-cap", ["verify", "--property", "jt", "--max-vars",
+                                      "10"], None, 2),
     ("no-checks", ["verify", "--property", "lemma", "--max-vars", "1"], None, 2),
     ("unknown-property", ["verify", "--property", "nope"], None, 2),
     ("seq-file-not-object", SEQ_FILE_COMPUTE, "5", 2),

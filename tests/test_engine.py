@@ -359,6 +359,12 @@ def test_context_rejects_bad_variable_count():
         GschurContext(0, schur())
 
 
+@pytest.mark.parametrize("n", [True, 2.0, F(2), "2"], ids=repr)
+def test_context_needs_an_exact_int_variable_count(n):
+    with pytest.raises(TypeError, match="n must be an int"):
+        GschurContext(n, sp())
+
+
 def test_classical_presets_give_integer_coefficients():
     ctx = GschurContext(3, so_odd())
     for lam in partitions_up_to(4, 3):
