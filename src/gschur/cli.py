@@ -271,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--trials", type=int, default=5)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--max-weight", dest="max_weight", type=int, default=5)
-    verify.add_argument("--max-vars", dest="max_vars", type=int, default=3)
+    verify.add_argument("--max-weight", type=int, help="default 5, if the property reads it")
+    verify.add_argument("--max-vars", type=int, help="default 3, if the property reads it")
     verify.set_defaults(func=_cmd_verify)
 
     sup = sub.add_parser("super", help="two-alphabet realisation")

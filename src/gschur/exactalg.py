@@ -397,15 +397,12 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     order: the leading term of the running remainder must always be divisible
     by the leading term of the divisor, otherwise no exact quotient exists.
 
-    The loop runs on the packed integer numerators of both polynomials.
+    The loop runs on packed integer numerators, the divisor's divided by
+    their content.  By Gauss's lemma an exact quotient by that primitive
+    divisor has integer numerators, so each remainder's leading numerator
+    must be a multiple of the divisor's, or the division is not exact.
     Remainder terms wait in a max-heap of packed exponents; a popped term
-    whose coefficient has cancelled to zero is skipped.  When the divisor's
-    leading numerator does not divide the remainder's leading one, the
-    remainder and the partial quotient are both scaled by the missing factor
-    (pseudo-division), which the quotient's denominator absorbs at the end.
-    For an exact division this happens only when the divisor's numerators
-    share a factor (Gauss's lemma); the Vandermonde, with leading
-    coefficient 1, never scales.
+    whose coefficient has cancelled to zero is skipped.
     """
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -418,33 +415,26 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     width = _field_width(max(_degree(numerator._num), _degree(divisor._num)))
     rem, num_den = _to_ints(numerator, width)
     div, div_den = _to_ints(divisor, width)
+    content = gcd(*div.values())
     lead_k = max(div)
-    lead_c = div.pop(lead_k)
+    lead_c = div.pop(lead_k) // content
     lead_e = _unpack(lead_k, arity, width)
-    tail = list(div.items())
+    tail = [(k, c // content) for k, c in div.items()]
     heap = [-k for k in rem]
     heapify(heap)
     quot: dict[int, int] = {}
-    scale = 1
     while heap:
         k = -heappop(heap)
         rc = rem.pop(k)
         if not rc:
             continue
         re = _unpack(k, arity, width)
-        if any(a < b for a, b in zip(re, lead_e)):
+        qc, left = divmod(rc, lead_c)
+        if left or any(a < b for a, b in zip(re, lead_e)):
             raise DivisionNotExactError(
-                f"leading term x^{re} not divisible by divisor leading term x^{lead_e}"
+                f"leading term {rc}*x^{re} not divisible by divisor leading term"
+                f" {lead_c}*x^{lead_e}"
             )
-        missing = abs(lead_c) // gcd(rc, lead_c)
-        if missing != 1:
-            scale *= missing
-            rc *= missing
-            for r in rem:
-                rem[r] *= missing
-            for q in quot:
-                quot[q] *= missing
-        qc = rc // lead_c
         qk = k - lead_k
         quot[qk] = qc
         for dk, dc in tail:
@@ -455,10 +445,10 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
                 heappush(heap, -key)
             else:
                 rem[key] = c - qc * dc
-    # The loop found quot / scale = (num_den * numerator) / (div_den * divisor).
+    # quot = (num_den * numerator) / (div_den * divisor / content).
     for q in quot:
         quot[q] *= div_den
-    return _from_ints((quot, scale * num_den), arity, width)
+    return _from_ints((quot, content * num_den), arity, width)
 
 
 # -- determinants ----------------------------------------------------------

@@ -29,11 +29,20 @@ the full n x n minor form a unit triangular block, and the minor vanishes
 unless mu lies inside lam.  `schur_expand_at` is the one finite-count
 expansion: it takes these l x l scalar minors over the sequence's own phi
 table (`seq.phis`), which every sample count of every interpolation shares,
-as integer Bareiss determinants of the phi numerators over the product of
-the row denominators.  The fit solves its linear system and checks every
-sample in integers, and each sequence keeps its successful fits
-(`seq.families`), so the one-row families that `jt_infinite_check` needs,
-or a family evaluated at many d, are fitted once.
+as integer determinants of the phi numerators over the product of the row
+denominators.  The fit solves its linear system and checks every sample in
+integers, and each sequence keeps its successful fits (`seq.families`), so
+the one-row families that `jt_infinite_check` needs, or a family evaluated
+at many d, are fitted once.  The minors and the fit share one fraction-free
+elimination, `_echelon`.
+
+A fit needs no polynomial gcd: it comes out reduced.  Suppose P0/Q0, in
+lowest terms, fits the 2*bound + 1 nodes with Q0 nonzero at each.  For any
+kernel vector (P, Q), P Q0 - P0 Q has degree <= 2*bound and vanishes at
+every node, so P Q0 = P0 Q and (P, Q) = R (P0, Q0) for a polynomial R.  With
+the unknowns ordered P's coefficients then Q's, the kernel vector of the
+first free column ends lowest in Q's block, so its R is a constant.  A fit
+that validates is such a P0/Q0, so the vector is already P0/Q0 up to scale.
 
 Samples that no rational function within the degree bound explains raise
 `InterpolationInconsistentError`, an `ArithmeticError` like the poles and
@@ -44,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, _to_fraction
@@ -86,40 +95,13 @@ def _eval_coeffs(cs, x):
     return total
 
 
-def _divmod_coeffs(num, den):
-    num = list(num)
-    den = list(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_F(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        factor = num[k + len(den) - 1] / lead
-        if factor:
-            q[k] = factor
-            for j, d in enumerate(den):
-                num[k + j] -= factor * d
-    return _trimmed(q), _trimmed(num)
-
-
-def _gcd_coeffs(a, b) -> tuple[Fraction, ...]:
-    a = _trimmed(a)
-    b = _trimmed(b)
-    while b:
-        _, r = _divmod_coeffs(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
 class RationalFunctionOfD:
-    """Reduced rational function of one parameter, monic denominator.
+    """Rational function of one parameter with a monic denominator.
 
-    The constructor normalises: common factors are divided out and the
-    denominator is scaled monic, so equal functions have equal coefficient
-    tuples and `==` is semantic equality.
+    The constructor trims trailing zeros and scales the denominator monic;
+    it divides out no common factor, so the caller passes a coprime pair
+    (the fit in `_fit_and_validate` only ever finds one).  Then equal
+    functions have equal coefficient tuples and `==` is semantic equality.
     """
 
     __slots__ = ("num", "den")
@@ -129,12 +111,7 @@ class RationalFunctionOfD:
         den = _trimmed(den)
         if not den:
             raise ZeroDivisionError("denominator is the zero polynomial")
-        if num:
-            g = _gcd_coeffs(num, den)
-            if len(g) > 1:
-                num, _ = _divmod_coeffs(num, g)
-                den, _ = _divmod_coeffs(den, g)
-        else:
+        if not num:
             den = (_F(1),)
         lead = den[-1]
         self.num = tuple(c / lead for c in num)
@@ -290,72 +267,62 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
 # -- exact rational interpolation in the variable count ---------------------
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss (1968) elimination.
+def _echelon(rows: list[list[int]], upward: bool = True):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-    Each step's entries are 2 x 2 minors divided exactly by the previous
-    pivot; a zero pivot is swapped with a lower row, flipping the sign.
+    Bareiss's (1968) update: each row is replaced by its 2 x 2 minors with
+    the pivot row, divided exactly by the previous pivot, which keeps every
+    entry a minor of the input.  Applied to every other row (Nakos, Turner
+    and Williams 1997), it leaves every pivot equal to the last one, d, and
+    the rows equal to d times the reduced echelon form; `upward=False`
+    updates only the rows below each pivot, which is all a determinant
+    needs.  Returns the rows, their pivot columns, d (1 without pivots) and
+    the sign of the row permutation.
     """
-    m = [list(row) for row in rows]
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        if not m[k][k]:
-            sel = next((r for r in range(k + 1, len(m)) if m[r][k]), None)
-            if sel is None:
-                return 0
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        pk = m[k][k]
-        for row in m[k + 1 :]:
-            f = row[k]
-            pairs = zip(row[k + 1 :], m[k][k + 1 :])
-            row[k + 1 :] = [(pk * a - f * b) // prev for a, b in pairs]
-        prev = pk
-    return sign * m[-1][-1] if m else 1
-
-
-def _kernel_vector(rows: list[list[int]]) -> list[Fraction]:
-    """One nonzero kernel vector of an underdetermined homogeneous system.
-
-    Requires strictly more columns than the rank, which the callers guarantee
-    by construction; the first free column is set to 1 and the other free
-    columns to 0, which makes the vector unique.
-
-    Gauss-Jordan runs fraction-free on the integer rows, as in Bareiss
-    (1968) but dividing each new row by its content instead of by the
-    previous pivot: a row is eliminated by an integer combination with the
-    pivot row, and each pivot row keeps its own pivot instead of being
-    scaled to 1.  The pivots are those of the reduced echelon form over Q,
-    so the vector is the one the rational elimination would return.
-    """
-    ncols = len(rows[0])
     m = [list(row) for row in rows]
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if sel is None:
+    sign, prev = 1, 1
+    for col in range(len(m[0]) if m else 0):
+        rank = sel = len(pivots)
+        while sel < len(m) and not m[sel][col]:
+            sel += 1
+        if sel == len(m):
             continue
-        m[rank], m[sel] = m[sel], m[rank]
-        pivot_row = m[rank]
-        pv = pivot_row[col]
-        for r in range(len(m)):
-            f = m[r][col]
-            if r != rank and f:
-                g = gcd(pv, f)
-                s, t = pv // g, f // g
-                row = [s * a - t * b for a, b in zip(m[r], pivot_row)]
-                content = gcd(*row)
-                m[r] = [v // content for v in row] if content > 1 else row
+        if sel != rank:
+            m[rank], m[sel] = m[sel], m[rank]
+            sign = -sign
+        pivot_row, pv = m[rank], m[rank][col]
+        for r in range(0 if upward else rank + 1, len(m)):
+            if r != rank:
+                f = m[r][col]
+                m[r] = [(pv * a - f * b) // prev for a, b in zip(m[r], pivot_row)]
         pivots.append(col)
-        rank += 1
-        if rank == len(m):
+        prev = pv
+        if rank + 1 == len(m):
             break
-    free = next(c for c in range(ncols) if c not in pivots)
-    vec = [_F(0)] * ncols
-    vec[free] = _F(1)
+    return m, pivots, prev, sign
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: the last pivot of `_echelon`."""
+    _, pivots, d, sign = _echelon(rows, upward=False)
+    return sign * d if len(pivots) == len(rows) else 0
+
+
+def _kernel_vector(rows: list[list[int]]) -> list[int]:
+    """d times the kernel vector of the reduced echelon form over Q.
+
+    Requires strictly more columns than the rank, which the callers guarantee
+    by construction.  The rational vector has 1 in the first free column and
+    0 in the other free columns, which makes it unique; scaled by `_echelon`'s
+    last pivot d it is an integer vector, read straight off the rows.
+    """
+    m, pivots, d, _ = _echelon(rows)
+    vec = [0] * len(rows[0])
+    free = next(c for c in range(len(vec)) if c not in pivots)
+    vec[free] = d
     for row, col in zip(m, pivots):
-        vec[col] = Fraction(-row[free], row[col])
+        vec[col] = -row[free]
     return vec
 
 
@@ -372,8 +339,9 @@ def _fit_and_validate(
     mismatched value raises InterpolationInconsistentError.
 
     The sample counts x are integers, so everything runs in integers: each
-    condition is multiplied by y's denominator, and the fit is checked as
-    P(x) * den(y) == num(y) * Q(x) with P and Q cleared to integers.
+    condition is multiplied by y's denominator, P and Q are `_kernel_vector`'s
+    integer vector, and each sample is checked as P(x) * den(y) == num(y) * Q(x).
+    A fit that validates is in lowest terms (see the module docstring).
     """
     g = degree_bound
     rows = []
@@ -383,17 +351,7 @@ def _fit_and_validate(
             [y.denominator * p for p in powers] + [-y.numerator * p for p in powers]
         )
     sol = _kernel_vector(rows)
-    num = sol[: g + 1]
-    den = sol[g + 1 :]
-    if not _trimmed(den):
-        raise InterpolationInconsistentError(
-            f"no rational function of degree <= {g} fits the samples"
-        )
-    fit = RationalFunctionOfD(num, den)
-    clear = lcm(*(c.denominator for c in fit.num + fit.den))
-    top, bottom = (
-        [c.numerator * (clear // c.denominator) for c in cs] for cs in (fit.num, fit.den)
-    )
+    top, bottom = sol[: g + 1], sol[g + 1 :]
     for x, y in zip(xs, ys):
         q = _eval_coeffs(bottom, x)
         if not q:
@@ -404,7 +362,7 @@ def _fit_and_validate(
             raise InterpolationInconsistentError(
                 f"fitted function disagrees with the sample at {x}"
             )
-    return fit
+    return RationalFunctionOfD(top, bottom)
 
 
 _DEGREE_BOUND_CAP = 32

@@ -39,16 +39,25 @@ from .stable import (
 
 _F = Fraction
 
-PROPERTY_NAMES = (
-    "jt",
-    "giambelli",
-    "lemma",
-    "triangularity",
-    "extension",
-    "fh",
-    "alternation",
-    "stable",
-)
+# The shift suites' cost grows about 9x per variable: on one table `lemma`
+# took 9.2 s at 6 variables and 81 s at 7 (2 vCPUs, Python 3.11).
+SHIFT_VAR_CAP = 6
+
+_BIALTERNANT = ("compares against the bialternant", BIALTERNANT_VAR_CAP)
+_SHIFTS = ("sweeps shifted families, whose cost grows about 9x per variable", SHIFT_VAR_CAP)
+
+# Per property: the options it reads, and why and where --max-vars is capped.
+_PROPERTIES = {
+    "jt": (("max_weight", "max_vars"), _BIALTERNANT),
+    "giambelli": (("max_weight", "max_vars"), _BIALTERNANT),
+    "lemma": (("max_vars",), _SHIFTS),
+    "triangularity": (("max_weight", "max_vars"), _BIALTERNANT),
+    "extension": (("max_vars",), _SHIFTS),
+    "fh": (("max_weight", "max_vars"), _BIALTERNANT),
+    "alternation": (("max_vars",), None),
+    "stable": ((), None),
+}
+PROPERTY_NAMES = tuple(_PROPERTIES)
 
 
 @dataclass
@@ -374,21 +383,32 @@ def suite_stable(seqs, seed) -> SuiteReport:
 
 
 def run_property(
-    name: str, *, trials: int, seed: int, max_weight: int, max_vars: int
+    name: str, *, trials: int, seed: int, max_weight: int | None = None,
+    max_vars: int | None = None,
 ) -> SuiteReport:
     """Run one named suite on `trials` tables drawn from `random.Random(seed)`.
 
-    Raises ValueError for a configuration that is out of range or that
-    leaves the suite with nothing to check.
+    `max_weight` and `max_vars` default to 5 and 3 for the properties that
+    read them.  Raises ValueError, before any case runs, for an option the
+    property does not read, a `max_vars` above its cap, and a configuration
+    that is out of range or leaves the suite with nothing to check.
     """
-    if name not in PROPERTY_NAMES:
+    if name not in _PROPERTIES:
         raise ValueError(f"unknown property {name!r}; pick from {PROPERTY_NAMES}")
+    reads, cap = _PROPERTIES[name]
+    given = {"max_weight": max_weight, "max_vars": max_vars}
+    ignored = [opt for opt, v in given.items() if v is not None and opt not in reads]
+    if ignored:
+        flags = " or ".join("--" + opt.replace("_", "-") for opt in ignored)
+        raise ValueError(f"property {name} does not read {flags}")
+    max_weight = 5 if max_weight is None else max_weight
+    max_vars = 3 if max_vars is None else max_vars
     if trials < 1 or max_vars < 1 or max_weight < 0:
         raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
-    if name in (*_ROUTE_CHECKS, "fh") and max_vars > BIALTERNANT_VAR_CAP:
+    if cap and max_vars > cap[1]:
         raise ValueError(
-            f"property {name} compares against the bialternant, which is capped at"
-            f" {BIALTERNANT_VAR_CAP} variables; lower --max-vars (got {max_vars})"
+            f"property {name} {cap[0]}, so it is capped at {cap[1]} variables;"
+            f" lower --max-vars (got {max_vars})"
         )
     rng = random.Random(seed)
     seqs = [random_coeffseq(rng) for _ in range(trials)]

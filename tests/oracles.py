@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: determinants by summing over all
 permutations, products by a double loop over `Fraction` terms, kernel vectors
-by Gauss-Jordan over `Fraction`, Schur polynomials by listing semistandard
+by Gauss-Jordan over `Fraction`, rational functions reduced by Euclid's
+algorithm over `Fraction` coefficient lists, Schur polynomials by listing semistandard
 tableaux, super complete homogeneous functions by Newton's identities,
 Schur-basis minors by the Leibniz sum over a `Fraction` phi table.  Slow,
 but with no shared code paths with the package internals beyond the
@@ -165,6 +166,42 @@ def fraction_kernel_vector(rows):
     for row_idx, col in enumerate(pivots):
         vec[col] = -m[row_idx][free]
     return vec
+
+
+def _fraction_divmod(num, den):
+    """Quotient and remainder of coefficient lists (index = degree)."""
+    rem = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + len(den) - 1] / den[-1]
+        for j, c in enumerate(den):
+            rem[k + j] -= quot[k] * c
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def fraction_reduced_ratio(num, den):
+    """num/den in lowest terms with a monic denominator, as coefficient tuples.
+
+    The gcd comes from Euclid's algorithm over Fraction coefficient lists;
+    a zero numerator gives ((), (1,)).  The denominator must be nonzero.
+    """
+    def trim(cs):
+        cs = [Fraction(c) for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    num, den = trim(num), trim(den)
+    assert den
+    if not num:
+        return (), (Fraction(1),)
+    a, b = num, den
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    num, den = _fraction_divmod(num, a)[0], _fraction_divmod(den, a)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
 
 
 def semistandard_tableaux(shape, max_entry):

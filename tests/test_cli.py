@@ -16,7 +16,7 @@ from gschur import cli, verify
 from gschur.coeffseq import coeffseq_to_json, random_coeffseq
 from gschur.engine import BIALTERNANT_VAR_CAP, GschurContext
 from gschur.exactalg import MultiPoly, format_poly_text
-from gschur.verify import SuiteReport, run_property
+from gschur.verify import SHIFT_VAR_CAP, SuiteReport, run_property
 
 
 def run(capsys, *argv):
@@ -195,8 +195,19 @@ def test_verify_counterexamples_exit_one(capsys, monkeypatch):
     assert json.loads(lines[1]) == planted
 
 
+def options_read_by(prop, max_weight, max_vars):
+    """The options run_property accepts for prop: the routes and fh read
+    both, the shift suites and the alternation only max_vars, stable none."""
+    if prop == "stable":
+        return {}
+    if prop in ("jt", "giambelli", "triangularity", "fh"):
+        return {"max_weight": max_weight, "max_vars": max_vars}
+    return {"max_vars": max_vars}
+
+
 # The verify lines of perfbench/workloads.py::cli_universe, with the CLI's
-# defaults (max weight 5, max vars 3) where a line sets none.
+# defaults (max weight 5, max vars 3) where a line sets none; those lines
+# pass only the options their property reads.
 CLI_WORKLOAD_VERIFY = [
     ("jt", 3, 2, 10),
     ("giambelli", 3, 2, 10),
@@ -212,7 +223,7 @@ CLI_WORKLOAD_VERIFY = [
 @pytest.mark.parametrize("prop, max_weight, max_vars, checks", CLI_WORKLOAD_VERIFY)
 def test_verify_check_counts_are_pinned(prop, max_weight, max_vars, checks):
     report = run_property(
-        prop, trials=1, seed=0, max_weight=max_weight, max_vars=max_vars
+        prop, trials=1, seed=0, **options_read_by(prop, max_weight, max_vars)
     )
     assert report.checks == checks
     assert report.ok
@@ -246,6 +257,28 @@ def test_verify_refuses_max_vars_above_the_bialternant_cap_before_any_work(prop)
     assert time.perf_counter() - start < 0.5
     assert f"capped at {BIALTERNANT_VAR_CAP} variables" in str(err.value)
     assert "--method" not in str(err.value)
+
+
+@pytest.mark.parametrize("prop", ["lemma", "extension"])
+def test_verify_refuses_max_vars_above_the_shift_cap_before_any_work(prop):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="--max-vars") as err:
+        run_property(prop, trials=1, seed=0, max_vars=SHIFT_VAR_CAP + 1)
+    assert time.perf_counter() - start < 0.5
+    assert f"capped at {SHIFT_VAR_CAP} variables" in str(err.value)
+
+
+@pytest.mark.parametrize("prop, option", [
+    ("lemma", "max_weight"),
+    ("extension", "max_weight"),
+    ("alternation", "max_weight"),
+    ("stable", "max_weight"),
+    ("stable", "max_vars"),
+])
+def test_verify_refuses_an_option_the_property_ignores(prop, option):
+    flag = "--" + option.replace("_", "-")
+    with pytest.raises(ValueError, match=f"property {prop} does not read {flag}$"):
+        run_property(prop, trials=1, seed=0, **{option: 2})
 
 
 def _plus_one(original):
@@ -291,7 +324,7 @@ BROKEN_QUANTITIES = [
 )
 def test_verify_suites_detect_a_wrong_quantity(monkeypatch, prop, owner, attr, corrupt):
     monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
-    report = run_property(prop, trials=1, seed=3, max_weight=3, max_vars=2)
+    report = run_property(prop, trials=1, seed=3, **options_read_by(prop, 3, 2))
     assert report.failures
     if prop != "fh":  # the presets are not drawn
         first_draw = random_coeffseq(random.Random(3))
@@ -481,6 +514,10 @@ EXIT_CODE_CASES = [
     ("zero-max-vars", ["verify", "--property", "jt", "--max-vars", "0"], None, 2),
     ("verify-above-bialternant-cap", ["verify", "--property", "jt", "--max-vars",
                                       "10"], None, 2),
+    ("verify-above-shift-cap", ["verify", "--property", "lemma", "--max-vars",
+                                "10"], None, 2),
+    ("verify-ignored-option", ["verify", "--property", "stable", "--max-weight",
+                               "4"], None, 2),
     ("no-checks", ["verify", "--property", "lemma", "--max-vars", "1"], None, 2),
     ("unknown-property", ["verify", "--property", "nope"], None, 2),
     ("seq-file-not-object", SEQ_FILE_COMPUTE, "5", 2),

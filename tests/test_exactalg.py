@@ -276,12 +276,21 @@ def test_exact_divide_by_vandermonde_round_trip(n):
 
 def test_exact_divide_scales_for_a_non_unit_leading_coefficient():
     # Cleared, the divisor is 21*x1 + 18*x2 (content 3) and the numerator's
-    # leading numerator is 77, not a multiple of 21, so the loop must scale.
+    # leading numerator is 77, not a multiple of 21 but of 7, the leading
+    # numerator of the primitive divisor 7*x1 + 6*x2.
     divisor = F(3, 2) * x(0) + F(9, 7) * x(1)
     quotient = F(1, 3) * x(0) ** 2 - F(2, 3) * x(0) * x(1) + F(5, 11) * x(1) ** 2 + F(1, 3)
     q = exact_divide(fraction_product(quotient, divisor), divisor)
     assert q == quotient
     assert_canonical(q)
+
+
+def test_exact_divide_rejects_a_leading_coefficient_it_cannot_divide():
+    # x1 + 1 is no multiple of the primitive 2*x1 + 1 over the integers, so
+    # by Gauss's lemma it is none over the rationals either.
+    with pytest.raises(DivisionNotExactError, match=r"1\*x\^\(1, 0\)"):
+        exact_divide(x(0) + 1, 2 * x(0) + 1)
+    assert exact_divide(4 * x(0) + 2, 2 * x(0) + 1) == MultiPoly.constant(2, 2)
 
 
 def test_exact_divide_fails_after_several_quotient_terms():

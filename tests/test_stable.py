@@ -4,7 +4,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,6 +23,7 @@ from gschur.stable import (
     InterpolationInconsistentError,
     RationalFunctionOfD,
     SuperAlphabet,
+    _echelon,
     _fit_and_validate,
     _int_det,
     _kernel_vector,
@@ -40,6 +40,7 @@ from gschur.stable import (
 
 from oracles import (
     fraction_kernel_vector,
+    fraction_reduced_ratio,
     leibniz_det,
     minor_expansion,
     newton_complete_homogeneous,
@@ -54,14 +55,6 @@ def seeded_table(seed):
 
 
 # -- rational functions of the parameter ------------------------------------
-
-
-def test_rational_function_reduces_common_factors():
-    f = RationalFunctionOfD([-1, 0, 1], [-1, 1])  # (d^2 - 1)/(d - 1)
-    assert f.num == (F(1), F(1))
-    assert f.den == (F(1),)
-    assert repr(f) == "d + 1"
-    assert f(4) == 5
 
 
 def test_rational_function_scalar_equality():
@@ -379,19 +372,38 @@ def underdetermined_systems(draw):
     return rows
 
 
-@given(underdetermined_systems())
-@settings(max_examples=150, deadline=None)
-def test_kernel_vector_matches_fraction_oracle(rows):
-    # Clearing a row to integers scales it by a positive constant, which
-    # keeps the kernel and the reduced echelon pivots.
+def cleared_rows(rows):
+    """Each row times the lcm of its denominators: a positive scale, which
+    keeps the kernel and the reduced echelon pivots."""
     cleared = []
     for row in rows:
         den = lcm(*(v.denominator for v in row))
         cleared.append([v.numerator * (den // v.denominator) for v in row])
-    got = _kernel_vector(cleared)
-    assert got == fraction_kernel_vector(rows)
-    assert all(type(v) is Fraction for v in got)
+    return cleared
+
+
+@given(underdetermined_systems())
+@settings(max_examples=150, deadline=None)
+def test_kernel_vector_matches_fraction_oracle(rows):
+    got = _kernel_vector(cleared_rows(rows))
+    oracle = fraction_kernel_vector(rows)
+    # The oracle's vector ends with the 1 in its first free column; the
+    # integer vector holds the last pivot there.
+    free = max(c for c, v in enumerate(oracle) if v)
+    assert all(type(v) is int for v in got) and got[free]
+    assert [Fraction(v, got[free]) for v in got] == oracle
     assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
+
+
+@given(st.one_of(integer_matrices(), underdetermined_systems().map(cleared_rows)))
+@settings(max_examples=150, deadline=None)
+def test_echelon_pivots_all_equal_the_last(rows):
+    # The inputs are often rank deficient; the pivots are still all d and
+    # each pivot column is zero off its pivot row.
+    m, pivots, d, _ = _echelon(rows)
+    for i, col in enumerate(pivots):
+        assert [row[col] for row in m] == [d if r == i else 0 for r in range(len(m))]
+    assert all(not any(row) for row in m[len(pivots) :])
 
 
 coefficient_lists = st.lists(
@@ -399,21 +411,47 @@ coefficient_lists = st.lists(
 )
 
 
-@given(st.integers(1, 3), coefficient_lists, coefficient_lists)
-@settings(max_examples=100, deadline=None)
-def test_fit_matches_fraction_oracle(g, num, den):
-    num, den = num[: g + 1], den[: g + 1]
-    assume(any(den))
-    truth = RationalFunctionOfD(num, den)
+def list_product(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def fraction_value(cs, x):
+    return sum(Fraction(c) * x**j for j, c in enumerate(cs))
+
+
+@given(
+    st.integers(1, 3), coefficient_lists, coefficient_lists, coefficient_lists,
+    st.one_of(st.none(), st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+)
+@settings(max_examples=150, deadline=None)
+def test_fit_matches_fraction_oracle(g, num, den, common, noise):
+    # num and den share the factor `common` and stay within the bound; the
+    # samples are those of the truth, num/den reduced by Euclid's algorithm.
+    common = common[: g + 1]
+    keep = g + 2 - len(common)
+    num, den = (list_product(p[:keep], common) for p in (num, den))
+    assume(any(den) and any(common))
+    truth = fraction_reduced_ratio(num, den)
     xs = range(1, 2 * g + 4)
+    assume(all(fraction_value(truth[1], x) for x in xs))
+    ys = [fraction_value(truth[0], x) / fraction_value(truth[1], x) for x in xs]
+    if noise is None:
+        fit = _fit_and_validate(xs, ys, g)
+        assert (fit.num, fit.den) == truth
+        return
+    # A perturbed validation sample: any fit that still succeeds is in
+    # lowest terms and reproduces every sample.
+    ys[-1] += noise
     try:
-        ys = [truth(x) for x in xs]
-    except PoleError:
-        assume(False)
-    fit = _fit_and_validate(xs, ys, g)
-    with mock.patch.object(stable, "_kernel_vector", fraction_kernel_vector):
-        oracle = _fit_and_validate(xs, ys, g)
-    assert (fit.num, fit.den) == (oracle.num, oracle.den) == (truth.num, truth.den)
+        fit = _fit_and_validate(xs, ys, g)
+    except InterpolationInconsistentError:
+        return
+    assert fraction_reduced_ratio(fit.num, fit.den) == (fit.num, fit.den)
+    assert [fit(x) for x in xs] == ys
 
 
 def test_fit_rejects_a_planted_disagreement():
