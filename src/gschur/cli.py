@@ -184,7 +184,7 @@ def _cmd_super(args) -> int:
     seq = _sequence_from_args(args)
     lam = parse_partition(args.lam)
     alphabet = SuperAlphabet(args.n, args.m)
-    poly = super_schur(lam, seq, alphabet, args.degree_bound)
+    poly = super_schur(lam, seq, alphabet)
     names = [f"x{i + 1}" for i in range(args.n)] + [
         f"y{j + 1}" for j in range(args.m)
     ]
@@ -205,10 +205,10 @@ def _cmd_stable(args) -> int:
         raise ValueError("--jt-check needs a closed-form sequence")
     lam = parse_partition(args.lam)
     d = _rational(args.d)
-    expansion = gschur_function(lam, seq, d, args.degree_bound)
+    expansion = gschur_function(lam, seq, d)
     print(_render_expansion(expansion, args.format))
     if args.jt_check:
-        ok = jt_infinite_check(lam, seq, d, args.n_eval, args.degree_bound)
+        ok = jt_infinite_check(lam, seq, d, args.n_eval)
         if not ok:
             print(
                 json.dumps(
@@ -280,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sup.add_argument("--n", type=int, required=True, help="x-variable count")
     sup.add_argument("--m", type=int, required=True, help="y-variable count")
     sup.add_argument("--lambda", dest="lam", default="")
-    sup.add_argument(
-        "--degree-bound", dest="degree_bound", type=int, default=4
-    )
     sup.add_argument("--format", choices=("text", "json", "latex"), default="text")
     sup.set_defaults(func=_cmd_super)
 
@@ -292,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--d", required=True, help="parameter value (rational, e.g. 7/2)"
     )
     stable.add_argument("--lambda", dest="lam", default="")
-    stable.add_argument(
-        "--degree-bound", dest="degree_bound", type=int, default=4
-    )
     stable.add_argument(
         "--jt-check",
         dest="jt_check",

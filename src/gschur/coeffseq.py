@@ -58,9 +58,9 @@ class CoeffSeq:
     `a(i)` / `b(i)` take integer indices; `a_at(x)` / `b_at(x)` evaluate a
     closed form at an arbitrary rational and are rejected for table kind.
     `phis` is the sequence's own memoised recurrence family.  `families`
-    maps (partition, degree bound) to the family `stable.interpolate_c_family`
-    fitted for that request; it holds successes only and starts empty, so
-    `with_negative` gets its own.
+    maps a partition to the family `stable.interpolate_c_family` fitted for
+    it; it holds successes only and starts empty, so `with_negative` gets its
+    own.
     """
 
     def __init__(

@@ -112,16 +112,25 @@ def index_set_identity(p: Partition) -> bool:
     return sorted(left + right) == list(range(l))
 
 
-def partitions_of(total: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of `total` in reverse-lexicographic order."""
-    if total < 0:
+def partitions_of(
+    total: int, max_part: int | None = None, max_length: int | None = None
+) -> Iterator[Partition]:
+    """All partitions of `total` in reverse-lexicographic order.
+
+    `max_part` bounds every part and `max_length` the number of parts; the
+    recursion stops at `max_length` parts, so a short bound is cheap.
+    """
+    length = total if max_length is None else max_length
+    if total < 0 or length < 0:
         return
     if total == 0:
         yield ()
         return
     cap = total if max_part is None else min(max_part, total)
     for first in range(cap, 0, -1):
-        for rest in partitions_of(total - first, first):
+        if first * length < total:  # the rest cannot fit in length - 1 parts
+            return
+        for rest in partitions_of(total - first, first, length - 1):
             yield (first,) + rest
 
 
@@ -144,9 +153,7 @@ def compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
 def partitions_up_to(max_weight: int, max_length: int | None = None) -> Iterator[Partition]:
     """Partitions of every weight 0..max_weight, ordered by weight then revlex."""
     for w in range(max_weight + 1):
-        for p in partitions_of(w):
-            if max_length is None or len(p) <= max_length:
-                yield p
+        yield from partitions_of(w, max_length=max_length)
 
 
 def parse_partition(text: str) -> Partition:

@@ -44,7 +44,7 @@ the unknowns ordered P's coefficients then Q's, the kernel vector of the
 first free column ends lowest in Q's block, so its R is a constant.  A fit
 that validates is such a P0/Q0, so the vector is already P0/Q0 up to scale.
 
-Samples that no rational function within the degree bound explains raise
+Samples that no rational function of degree at most 32 explains raise
 `InterpolationInconsistentError`, an `ArithmeticError` like the poles and
 inexact divisions of the lower layers.
 """
@@ -365,12 +365,7 @@ def _fit_and_validate(
     return RationalFunctionOfD(top, bottom)
 
 
-_DEGREE_BOUND_CAP = 32
-
-
-def _check_degree_bound(degree_bound: int) -> None:
-    if not 1 <= degree_bound <= _DEGREE_BOUND_CAP:
-        raise ValueError(f"degree bound {degree_bound} not in 1..{_DEGREE_BOUND_CAP}")
+_DEGREE_BOUNDS = (4, 8, 16, 32)  # tried in turn by interpolate_c_family
 
 
 def _interpolate_all(
@@ -389,53 +384,42 @@ def _interpolate_all(
     return out
 
 
-def interpolate_c_family(
-    lam, seq: CoeffSeq, degree_bound: int = 4
-) -> dict[Partition, RationalFunctionOfD]:
+def interpolate_c_family(lam, seq: CoeffSeq) -> dict[Partition, RationalFunctionOfD]:
     """All Schur-basis coefficients of lam as rational functions of d.
 
-    Starts at the given degree bound and doubles it (re-sampling at more
-    integer counts) whenever the samples cannot be explained, up to a hard
-    cap of 32 that turns runaway growth into an error.  A bound outside
-    1..32 raises ValueError before any sampling.
+    Tries the degree bounds 4, 8, 16 and 32 in turn, re-sampling at more
+    integer counts each time, and raises the last inconsistency when even
+    32 cannot explain the samples.
 
     A table-backed sequence may run out of entries on a retry; the samples
     it did have were inconsistent, so that inconsistency is raised, chained
     from the IndexError.  Running out on the first attempt stays an
     IndexError.
 
-    Each success is memoised in `seq.families` under (lam, the requested
-    bound), so a later request for the same pair fits nothing; the caller
-    gets a fresh dict each time.  Failures are not stored and are raised
-    again on every call.
+    Each success is memoised in `seq.families` under lam, so a later request
+    fits nothing; the caller gets a fresh dict each time.  Failures are not
+    stored and are raised again on every call.
     """
-    _check_degree_bound(degree_bound)
     lam = check_partition(lam)
-    key = (lam, degree_bound)
-    if key in seq.families:
-        return dict(seq.families[key])
-    bound = degree_bound
+    if lam in seq.families:
+        return dict(seq.families[lam])
     inconsistency = None
-    while True:
+    for bound in _DEGREE_BOUNDS:
         try:
             family = _interpolate_all(lam, seq, bound)
         except InterpolationInconsistentError as exc:
-            if 2 * bound > _DEGREE_BOUND_CAP:
-                raise
             inconsistency = exc
         except IndexError as exc:
             if inconsistency is None:
                 raise
             raise inconsistency from exc
         else:
-            seq.families[key] = family
+            seq.families[lam] = family
             return dict(family)
-        bound *= 2
+    raise inconsistency
 
 
-def gschur_function(
-    lam, seq: CoeffSeq, d_value, degree_bound: int = 4
-) -> dict[Partition, Fraction]:
+def gschur_function(lam, seq: CoeffSeq, d_value) -> dict[Partition, Fraction]:
     """Schur-basis coefficients of the any-d object evaluated at d_value.
 
     Raises PoleError when some coefficient has a pole at d_value.  Zero
@@ -447,18 +431,16 @@ def gschur_function(
     succeed, and the direct route stays meaningful for table sequences whose
     coefficients have no rational interpolant at all.
 
-    A degree bound outside 1..32 raises ValueError, on the integer path too.
     d_value must be exact (int, Fraction or a string Fraction reads); a
     float or bool raises TypeError.
     """
-    _check_degree_bound(degree_bound)
     lam = check_partition(lam)
     d = _to_fraction(d_value)
     if not lam:
         return {(): _F(1)}
     if d.denominator == 1 and d >= len(lam):
         return schur_expand_at(lam, seq, int(d))
-    family = interpolate_c_family(lam, seq, degree_bound)
+    family = interpolate_c_family(lam, seq)
     out: dict[Partition, Fraction] = {}
     for mu, func in family.items():
         value = func(d)
@@ -467,9 +449,7 @@ def gschur_function(
     return out
 
 
-def jt_infinite_check(
-    lam, seq: CoeffSeq, d_value, n_eval: int, degree_bound: int = 4
-) -> bool:
+def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     """Does the parameterised Jacobi-Trudi determinant reproduce lam's object?
 
     Entry (i, c) is sum_j c_j S_(j), the one-row any-d objects S_(j)
@@ -486,12 +466,12 @@ def jt_infinite_check(
     lam = check_partition(lam)
     d = _to_fraction(d_value)
     l = len(lam)
-    rhs = realize_expansion(gschur_function(lam, seq, d, degree_bound), n_eval)
+    rhs = realize_expansion(gschur_function(lam, seq, d), n_eval)
     if l == 0:
         return rhs == MultiPoly.one(n_eval)
     realized = []
     for j in range(lam[0] + l):
-        coeffs = gschur_function((j,) if j else (), seq, d, degree_bound)
+        coeffs = gschur_function((j,) if j else (), seq, d)
         realized.append(realize_expansion(coeffs, n_eval))
     memo: dict = {}
 
@@ -509,9 +489,7 @@ def jt_infinite_check(
 # -- super-symmetric realisation -------------------------------------------
 
 
-def super_schur(
-    lam, seq: CoeffSeq, alphabet: SuperAlphabet, degree_bound: int = 4
-) -> MultiPoly:
+def super_schur(lam, seq: CoeffSeq, alphabet: SuperAlphabet) -> MultiPoly:
     """Super-symmetric realisation at superdimension d = n - m.
 
     The any-d object at d = n - m, realised by `realize_expansion` on the
@@ -521,4 +499,4 @@ def super_schur(
     n, m = alphabet
     if n < 0 or m < 0:
         raise ValueError("alphabet sizes must be nonnegative")
-    return realize_expansion(gschur_function(lam, seq, n - m, degree_bound), n, m)
+    return realize_expansion(gschur_function(lam, seq, n - m), n, m)

@@ -229,6 +229,31 @@ def test_verify_check_counts_are_pinned(prop, max_weight, max_vars, checks):
     assert report.ok
 
 
+@pytest.mark.parametrize("command", [
+    ["stable", "--d", "1/3"],
+    ["super", "--n", "1", "--m", "1"],
+], ids=["stable", "super"])
+def test_degree_bound_is_not_an_option(capsys, command):
+    # The any-d layer tries a fixed schedule of degree bounds.
+    argv = command + ["--preset", "schur", "--lambda", "1", "--degree-bound", "4"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "unrecognized arguments: --degree-bound 4" in err
+
+
+def test_fh_draws_no_tables(monkeypatch):
+    draws = Counter()
+
+    def counted(rng):
+        draws["tables"] += 1
+        return random_coeffseq(rng)
+
+    monkeypatch.setattr(verify, "random_coeffseq", counted)
+    report = run_property("fh", trials=2000, seed=0, max_weight=1, max_vars=1)
+    assert report.checks == 44 and report.ok
+    assert not draws
+
+
 def test_fh_checks_boundary_once_per_shape_and_reports_every_preset(monkeypatch):
     calls = Counter()
 
@@ -484,12 +509,6 @@ EXIT_CODE_CASES = [
                             "--lambda", "1"], None, 2),
     ("zero-denominator-p", ["compute", "--preset", "bc_jacobi", "--p", "1/0",
                             "--q", "1", "--n", "1", "--lambda", "1"], None, 2),
-    ("degree-bound-zero", ["stable", "--preset", "factorial", "--a-table",
-                           "0,1,2,3,4,5,6,7,8", "--d", "1/2", "--lambda", "1",
-                           "--degree-bound", "0"], None, 2),
-    ("degree-bound-above-cap", ["stable", "--preset", "bc_jacobi", "--p", "1",
-                                "--q", "-3", "--d", "1/3", "--lambda", "2,1",
-                                "--degree-bound", "33"], None, 2),
     ("bialternant-above-cap", ["compute", "--preset", "schur", "--n", "10",
                                "--lambda", "1"], None, 2),
     ("pole", ["compute", "--preset", "bc_jacobi", "--p", "1", "--q", "1",

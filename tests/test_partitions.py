@@ -142,6 +142,17 @@ def test_partitions_up_to_respects_length_bound():
     assert len(ps) == len(set(ps))
 
 
+def test_length_bound_enumerates_the_filtered_sequence():
+    for w in range(19):
+        every = list(partitions_up_to(w))
+        for l in range(w + 2):
+            assert list(partitions_up_to(w, l)) == [p for p in every if len(p) <= l]
+    # At most two parts: (w - k, k) for 0 <= k <= w / 2, in each weight w.
+    assert list(partitions_up_to(60, 2)) == [
+        tuple(p for p in (w - k, k) if p) for w in range(61) for k in range(w // 2 + 1)
+    ]
+
+
 def test_compositions_edges_counts_and_order():
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(0, 2)) == []

@@ -242,7 +242,7 @@ def test_single_box_constant_term_is_negated_partial_sum():
 
 def test_interpolate_c_linear_a_gives_binomial():
     seq = factorial(lambda x: x)
-    func = interpolate_c_family((1,), seq, degree_bound=2)[()]
+    func = interpolate_c_family((1,), seq)[()]
     assert func.num == (F(0), F(1, 2), F(-1, 2))  # d/2 - d^2/2
     assert func.den == (F(1),)
     assert func(F(7, 2)) == F(-35, 8)
@@ -260,19 +260,19 @@ def test_interpolation_rejects_table_coefficients():
 
 
 def test_table_running_out_on_a_retry_is_an_inconsistency():
-    # Five samples at bound 1 fit in a 6-entry random table and are
-    # inconsistent; the retry at bound 2 needs entries the table lacks.
+    # The samples n = 1..11 at bound 4 fit in a 12-entry random table and
+    # are inconsistent; the retry at bound 8 needs entries the table lacks.
     # Failures are never memoised, so a second call fails the same way.
-    seq = random_coeffseq(random.Random(0), length=6)
+    seq = random_coeffseq(random.Random(0), length=12)
     for _ in range(2):
         with pytest.raises(InterpolationInconsistentError) as caught:
-            interpolate_c_family((1,), seq, degree_bound=1)
+            interpolate_c_family((1,), seq)
         assert isinstance(caught.value.__cause__, IndexError)
     # Too short for the first attempt: the IndexError itself.
     short = random_coeffseq(random.Random(0), length=4)
     for _ in range(2):
         with pytest.raises(IndexError):
-            interpolate_c_family((1,), short, 1)
+            interpolate_c_family((1,), short)
     # a(1) is a pole of bc_jacobi(1, 1), and the samples need it.
     poles = bc_jacobi(1, 1, probe_upto=0)
     for _ in range(2):
@@ -317,12 +317,12 @@ def test_memoised_family_matches_a_fresh_sequence():
 
 def test_mutating_a_returned_family_leaves_the_memo_intact():
     seq = factorial(lambda x: x)
-    family = interpolate_c_family((1,), seq, degree_bound=2)
+    family = interpolate_c_family((1,), seq)
     expected = dict(family)
     family.clear()
-    interpolate_c_family((1,), seq, degree_bound=2)[(5,)] = RationalFunctionOfD([1], [1])
-    assert interpolate_c_family((1,), seq, degree_bound=2) == expected
-    value = gschur_function((1,), seq, F(7, 2), degree_bound=2)
+    interpolate_c_family((1,), seq)[(5,)] = RationalFunctionOfD([1], [1])
+    assert interpolate_c_family((1,), seq) == expected
+    value = gschur_function((1,), seq, F(7, 2))
     assert value == {(1,): F(1), (): F(-35, 8)}
 
 
@@ -340,7 +340,7 @@ def test_one_interpolation_attempt_reads_each_coefficient_once():
         counted("a", lambda x: F(1)), counted("b", lambda x: x)
     )
     lam = (2, 1)
-    family = interpolate_c_family(lam, seq, degree_bound=4)
+    family = interpolate_c_family(lam, seq)
     # every coefficient has degree 3, so the first attempt succeeds
     assert max(max(len(f.num), len(f.den)) - 1 for f in family.values()) == 3
     # One attempt at bound 4 samples n = 2..12; phi_{lam_1 + n - 1} at the
@@ -471,36 +471,20 @@ def test_fit_rejects_a_pole_at_a_sample():
 
 
 def test_interpolate_c_family_doubles_the_bound():
-    seq = factorial(lambda x: x * x)
-    family = interpolate_c_family((1,), seq, degree_bound=1)
+    # The constant term -sum_{i<d} i^4 has degree 5: bound 4 fails, 8 fits.
+    seq = factorial(lambda x: x**4)
+    family = interpolate_c_family((1,), seq)
     assert family[(1,)] == 1
-    assert family[()](4) == -14  # -(0 + 1 + 4 + 9)
+    assert family[()](4) == -98  # -(0 + 1 + 16 + 81)
+    assert len(family[()].num) == 6 and family[()].den == (F(1),)
 
 
-def test_degree_bound_below_one_is_rejected():
-    seq = factorial(lambda x: x)
-    with pytest.raises(ValueError):
-        interpolate_c_family((1,), seq, degree_bound=0)
-    with pytest.raises(ValueError):
-        gschur_function((1,), seq, F(1, 2), degree_bound=0)
-    with pytest.raises(ValueError):
-        gschur_function((1,), seq, 3, degree_bound=-1)
-    with pytest.raises(ValueError):
-        super_schur((1,), seq, SuperAlphabet(1, 1), degree_bound=0)
-    with pytest.raises(ValueError):
-        jt_infinite_check((1,), seq, F(1, 2), 2, degree_bound=0)
-    # Above the doubling cap the first attempt alone could run for minutes.
-    for bound in (33, 128):
-        with pytest.raises(ValueError):
-            interpolate_c_family((1,), seq, degree_bound=bound)
-        with pytest.raises(ValueError):
-            gschur_function((1,), seq, F(1, 2), degree_bound=bound)
-        with pytest.raises(ValueError):
-            gschur_function((1,), seq, 3, degree_bound=bound)
-        with pytest.raises(ValueError):
-            super_schur((1,), seq, SuperAlphabet(1, 1), degree_bound=bound)
-        with pytest.raises(ValueError):
-            jt_infinite_check((1,), seq, F(1, 2), 2, degree_bound=bound)
+def test_families_are_memoised_by_partition():
+    seq = random_polynomial_coeffseq(random.Random(2))
+    interpolate_c_family([2, 1, 0], seq)
+    gschur_function((1,), seq, F(1, 2))
+    super_schur((2,), seq, SuperAlphabet(1, 2))
+    assert list(seq.families) == [(2, 1), (1,), (2,)]
 
 
 def test_gschur_function_integer_arguments():
