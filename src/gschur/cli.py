@@ -102,13 +102,6 @@ def _add_source_options(sub: argparse.ArgumentParser) -> None:
         dest="a_table",
         help="comma-separated rationals for the factorial preset",
     )
-    group.add_argument(
-        "--probe-upto",
-        dest="probe_upto",
-        type=int,
-        default=8,
-        help="index range probed for bc_jacobi poles (default 8)",
-    )
 
 
 def _sequence_from_args(args):
@@ -116,7 +109,7 @@ def _sequence_from_args(args):
         raise ValueError("give exactly one of --preset and --seq-file")
     if args.seq_file:
         return load_coeffseq(args.seq_file)
-    params = {"probe_upto": args.probe_upto}
+    params = {}
     if args.p is not None:
         params["p"] = _rational(args.p)
     if args.q is not None:
@@ -201,26 +194,24 @@ def _cmd_stable(args) -> int:
     if args.n_eval < 1:
         raise ValueError("--n-eval must be at least 1")
     seq = _sequence_from_args(args)
-    if args.jt_check and not seq.is_closed_form:
-        raise ValueError("--jt-check needs a closed-form sequence")
     lam = parse_partition(args.lam)
     d = _rational(args.d)
-    expansion = gschur_function(lam, seq, d)
-    print(_render_expansion(expansion, args.format))
-    if args.jt_check:
-        ok = jt_infinite_check(lam, seq, d, args.n_eval)
-        if not ok:
-            print(
-                json.dumps(
-                    {
-                        "property": "jt-infinite",
-                        "lambda": list(lam),
-                        "d": str(d),
-                        "n_eval": args.n_eval,
-                    }
-                )
+    # The check runs first, so a sequence or --n-eval it refuses prints nothing.
+    ok = not args.jt_check or jt_infinite_check(lam, seq, d, args.n_eval)
+    print(_render_expansion(gschur_function(lam, seq, d), args.format))
+    if not ok:
+        print(
+            json.dumps(
+                {
+                    "property": "jt-infinite",
+                    "lambda": list(lam),
+                    "d": str(d),
+                    "n_eval": args.n_eval,
+                }
             )
-            return 1
+        )
+        return 1
+    if args.jt_check:
         print(f"jt-infinite holds at d = {d} (truncated to {args.n_eval} variables)")
     return 0
 
@@ -300,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_eval",
         type=int,
         default=3,
-        help="variables used to compare both sides of --jt-check",
+        help="variables used to compare both sides of --jt-check (at least l(lambda))",
     )
     stable.add_argument("--format", choices=("text", "json", "latex"), default="text")
     stable.set_defaults(func=_cmd_stable)

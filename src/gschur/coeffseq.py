@@ -51,12 +51,29 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _lookup(values: Sequence, which: str) -> Callable[[int], Fraction]:
+    """Index function of a finite table; raises IndexError past its end."""
+    table = tuple(_to_fraction(v) for v in values)
+
+    def of(i: int) -> Fraction:
+        try:
+            return table[i]
+        except IndexError:
+            raise IndexError(
+                f"{which}({i}) is beyond the stored table of length {len(table)}"
+            ) from None
+
+    return of
+
+
 class CoeffSeq:
     """A pair of coefficient sequences with a negative-index extension policy.
 
-    Use `from_tables` for finite data and `from_functions` for closed forms.
-    `a(i)` / `b(i)` take integer indices; `a_at(x)` / `b_at(x)` evaluate a
-    closed form at an arbitrary rational and are rejected for table kind.
+    A table (`from_tables`) and a closed form (`from_functions`, which also
+    takes non-integer rationals) are both two functions of the index, a_of
+    and b_of; `kind` says which ("table" or "closed-form").  `a(i)` / `b(i)`
+    read them at integer indices, or the extension below 0; `a_at(x)` /
+    `b_at(x)` evaluate a closed form at any rational and refuse a table.
     `phis` is the sequence's own memoised recurrence family.  `families`
     maps a partition to the family `stable.interpolate_c_family` fitted for
     it; it holds successes only and starts empty, so `with_negative` gets its
@@ -65,33 +82,24 @@ class CoeffSeq:
 
     def __init__(
         self,
+        a_of: Callable[[int], Fraction],
+        b_of: Callable[[int], Fraction],
         *,
-        kind: str,
-        a_table: Sequence[Fraction] | None = None,
-        b_table: Sequence[Fraction] | None = None,
-        a_func: Callable[[Fraction], Fraction] | None = None,
-        b_func: Callable[[Fraction], Fraction] | None = None,
+        closed_form: bool,
         negative_a: Mapping[int, Fraction] | None = None,
         negative_b: Mapping[int, Fraction] | None = None,
         name: str | None = None,
     ):
-        if kind not in ("table", "closed-form"):
-            raise ValueError(f"unknown coefficient sequence kind: {kind!r}")
-        self.kind = kind
+        self._a_of = a_of
+        self._b_of = b_of
+        self.is_closed_form = closed_form
+        self.kind = "closed-form" if closed_form else "table"
         self.name = name
-        self._a_table = tuple(_to_fraction(v) for v in a_table) if a_table is not None else None
-        self._b_table = tuple(_to_fraction(v) for v in b_table) if b_table is not None else None
-        self._a_func = a_func
-        self._b_func = b_func
         self._neg_a = {int(k): _to_fraction(v) for k, v in (negative_a or {}).items()}
         self._neg_b = {int(k): _to_fraction(v) for k, v in (negative_b or {}).items()}
         for k in list(self._neg_a) + list(self._neg_b):
             if k >= 0:
                 raise ValueError("custom extension tables may only hold negative indices")
-        if kind == "table" and (self._a_table is None or self._b_table is None):
-            raise ValueError("table kind needs both a and b tables")
-        if kind == "closed-form" and (a_func is None or b_func is None):
-            raise ValueError("closed-form kind needs both a and b callables")
         self.phis = UniPolySeq(self)
         self.families: dict = {}
 
@@ -106,9 +114,9 @@ class CoeffSeq:
         name: str | None = None,
     ) -> "CoeffSeq":
         return cls(
-            kind="table",
-            a_table=a_table,
-            b_table=b_table,
+            _lookup(a_table, "a"),
+            _lookup(b_table, "b"),
+            closed_form=False,
             negative_a=negative_a,
             negative_b=negative_b,
             name=name,
@@ -125,62 +133,41 @@ class CoeffSeq:
         name: str | None = None,
     ) -> "CoeffSeq":
         return cls(
-            kind="closed-form",
-            a_func=a_func,
-            b_func=b_func,
+            lambda x: a_func(_to_fraction(x)),
+            lambda x: b_func(_to_fraction(x)),
+            closed_form=True,
             negative_a=negative_a,
             negative_b=negative_b,
             name=name,
         )
 
-    @property
-    def is_closed_form(self) -> bool:
-        return self.kind == "closed-form"
-
-    def _table_lookup(self, table: tuple[Fraction, ...], i: int, which: str) -> Fraction:
-        if i < len(table):
-            return table[i]
-        raise IndexError(
-            f"{which}({i}) is beyond the stored table of length {len(table)}"
-        )
-
     def a(self, i: int) -> Fraction:
         """a(i) at an integer index, applying the negative-index extension."""
-        if i < 0:
-            return self._neg_a.get(i, _ZERO)
-        if self.kind == "table":
-            return self._table_lookup(self._a_table, i, "a")
-        return self._a_func(Fraction(i))
+        return self._neg_a.get(i, _ZERO) if i < 0 else self._a_of(i)
 
     def b(self, i: int) -> Fraction:
         """b(i) at an integer index, applying the negative-index extension."""
-        if i < 0:
-            return self._neg_b.get(i, _ZERO)
-        if self.kind == "table":
-            return self._table_lookup(self._b_table, i, "b")
-        return self._b_func(Fraction(i))
+        return self._neg_b.get(i, _ZERO) if i < 0 else self._b_of(i)
 
     def a_at(self, x: Fraction) -> Fraction:
         """Closed-form evaluation of a at an arbitrary rational argument."""
         if not self.is_closed_form:
             raise ValueError("a_at requires a closed-form coefficient sequence")
-        return self._a_func(_to_fraction(x))
+        return self._a_of(x)
 
     def b_at(self, x: Fraction) -> Fraction:
         if not self.is_closed_form:
             raise ValueError("b_at requires a closed-form coefficient sequence")
-        return self._b_func(_to_fraction(x))
+        return self._b_of(x)
 
     def with_negative(
         self, negative_a: Mapping[int, Fraction], negative_b: Mapping[int, Fraction]
     ) -> "CoeffSeq":
         """Same nonnegative-index data, different negative-index extension."""
         return CoeffSeq(
-            kind=self.kind,
-            a_table=self._a_table,
-            b_table=self._b_table,
-            a_func=self._a_func,
-            b_func=self._b_func,
+            self._a_of,
+            self._b_of,
+            closed_form=self.is_closed_form,
             negative_a=negative_a,
             negative_b=negative_b,
             name=self.name,
@@ -240,20 +227,6 @@ class UniPolySeq:
 
 
 # -- JSON sequence files ----------------------------------------------------
-
-
-def coeffseq_to_json(seq: CoeffSeq, upto: int) -> dict:
-    """Table-style JSON object for a sequence, truncated at `upto` entries."""
-    body = seq.table_dump(upto)
-    if any(v is None for v in body["a"] + body["b"]):
-        raise ValueError("sequence has unavailable entries below the requested length")
-    negative = "zero"
-    if seq._neg_a or seq._neg_b:
-        negative = {
-            "a": {str(k): str(v) for k, v in sorted(seq._neg_a.items())},
-            "b": {str(k): str(v) for k, v in sorted(seq._neg_b.items())},
-        }
-    return {"a": body["a"], "b": body["b"], "negative": negative}
 
 
 def coeffseq_from_json(obj) -> CoeffSeq:

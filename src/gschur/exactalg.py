@@ -142,10 +142,6 @@ class MultiPoly:
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return Fraction(self._num.get(tuple(exponents), 0), self._den)
 
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.arity)
-
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Greatest term in the graded lexicographic order."""
         if not self._num:

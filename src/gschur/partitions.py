@@ -96,22 +96,6 @@ def dominated_partial_sums(mu: Partition, lam: Partition, n: int) -> bool:
     return True
 
 
-def index_set_identity(p: Partition) -> bool:
-    """Check that the hook and off-diagonal row indices tile 0..l-1.
-
-    With r the diagonal rank and l the length, the multiset
-    {k - p_k - 1 : k = r+1..l} together with {p'_j - j : j = 1..r} must be
-    exactly {0, ..., l-1}.
-    """
-    p = check_partition(p)
-    l = len(p)
-    r = diagonal_rank(p)
-    q = conjugate(p)
-    left = [k - p[k - 1] - 1 for k in range(r + 1, l + 1)]
-    right = [q[j - 1] - j for j in range(1, r + 1)]
-    return sorted(left + right) == list(range(l))
-
-
 def partitions_of(
     total: int, max_part: int | None = None, max_length: int | None = None
 ) -> Iterator[Partition]:

@@ -133,9 +133,7 @@ def make(name: str, **params) -> CoeffSeq:
     if name == "bc_jacobi":
         if "p" not in params or "q" not in params:
             raise ValueError("the bc_jacobi preset needs p and q")
-        return bc_jacobi(
-            params["p"], params["q"], probe_upto=params.get("probe_upto", 8)
-        )
+        return bc_jacobi(params["p"], params["q"])
     raise ValueError(f"unknown preset: {name!r}")
 
 

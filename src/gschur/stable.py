@@ -457,15 +457,18 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     arguments are offset by d - 1 (so the sequence must be closed form,
     evaluable off the integers).  Both sides are compared after
     truncation to n_eval variables, which is faithful because truncation is a
-    ring homomorphism.  A float or bool d_value raises TypeError.
+    ring homomorphism; both sides lie in the span of the S_mu with l(mu) <=
+    l(lam) (products of l(lam) one-row objects on the left), where truncation
+    is injective exactly when n_eval >= l(lam), so a smaller n_eval raises
+    ValueError.  A float or bool d_value raises TypeError.
     """
     if not seq.is_closed_form:
         raise ValueError("the parameterised recursion needs a closed-form sequence")
-    if n_eval < 1:
-        raise ValueError("need at least one evaluation variable")
     lam = check_partition(lam)
-    d = _to_fraction(d_value)
     l = len(lam)
+    if n_eval < max(1, l):
+        raise ValueError(f"need n_eval >= max(1, l(lambda)) = {max(1, l)}, got {n_eval}")
+    d = _to_fraction(d_value)
     rhs = realize_expansion(gschur_function(lam, seq, d), n_eval)
     if l == 0:
         return rhs == MultiPoly.one(n_eval)

@@ -8,12 +8,17 @@ tableaux, super complete homogeneous functions by Newton's identities,
 Schur-basis minors by the Leibniz sum over a `Fraction` phi table.  Slow,
 but with no shared code paths with the package internals beyond the
 MultiPoly container and its `+`/`-`.
+
+The last section holds helpers only the tests use: the table-style JSON
+writer that round-trips with `coeffseq_from_json`, and the hook/row index
+identity behind the Giambelli route.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 from gschur.exactalg import MultiPoly
+from gschur.partitions import check_partition, conjugate, diagonal_rank
 
 
 def fraction_product(a, b) -> MultiPoly:
@@ -259,3 +264,36 @@ def kostka(lam, mu) -> int:
         if tuple(content) == mu:
             count += 1
     return count
+
+
+# -- test-only helpers ------------------------------------------------------
+
+
+def coeffseq_to_json(seq, upto: int) -> dict:
+    """Table-style JSON object for a sequence, truncated at `upto` entries."""
+    body = seq.table_dump(upto)
+    if any(v is None for v in body["a"] + body["b"]):
+        raise ValueError("sequence has unavailable entries below the requested length")
+    negative = "zero"
+    if seq._neg_a or seq._neg_b:
+        negative = {
+            "a": {str(k): str(v) for k, v in sorted(seq._neg_a.items())},
+            "b": {str(k): str(v) for k, v in sorted(seq._neg_b.items())},
+        }
+    return {"a": body["a"], "b": body["b"], "negative": negative}
+
+
+def index_set_identity(p) -> bool:
+    """Check that the hook and off-diagonal row indices tile 0..l-1.
+
+    With r the diagonal rank and l the length, the multiset
+    {k - p_k - 1 : k = r+1..l} together with {p'_j - j : j = 1..r} must be
+    exactly {0, ..., l-1}.
+    """
+    p = check_partition(p)
+    l = len(p)
+    r = diagonal_rank(p)
+    q = conjugate(p)
+    left = [k - p[k - 1] - 1 for k in range(r + 1, l + 1)]
+    right = [q[j - 1] - j for j in range(1, r + 1)]
+    return sorted(left + right) == list(range(l))

@@ -13,10 +13,12 @@ import pytest
 
 import gschur
 from gschur import cli, verify
-from gschur.coeffseq import coeffseq_to_json, random_coeffseq
+from gschur.coeffseq import random_coeffseq
 from gschur.engine import BIALTERNANT_VAR_CAP, GschurContext
 from gschur.exactalg import MultiPoly, format_poly_text
-from gschur.verify import SHIFT_VAR_CAP, SuiteReport, run_property
+from gschur.verify import ALTERNATION_VAR_CAP, SHIFT_VAR_CAP, SuiteReport, run_property
+
+from oracles import coeffseq_to_json
 
 
 def run(capsys, *argv):
@@ -229,16 +231,18 @@ def test_verify_check_counts_are_pinned(prop, max_weight, max_vars, checks):
     assert report.ok
 
 
-@pytest.mark.parametrize("command", [
-    ["stable", "--d", "1/3"],
-    ["super", "--n", "1", "--m", "1"],
-], ids=["stable", "super"])
-def test_degree_bound_is_not_an_option(capsys, command):
-    # The any-d layer tries a fixed schedule of degree bounds.
-    argv = command + ["--preset", "schur", "--lambda", "1", "--degree-bound", "4"]
-    code, out, err = run(capsys, *argv)
+@pytest.mark.parametrize("command, option", [
+    (["stable", "--preset", "schur", "--d", "1/3"], "--degree-bound 4"),
+    (["super", "--preset", "schur", "--n", "1", "--m", "1"], "--degree-bound 4"),
+    (["compute", "--preset", "bc_jacobi", "--p", "1", "--q", "-3", "--n", "1"],
+     "--probe-upto 0"),
+], ids=["stable-degree-bound", "super-degree-bound", "compute-probe-upto"])
+def test_dropped_option_is_unrecognised(capsys, command, option):
+    # The any-d layer tries a fixed schedule of degree bounds, and bc_jacobi
+    # always probes indices 0..8 for poles.
+    code, out, err = run(capsys, *command, "--lambda", "1", *option.split())
     assert code == 2 and not out
-    assert "unrecognized arguments: --degree-bound 4" in err
+    assert f"unrecognized arguments: {option}" in err
 
 
 def test_fh_draws_no_tables(monkeypatch):
@@ -291,6 +295,14 @@ def test_verify_refuses_max_vars_above_the_shift_cap_before_any_work(prop):
         run_property(prop, trials=1, seed=0, max_vars=SHIFT_VAR_CAP + 1)
     assert time.perf_counter() - start < 0.5
     assert f"capped at {SHIFT_VAR_CAP} variables" in str(err.value)
+
+
+def test_verify_refuses_max_vars_above_the_alternation_cap_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="--max-vars") as err:
+        run_property("alternation", trials=1, seed=0, max_vars=ALTERNATION_VAR_CAP + 1)
+    assert time.perf_counter() - start < 0.5
+    assert f"capped at {ALTERNATION_VAR_CAP} variables" in str(err.value)
 
 
 @pytest.mark.parametrize("prop, option", [
@@ -513,20 +525,24 @@ EXIT_CODE_CASES = [
                                "--lambda", "1"], None, 2),
     ("pole", ["compute", "--preset", "bc_jacobi", "--p", "1", "--q", "1",
               "--n", "2", "--lambda", "1"], None, 3),
-    # The alphabet is checked before the expansion can reach the pole.
+    # bc_jacobi(1, 9) first has a pole at index 9, past the probed 0..8, so
+    # the alphabet is checked before the expansion can reach the pole.
     ("super-negative-alphabet", ["super", "--preset", "bc_jacobi", "--p", "1",
-                                 "--q", "1", "--probe-upto", "0", "--n", "-1",
-                                 "--m", "0", "--lambda", "1"], None, 2),
+                                 "--q", "9", "--n", "-1", "--m", "0",
+                                 "--lambda", "9"], None, 2),
     ("inconsistent-interpolation", ["stable", "--seq-file", "{seq}", "--d", "1/3",
                                     "--lambda", "1"], RANDOM_SEQ, 3),
     ("n-eval-zero", ["stable", "--preset", "sp", "--d", "1/3", "--lambda", "2",
                      "--jt-check", "--n-eval", "0"], None, 2),
+    # Fewer variables than rows cannot see every coefficient; refused before
+    # the expansion is printed.
+    ("n-eval-below-length", ["stable", "--preset", "sp", "--d", "1/3",
+                             "--lambda", "1,1,1,1", "--jt-check"], None, 2),
     ("jt-check-table", ["stable", "--preset", "factorial", "--a-table",
                         ",".join(str(v) for v in range(1, 21)), "--d", "1/3",
                         "--lambda", "1", "--jt-check"], None, 2),
-    ("schur-basis-pole", ["expand", "--preset", "bc_jacobi", "--p", "1", "--q", "1",
-                          "--probe-upto", "0", "--n", "2", "--lambda", "1",
-                          "--basis", "schur"], None, 3),
+    ("schur-basis-pole", ["expand", "--preset", "bc_jacobi", "--p", "1", "--q", "9",
+                          "--n", "2", "--lambda", "9", "--basis", "schur"], None, 3),
     ("schur-basis-too-few-variables", ["expand", "--preset", "schur", "--n", "1",
                                        "--lambda", "2,1", "--basis", "schur"], None, 2),
     ("negative-trials", ["verify", "--property", "jt", "--trials", "-1"], None, 2),

@@ -12,12 +12,13 @@ from gschur.coeffseq import (
     PoleError,
     UniPolySeq,
     coeffseq_from_json,
-    coeffseq_to_json,
     load_coeffseq,
     random_coeffseq,
     random_polynomial_coeffseq,
 )
 from gschur.exactalg import MultiPoly
+
+from oracles import coeffseq_to_json
 
 F = Fraction
 
@@ -40,7 +41,7 @@ def test_table_lookup_and_negative_default():
 
 def test_table_overflow_raises_without_padding():
     seq = CoeffSeq.from_tables([F(1)], [F(1)])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^a\(1\) is beyond the stored table of length 1$"):
         seq.a(1)
 
 
@@ -66,9 +67,18 @@ def test_closed_form_evaluation_off_the_integers():
     assert seq.a_at(-2) == 4
 
 
+def test_closed_forms_receive_fraction_arguments():
+    # A user closed form may divide its argument; an int index would give a
+    # float here.
+    seq = CoeffSeq.from_functions(lambda x: x / 2, lambda x: x / 3)
+    assert seq.kind == "closed-form"
+    assert type(seq.a(1)) is F and seq.a(1) == F(1, 2)
+    assert seq.with_negative({}, {}).b(2) == F(2, 3)
+
+
 def test_a_at_rejected_for_tables():
     seq = CoeffSeq.from_tables([F(1)], [F(1)])
-    assert not seq.is_closed_form
+    assert not seq.is_closed_form and seq.kind == "table"
     with pytest.raises(ValueError):
         seq.a_at(F(1, 2))
     with pytest.raises(ValueError):

@@ -15,12 +15,13 @@ from gschur.partitions import (
     dominated_partial_sums,
     format_partition,
     frobenius_coordinates,
-    index_set_identity,
     pad,
     parse_partition,
     partitions_of,
     partitions_up_to,
 )
+
+from oracles import index_set_identity
 
 
 @st.composite

@@ -204,7 +204,7 @@ def test_int_det_matches_leibniz(rows):
     assert type(got) is int
     assert rows == before
     constants = [[MultiPoly.constant(0, v) for v in row] for row in rows]
-    assert got == leibniz_det(constants).constant_term
+    assert got == leibniz_det(constants).coefficient(())
 
 
 def test_every_layer_reads_each_coefficient_once():
@@ -533,6 +533,26 @@ def test_jt_infinite_argument_checks():
         jt_infinite_check((1,), seeded_table(5), 2, 2)
     with pytest.raises(ValueError):
         jt_infinite_check((1,), schur(), 2, 0)
+    with pytest.raises(ValueError, match="l\\(lambda\\)"):
+        jt_infinite_check((1, 1, 1, 1), schur(), F(1, 3), 3)
+
+
+@pytest.mark.parametrize("seq", [schur(), bc_jacobi(1, -3)], ids=["schur", "bc_jacobi"])
+def test_jt_infinite_sees_an_error_on_the_longest_partition(monkeypatch, seq):
+    # Truncation to fewer than 4 variables sends S_(1,1,1,1) to zero, so an
+    # error planted there shows only at n_eval = l(lam) = 4.
+    lam, d = (1, 1, 1, 1), F(1, 3)
+    assert jt_infinite_check(lam, seq, d, 4)
+    honest = stable.gschur_function
+
+    def planted(mu, s, value):
+        out = honest(mu, s, value)
+        if mu == lam:
+            out = {**out, lam: out.get(lam, F(0)) + 1}
+        return out
+
+    monkeypatch.setattr(stable, "gschur_function", planted)
+    assert not jt_infinite_check(lam, seq, d, 4)
 
 
 def test_jt_infinite_classical_off_integer():
