@@ -300,6 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -1/2 for an option name, so a word that
+    # starts with a single "-" is joined to a rational option before it.
+    for k in range(len(argv) - 1, 0, -1):
+        word = argv[k]
+        if argv[k - 1] in ("--d", "--p", "--q", "--a-table") and (
+            word.startswith("-") and not word.startswith("--")
+        ):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={word}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

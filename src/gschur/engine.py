@@ -134,24 +134,6 @@ def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
     return MultiPoly._make(n, dict.fromkeys(set(permutations(pad(mu, n))), 1))
 
 
-def permutation_sign(perm) -> int:
-    """Sign of a permutation given as a sequence of distinct indices."""
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 class GschurContext:
     """All determinantal routes for one (n, coefficient sequence) pair."""
 
@@ -329,19 +311,6 @@ class GschurContext:
             for e, c in poly.sorted_terms()
             if all(x >= y for x, y in zip(e, e[1:]))
         }
-
-    def alternation(self, g: MultiPoly) -> MultiPoly:
-        """Signed sum of g over all permutations of the variables."""
-        if g.arity != self.n:
-            raise ValueError("polynomial does not live in this context's ring")
-        out = MultiPoly.zero(self.n)
-        for perm in permutations(range(self.n)):
-            image = g.apply_permutation(perm)
-            if permutation_sign(perm) == 1:
-                out = out + image
-            else:
-                out = out - image
-        return out
 
     def lemma_residual(self, i: int, r: int) -> MultiPoly:
         """Defect of the variable-splitting identity for shifted families.

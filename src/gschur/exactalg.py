@@ -261,41 +261,6 @@ class MultiPoly:
         out = {e: c for e, c in out.items() if c}
         return MultiPoly._make(self.arity, out, self._den * v.denominator**most)
 
-    def compose(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Evaluate the polynomial at a tuple of polynomials.
-
-        `args` must supply one polynomial per variable, all in a common
-        (possibly different) ring; the result lives in that ring.
-        """
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        if self.arity == 0:
-            target = 0
-        else:
-            target = args[0].arity
-            for g in args:
-                if g.arity != target:
-                    raise ValueError("composition arguments must share one ring")
-        power_cache: dict[tuple[int, int], MultiPoly] = {}
-
-        def power(i: int, k: int) -> MultiPoly:
-            if k == 0:
-                return MultiPoly.one(target)
-            got = power_cache.get((i, k))
-            if got is None:
-                got = power(i, k - 1) * args[i]
-                power_cache[(i, k)] = got
-            return got
-
-        out = MultiPoly.zero(target)
-        for e, c in self.items():
-            term = MultiPoly.constant(target, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
-
     def prepend_variable(self) -> "MultiPoly":
         """Reinterpret in a ring with one extra leading variable (x_i -> x_{i+1})."""
         num = {(0,) + e: c for e, c in self._num.items()}

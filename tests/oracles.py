@@ -1,7 +1,7 @@
 """Independent reference implementations used as ground truth in tests.
 
-Everything here is deliberately naive: determinants by summing over all
-permutations, products by a double loop over `Fraction` terms, kernel vectors
+Everything here is deliberately naive: determinants and alternations by
+summing over all permutations, products by a double loop over `Fraction` terms, kernel vectors
 by Gauss-Jordan over `Fraction`, rational functions reduced by Euclid's
 algorithm over `Fraction` coefficient lists, Schur polynomials by listing semistandard
 tableaux, super complete homogeneous functions by Newton's identities,
@@ -58,6 +58,40 @@ def leibniz_det(rows):
         signed = prod if inversions % 2 == 0 else -prod
         total = signed if total is None else total + signed
     return total
+
+
+def permutation_sign(perm) -> int:
+    """Sign of a permutation given as a sequence of distinct indices, from
+    the parity of its even-length cycles."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def alternation(poly) -> MultiPoly:
+    """Signed sum of poly over all n! permutations of its variables."""
+    n = poly.arity
+    terms = {}
+    for perm in permutations(range(n)):
+        sign = permutation_sign(perm)
+        for e, c in poly.items():
+            moved = [0] * n
+            for i, k in enumerate(e):
+                moved[perm[i]] = k
+            key = tuple(moved)
+            terms[key] = terms.get(key, Fraction(0)) + sign * c
+    return MultiPoly(n, {e: c for e, c in terms.items() if c})
 
 
 def fraction_phi_table(seq, upto):

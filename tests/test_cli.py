@@ -16,7 +16,7 @@ from gschur import cli, verify
 from gschur.coeffseq import random_coeffseq
 from gschur.engine import BIALTERNANT_VAR_CAP, GschurContext
 from gschur.exactalg import MultiPoly, format_poly_text
-from gschur.verify import ALTERNATION_VAR_CAP, SHIFT_VAR_CAP, SuiteReport, run_property
+from gschur.verify import SHIFT_VAR_CAP, SuiteReport, run_property
 
 from oracles import coeffseq_to_json
 
@@ -222,7 +222,11 @@ CLI_WORKLOAD_VERIFY = [
 ]
 
 
-@pytest.mark.parametrize("prop, max_weight, max_vars, checks", CLI_WORKLOAD_VERIFY)
+@pytest.mark.parametrize(
+    "prop, max_weight, max_vars, checks",
+    # not a workload line: the alternation at four variables
+    CLI_WORKLOAD_VERIFY + [("alternation", 5, 4, 120)],
+)
 def test_verify_check_counts_are_pinned(prop, max_weight, max_vars, checks):
     report = run_property(
         prop, trials=1, seed=0, **options_read_by(prop, max_weight, max_vars)
@@ -288,21 +292,13 @@ def test_verify_refuses_max_vars_above_the_bialternant_cap_before_any_work(prop)
     assert "--method" not in str(err.value)
 
 
-@pytest.mark.parametrize("prop", ["lemma", "extension"])
+@pytest.mark.parametrize("prop", ["lemma", "extension", "alternation"])
 def test_verify_refuses_max_vars_above_the_shift_cap_before_any_work(prop):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="--max-vars") as err:
         run_property(prop, trials=1, seed=0, max_vars=SHIFT_VAR_CAP + 1)
     assert time.perf_counter() - start < 0.5
     assert f"capped at {SHIFT_VAR_CAP} variables" in str(err.value)
-
-
-def test_verify_refuses_max_vars_above_the_alternation_cap_before_any_work():
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="--max-vars") as err:
-        run_property("alternation", trials=1, seed=0, max_vars=ALTERNATION_VAR_CAP + 1)
-    assert time.perf_counter() - start < 0.5
-    assert f"capped at {ALTERNATION_VAR_CAP} variables" in str(err.value)
 
 
 @pytest.mark.parametrize("prop, option", [
@@ -424,6 +420,19 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2  # too many rows for one variable
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, option, out", [
+    ("stable --preset schur --d -1/2 --lambda 1", "--d", "1: 1\n"),
+    ("compute --preset bc_jacobi --p 1 --q -7/2 --n 2 --lambda 1", "--q",
+     "x1 + x2 - 4/9\n"),
+    ("compute --preset factorial --a-table -1,2 --n 1 --lambda 1", "--a-table",
+     "x1 + 1\n"),
+], ids=["d", "q", "a-table"])
+def test_negative_value_after_a_space_reads_as_with_equals(capsys, argv, option, out):
+    spaced = run(capsys, *argv.split())
+    joined = run(capsys, *argv.replace(f"{option} -", f"{option}=-").split())
+    assert spaced == joined == (0, out, "")
 
 
 def test_pole_exits_three(capsys):

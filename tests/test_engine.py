@@ -5,20 +5,21 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gschur.coeffseq import CoeffSeq, PoleError, random_coeffseq
 from gschur.engine import (
     GschurContext,
     first_column_det,
     monomial_symmetric,
-    permutation_sign,
     shift_coefficients,
 )
 from gschur.exactalg import MultiPoly
 from gschur.partitions import partitions_up_to
 from gschur.presets import schur, so_odd, sp
+from gschur.verify import alternant_part
 
-from oracles import schur_by_tableaux
+from oracles import alternation, schur_by_tableaux
 
 F = Fraction
 
@@ -314,24 +315,34 @@ def test_monomial_expansion_rejects_a_non_symmetric_polynomial(monkeypatch):
         ctx.monomial_expansion((2,))
 
 
-def test_permutation_sign():
-    assert permutation_sign((0, 1, 2)) == 1
-    assert permutation_sign((1, 0, 2)) == -1
-    assert permutation_sign((1, 2, 0)) == 1
-
-
-def test_alternation_of_symmetric_times_delta():
+def test_alternant_part_of_symmetric_times_delta():
     # alternating a symmetric function times the staircase monomial gives
     # the function times the Vandermonde determinant
     ctx = GschurContext(3, seeded_seq(14))
     sym = ctx.bialternant((1, 1))
     staircase = MultiPoly.monomial(3, (2, 1, 0), 1)
-    assert ctx.alternation(sym * staircase) == sym * ctx.vandermonde()
+    alternant = sym * ctx.vandermonde()
+    expected = {e: c for e, c in alternant.items() if e[0] > e[1] > e[2]}
+    assert alternant_part(sym * staircase) == MultiPoly(3, expected)
 
 
-def test_alternation_kills_repeated_exponents():
-    ctx = GschurContext(2, schur())
-    assert ctx.alternation(MultiPoly.monomial(2, (1, 1), 1)).is_zero
+def test_alternant_part_kills_repeated_exponents():
+    assert alternant_part(MultiPoly.monomial(2, (1, 1), 1)).is_zero
+    assert alternant_part(MultiPoly.monomial(3, (0, 2, 0), 5)).is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * n),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    max_size=6,
+).map(lambda terms: MultiPoly(n, terms))))
+def test_alternant_part_is_the_decreasing_part_of_the_alternation(poly):
+    decreasing = {
+        e: c for e, c in alternation(poly).items()
+        if all(x > y for x, y in zip(e, e[1:]))
+    }
+    assert alternant_part(poly) == MultiPoly(poly.arity, decreasing)
 
 
 def test_lemma_residual_vanishes_in_range():

@@ -179,13 +179,6 @@ def test_bind_scalar():
     assert p.bind(1, F(1, 2)) == F(1, 2) * x(0) ** 2 - F(1, 2)
 
 
-def test_compose_matches_manual_substitution():
-    p = x(0) ** 2 + x(1)
-    q = p.compose([x(1, 3) + x(2, 3), x(0, 3)])
-    expected = (x(1, 3) + x(2, 3)) ** 2 + x(0, 3)
-    assert q == expected
-
-
 def test_prepend_variable_shifts_indices():
     p = x(0) + 2 * x(1)
     lifted = p.prepend_variable()

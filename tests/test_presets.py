@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gschur.coeffseq import PoleError
+from gschur.coeffseq import CoeffSeq, PoleError
 from gschur.engine import GschurContext
 from gschur.exactalg import MultiPoly
 from gschur.partitions import partitions_up_to
@@ -135,6 +135,22 @@ def test_laurent_characters():
     seq = so_even()
     for i in range(1, 11):
         assert laurent_identity_holds(seq, i)
+
+
+@pytest.mark.parametrize("build, which, index, value, first_bad", [
+    (sp, "b", 3, 2, 4),
+    (so_odd, "a", 5, F(1, 7), 6),
+])
+def test_laurent_check_fails_exactly_above_a_planted_entry(
+    build, which, index, value, first_bad
+):
+    # phi_{j+1} reads a(j) and b(j), so a wrong entry at j first shows in phi_{j+1}
+    seq = build()
+    tables = {"a": [seq.a(j) for j in range(12)], "b": [seq.b(j) for j in range(12)]}
+    tables[which][index] = value
+    planted = CoeffSeq.from_tables(tables["a"], tables["b"], name=seq.name)
+    held = [laurent_identity_holds(planted, i) for i in range(11)]
+    assert held == [i < first_bad for i in range(11)]
 
 
 def test_boundary_values_never_reach_shift_entries():
