@@ -9,8 +9,8 @@ Exit codes: 0 on success or a verified identity, 1 when an identity is
 violated (counterexamples are printed), 2 for usage or contract errors
 (including unreadable or malformed sequence files and zero denominators in
 rational arguments, and an unknown `verify --property` name), and 3 for
-mathematical failures: any `ArithmeticError`, which covers poles, inconsistent
-interpolation and inexact division.  Identical invocations, including the
+mathematical failures: any `ArithmeticError`, which covers poles and
+inconsistent interpolation.  Identical invocations, including the
 seed, produce byte-identical output.
 
 Each subcommand imports the layers it runs: `compute` and `expand --basis

@@ -35,12 +35,13 @@ and can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import lcm
 from typing import Callable
 
 from .coeffseq import CoeffSeq
-from .exactalg import MultiPoly, determinant, exact_divide, vandermonde
+from .exactalg import MultiPoly, determinant, grlex_key
 from .partitions import (
     Partition,
     check_partition,
@@ -49,9 +50,6 @@ from .partitions import (
     frobenius_coordinates,
     pad,
 )
-
-# The bialternant's determinants have n! terms; README has the measured times.
-BIALTERNANT_VAR_CAP = 9
 
 
 def shift_coefficients(
@@ -122,6 +120,22 @@ def first_column_det(
     return determinant([[entry(i, c) for c in range(size)] for i in indices])
 
 
+def _divided_difference(num: dict[tuple, int], i: int) -> dict[tuple, int]:
+    """d_i f = (f - s_i f) / (x_i - x_{i+1}) on integer numerators (i from 0):
+    x_i^a x_{i+1}^b with a > b goes to sum_{j < a-b} x_i^{a-1-j} x_{i+1}^{b+j},
+    a = b to 0 and a < b to minus the swapped case."""
+    out: dict[tuple, int] = {}
+    for e, c in num.items():
+        a, b = e[i], e[i + 1]
+        if a < b:
+            a, b, c = b, a, -c
+        head, rest = e[:i], e[i + 2:]
+        for j in range(a - b):
+            k = head + (a - 1 - j, b + j) + rest
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
 def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
     """The monomial symmetric polynomial m_mu in n variables.
 
@@ -144,62 +158,55 @@ class GschurContext:
             raise ValueError("need at least one variable")
         self.n = n
         self.seq = seq
-        self._phi_injected: dict[tuple[int, int], MultiPoly] = {}
         self._bialternant: dict[Partition, MultiPoly] = {}
         self._shift_memo: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
         self._compositions: dict[int, list[tuple[int, ...]]] = {}
         self._hook_memo: dict[tuple[int, int], MultiPoly] = {}
-        self._vdm: MultiPoly | None = None
-        self._sub_context: "GschurContext | None" = None
 
     # -- building blocks ---------------------------------------------------
 
-    def vandermonde(self) -> MultiPoly:
-        if self._vdm is None:
-            self._vdm = vandermonde(self.n)
-        return self._vdm
+    @cached_property
+    def _sub(self) -> "GschurContext":
+        """The context in x_2..x_n over the same sequence, built once."""
+        return GschurContext(self.n - 1, self.seq)
 
     def phi_at_var(self, degree_index: int, var: int) -> MultiPoly:
         """phi_{degree_index}(x_var) as an n-variable polynomial."""
-        key = (degree_index, var)
-        got = self._phi_injected.get(key)
-        if got is None:
-            uni = self.seq.phis.phi(degree_index)
-            before, after = (0,) * var, (0,) * (self.n - 1 - var)
-            num = {before + e + after: c for e, c in uni._num.items()}
-            got = self._phi_injected[key] = MultiPoly._make(self.n, num, uni._den)
-        return got
+        uni = self.seq.phis.phi(degree_index)
+        before, after = (0,) * var, (0,) * (self.n - 1 - var)
+        num = {before + e + after: c for e, c in uni._num.items()}
+        return MultiPoly._make(self.n, num, uni._den)
 
     # -- route 1: bialternant ---------------------------------------------
 
     def bialternant(self, lam) -> MultiPoly:
-        """Quotient of the phi-alternant by the Vandermonde determinant.
+        """det[ phi_{lam_k + n - k}(x_i) ] / prod_{i<j} (x_i - x_j), lam padded to n rows.
 
-        The partition is padded with zeros to n rows; row k carries
-        phi_{lam_k + n - k} evaluated at each variable.  The division is
-        exact because the numerator is alternating.  Its cost grows like n!,
-        so n above 9 raises ValueError.
+        Computed without dividing: Delta^{-1} sum_w sgn(w) w is the divided
+        difference d_{w0} (Bernstein-Gelfand-Gelfand, "Schubert cells and
+        cohomology of the spaces G/P", 1973; Macdonald, "Notes on Schubert
+        polynomials", 1991), and w0 = (s_{n-1} ... s_1) w0' gives
+
+            S_lam(x_1..x_n) = d_{n-1} ... d_1 [ phi_{lam_1+n-1}(x_1) S_(lam_2, ...)(x_2..x_n) ],
+
+        d_1 first, the tail memoised in the (n-1)-variable sub-context.  Only
+        phi is read, so the other routes stay independent.  No cap on n.
         """
-        if self.n > BIALTERNANT_VAR_CAP:
-            raise ValueError(
-                f"the bialternant is capped at {BIALTERNANT_VAR_CAP} variables"
-                f" (n = {self.n}); use --method jt"
-            )
         lam = check_partition(lam)
-        if len(lam) > self.n:
-            raise ValueError(f"partition {lam} needs more than {self.n} variables")
+        n = self.n
+        if len(lam) > n:
+            raise ValueError(f"partition {lam} needs more than {n} variables")
         got = self._bialternant.get(lam)
         if got is not None:
             return got
-        padded = pad(lam, self.n)
-        rows = [
-            [self.phi_at_var(padded[k] + self.n - 1 - k, i) for i in range(self.n)]
-            for k in range(self.n)
-        ]
-        num = determinant(rows)
-        value = exact_divide(num, self.vandermonde()) if self.n > 1 else num
-        self._bialternant[lam] = value
+        phi = self.seq.phis.phi(pad(lam, n)[0] + n - 1)
+        tail = self._sub.bialternant(lam[1:]) if n > 1 else MultiPoly.one(0)
+        # x_1 does not occur in the tail, so the product has no like terms.
+        num = {e + t: p * c for e, p in phi._num.items() for t, c in tail._num.items()}
+        for i in range(n - 1):
+            num = _divided_difference(num, i)
+        value = self._bialternant[lam] = MultiPoly._make(n, num, phi._den * tail._den)
         return value
 
     # -- route 2: Jacobi-Trudi --------------------------------------------
@@ -306,11 +313,10 @@ class GschurContext:
             for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
                 if poly.apply_permutation(perm) != poly:
                     raise AssertionError(f"bialternant is not symmetric under {perm}")
-        return {
-            check_partition(e): c
-            for e, c in poly.sorted_terms()
-            if all(x >= y for x, y in zip(e, e[1:]))
-        }
+        num, den = poly._num, poly._den
+        keys = [e for e in num if all(x >= y for x, y in zip(e, e[1:]))]
+        keys.sort(key=grlex_key, reverse=True)
+        return {check_partition(e): Fraction(num[e], den) for e in keys}
 
     def lemma_residual(self, i: int, r: int) -> MultiPoly:
         """Defect of the variable-splitting identity for shifted families.
@@ -326,8 +332,6 @@ class GschurContext:
             raise ValueError("the identity needs at least two variables")
         if r > i + 2 * self.n - 2:
             raise ValueError("shift order exceeds the extension-independence bound")
-        if self._sub_context is None:
-            self._sub_context = GschurContext(self.n - 1, self.seq)
         x1 = MultiPoly.variable(self.n, 0)
-        tail = self._sub_context.h_shift(i + 1, r - 1).prepend_variable()
+        tail = self._sub.h_shift(i + 1, r - 1).prepend_variable()
         return self.h_shift(i, r) - x1 * self.h_shift(i, r - 1) - tail

@@ -17,7 +17,7 @@ sums of `determinant`, `exact_divide`) also pack each exponent tuple into one
 integer ordered as graded lex; the division loop takes its leading terms
 from a max-heap of packed exponents.  Coefficients become reduced
 `Fraction`s only at the boundary: `items()`, `sorted_terms()`,
-`coefficient()`, printing and JSON.
+`coefficient()` and printing; JSON writes them from numerator and denominator.
 
 Polynomials are immutable by convention: no method mutates `self`, and all
 arithmetic returns fresh objects, so values can be shared freely between
@@ -468,22 +468,19 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return _from_ints(minor((1 << n) - 1), arity, width)
 
 
-def vandermonde(n: int) -> MultiPoly:
-    """prod_{i<j} (x_i - x_j) as the alternant det[x_i^(n-1-j)]; 1 for n <= 1."""
-    if n == 0:
-        return MultiPoly.one(0)
-    return determinant([
-        [MultiPoly.monomial(n, (0,) * i + (n - 1 - j,) + (0,) * (n - 1 - i)) for j in range(n)]
-        for i in range(n)
-    ])
-
-
 # -- serialisation and printing --------------------------------------------
 
 
 def poly_to_json_terms(poly: MultiPoly) -> list[dict]:
-    """JSON-ready term list, sorted by the global monomial order (leading first)."""
-    return [{"e": list(e), "c": str(c)} for e, c in poly.sorted_terms()]
+    """JSON-ready term list, sorted by the global monomial order (leading first);
+    each coefficient reads as `str` of its reduced `Fraction`."""
+    num, den = poly._num, poly._den
+    terms = []
+    for e in sorted(num, key=grlex_key, reverse=True):
+        g = gcd(num[e], den)
+        c = str(num[e] // g) if g == den else f"{num[e] // g}/{den // g}"
+        terms.append({"e": list(e), "c": c})
+    return terms
 
 
 def _join_signed(terms: Iterable[tuple[str, Fraction]]) -> str:

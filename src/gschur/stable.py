@@ -45,8 +45,8 @@ first free column ends lowest in Q's block, so its R is a constant.  A fit
 that validates is such a P0/Q0, so the vector is already P0/Q0 up to scale.
 
 Samples that no rational function of degree at most 32 explains raise
-`InterpolationInconsistentError`, an `ArithmeticError` like the poles and
-inexact divisions of the lower layers.
+`InterpolationInconsistentError`, an `ArithmeticError` like the poles of
+the lower layers.
 """
 
 from __future__ import annotations

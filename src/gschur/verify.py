@@ -27,7 +27,7 @@ from math import comb
 
 from . import presets as presets_mod
 from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
-from .engine import BIALTERNANT_VAR_CAP, GschurContext
+from .engine import GschurContext
 from .exactalg import MultiPoly, poly_to_json_terms
 from .partitions import dominated_partial_sums, partitions_up_to
 from .presets import boundary_insensitivity, fh_character_det
@@ -47,19 +47,16 @@ _F = Fraction
 # took 9.2 s at 6 variables and 81 s at 7 (2 vCPUs, Python 3.11).
 SHIFT_VAR_CAP = 6
 
-_BIALTERNANT = ("compares against the bialternant", BIALTERNANT_VAR_CAP)
-_SHIFTS = ("sweeps shifted families, whose cost grows about 9x per variable", SHIFT_VAR_CAP)
-
-# Per property: the options it reads, and why and where --max-vars is capped.
+# Per property: the options it reads, and whether SHIFT_VAR_CAP caps its --max-vars.
 _PROPERTIES = {
-    "jt": (("max_weight", "max_vars"), _BIALTERNANT),
-    "giambelli": (("max_weight", "max_vars"), _BIALTERNANT),
-    "lemma": (("max_vars",), _SHIFTS),
-    "triangularity": (("max_weight", "max_vars"), _BIALTERNANT),
-    "extension": (("max_vars",), _SHIFTS),
-    "fh": (("max_weight", "max_vars"), _BIALTERNANT),
-    "alternation": (("max_vars",), _SHIFTS),
-    "stable": ((), None),
+    "jt": (("max_weight", "max_vars"), False),
+    "giambelli": (("max_weight", "max_vars"), False),
+    "lemma": (("max_vars",), True),
+    "triangularity": (("max_weight", "max_vars"), False),
+    "extension": (("max_vars",), True),
+    "fh": (("max_weight", "max_vars"), False),
+    "alternation": (("max_vars",), True),
+    "stable": ((), False),
 }
 PROPERTY_NAMES = tuple(_PROPERTIES)
 
@@ -400,7 +397,7 @@ def run_property(
     """
     if name not in _PROPERTIES:
         raise ValueError(f"unknown property {name!r}; pick from {PROPERTY_NAMES}")
-    reads, cap = _PROPERTIES[name]
+    reads, shifts = _PROPERTIES[name]
     given = {"max_weight": max_weight, "max_vars": max_vars}
     ignored = [opt for opt, v in given.items() if v is not None and opt not in reads]
     if ignored:
@@ -410,10 +407,10 @@ def run_property(
     max_vars = 3 if max_vars is None else max_vars
     if trials < 1 or max_vars < 1 or max_weight < 0:
         raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
-    if cap and max_vars > cap[1]:
+    if shifts and max_vars > SHIFT_VAR_CAP:
         raise ValueError(
-            f"property {name} {cap[0]}, so it is capped at {cap[1]} variables;"
-            f" lower --max-vars (got {max_vars})"
+            f"property {name} sweeps shifted families, whose cost grows about 9x per variable,"
+            f" so it is capped at {SHIFT_VAR_CAP} variables; lower --max-vars (got {max_vars})"
         )
     rng = random.Random(seed)
     seqs = [] if name == "fh" else [random_coeffseq(rng) for _ in range(trials)]

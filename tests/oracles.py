@@ -60,6 +60,20 @@ def leibniz_det(rows):
     return total
 
 
+def vandermonde(n):
+    """prod_{i<j} (x_i - x_j) in n variables, multiplied out factor by factor
+    with `fraction_product`; 1 for n <= 1."""
+    total = MultiPoly.constant(n, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            xi = [0] * n
+            xi[i] = 1
+            xj = [0] * n
+            xj[j] = 1
+            total = fraction_product(total, MultiPoly(n, {tuple(xi): 1, tuple(xj): -1}))
+    return total
+
+
 def permutation_sign(perm) -> int:
     """Sign of a permutation given as a sequence of distinct indices, from
     the parity of its even-length cycles."""

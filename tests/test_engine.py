@@ -16,10 +16,17 @@ from gschur.engine import (
 )
 from gschur.exactalg import MultiPoly
 from gschur.partitions import partitions_up_to
-from gschur.presets import schur, so_odd, sp
+from gschur.presets import bc_jacobi, schur, so_even, so_odd, sp
 from gschur.verify import alternant_part
 
-from oracles import alternation, schur_by_tableaux
+from oracles import (
+    alternation,
+    fraction_phi_table,
+    fraction_product,
+    leibniz_det,
+    schur_by_tableaux,
+    vandermonde,
+)
 
 F = Fraction
 
@@ -71,6 +78,42 @@ def test_bialternant_is_symmetric():
     p = ctx.bialternant((3, 1))
     for perm in permutations(range(3)):
         assert p.apply_permutation(perm) == p
+
+
+ORACLE_PRESETS = {
+    "schur": schur,
+    "sp": sp,
+    "so_odd": so_odd,
+    "so_even": so_even,
+    "bc_jacobi(1, -3)": lambda: bc_jacobi(1, -3),
+}
+
+
+# A five-variable Leibniz sum takes about a second, so few examples.
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(st.sampled_from(sorted(ORACLE_PRESETS)), st.integers(0, 2**16)),
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(list(partitions_up_to(4, n))))
+    ),
+)
+def test_bialternant_times_vandermonde_is_the_phi_alternant(table, case):
+    # The defining identity, checked by multiplying back: the Leibniz sum of
+    # det[phi_{lam_k + n - k}(x_i)], with phi from the oracle's own recurrence.
+    n, lam = case
+    seq = ORACLE_PRESETS[table]() if isinstance(table, str) else seeded_seq(table)
+    padded = list(lam) + [0] * (n - len(lam))
+    phi = fraction_phi_table(seq, padded[0] + n - 1)
+    rows = [
+        [
+            MultiPoly(n, {(0,) * i + (m,) + (0,) * (n - 1 - i): c
+                          for m, c in enumerate(phi[padded[k] + n - 1 - k])})
+            for i in range(n)
+        ]
+        for k in range(n)
+    ]
+    product = fraction_product(GschurContext(n, seq).bialternant(lam), vandermonde(n))
+    assert product == leibniz_det(rows)
 
 
 def test_h_is_one_row_bialternant():
@@ -321,7 +364,7 @@ def test_alternant_part_of_symmetric_times_delta():
     ctx = GschurContext(3, seeded_seq(14))
     sym = ctx.bialternant((1, 1))
     staircase = MultiPoly.monomial(3, (2, 1, 0), 1)
-    alternant = sym * ctx.vandermonde()
+    alternant = fraction_product(sym, vandermonde(3))
     expected = {e: c for e, c in alternant.items() if e[0] > e[1] > e[2]}
     assert alternant_part(sym * staircase) == MultiPoly(3, expected)
 

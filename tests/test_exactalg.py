@@ -16,10 +16,9 @@ from gschur.exactalg import (
     format_poly_text,
     grlex_key,
     poly_to_json_terms,
-    vandermonde,
 )
 
-from oracles import fraction_linear, fraction_product, leibniz_det
+from oracles import fraction_linear, fraction_product, leibniz_det, vandermonde
 
 F = Fraction
 
