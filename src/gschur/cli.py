@@ -3,12 +3,15 @@
 Subcommands: `compute` prints one polynomial by any of the four routes,
 `expand` prints basis coefficients, `verify` runs a seeded property suite,
 `super` evaluates the two-alphabet realisation, and `stable` evaluates the
-any-d expansion with an optional determinant cross-check.
+any-d expansion with an optional determinant cross-check (at non-integer
+d or integer d >= l(lambda)).
 
 Exit codes: 0 on success or a verified identity, 1 when an identity is
 violated (counterexamples are printed), 2 for usage or contract errors
-(including unreadable or malformed sequence files and zero denominators in
-rational arguments, and an unknown `verify --property` name), and 3 for
+(including unreadable or malformed sequence files, zero denominators in
+rational arguments, a `--p`, `--q` or `--a-table` the sequence source does
+not read, a `stable --jt-check` at an integer d below l(lambda), and an
+unknown `verify --property` name), and 3 for
 mathematical failures: any `ArithmeticError`, which covers poles and
 inconsistent interpolation.  Identical invocations, including the
 seed, produce byte-identical output.
@@ -26,47 +29,15 @@ from fractions import Fraction
 
 from .coeffseq import load_coeffseq
 from .engine import GschurContext
-from .exactalg import MultiPoly, _join_signed, format_poly_text, poly_to_json_terms
+from .exactalg import _join_signed, _ratio, format_poly_text, poly_to_json_terms
 from .partitions import format_partition, parse_partition
-from .presets import fh_character_det, make
-
-PRESET_NAMES = ("schur", "so_odd", "so_even", "sp", "factorial", "bc_jacobi")
+from .presets import PRESETS, fh_character_det, make
 
 
-def _latex_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
-
-
-def format_poly_latex(poly: MultiPoly, names=None) -> str:
-    """LaTeX rendering with explicit subscripted tokens, deterministic order."""
-    if names is None:
-        names = [f"x_{{{i + 1}}}" for i in range(poly.arity)]
-    terms = []
-    for e, c in poly.sorted_terms():
-        mono = "".join(
-            f"{names[i]}^{{{k}}}" if k > 1 else names[i]
-            for i, k in enumerate(e)
-            if k
-        )
-        mag = abs(c)
-        if not mono:
-            body = _latex_fraction(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{_latex_fraction(mag)} {mono}"
-        terms.append((body, c))
-    return _join_signed(terms) or "0"
-
-
-def _render_poly(poly: MultiPoly, fmt: str, names=None, latex_names=None) -> str:
-    if fmt == "text":
-        return format_poly_text(poly, names)
+def _render_poly(poly, fmt: str, names=None) -> str:
     if fmt == "json":
         return json.dumps(poly_to_json_terms(poly))
-    return format_poly_latex(poly, latex_names)
+    return format_poly_text(poly, names, fmt)
 
 
 def _render_expansion(expansion, fmt: str) -> str:
@@ -77,7 +48,7 @@ def _render_expansion(expansion, fmt: str) -> str:
         )
     if fmt == "latex":
         return _join_signed(
-            (f"{_latex_fraction(abs(c))} S_{{({format_partition(mu)})}}", c)
+            (f"{_ratio(*abs(c).as_integer_ratio(), fmt)} S_{{({format_partition(mu)})}}", c)
             for mu, c in items
         ) or "0"
     lines = [f"{format_partition(mu) or 'empty'}: {c}" for mu, c in items]
@@ -91,15 +62,19 @@ def _rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _add_source_options(sub: argparse.ArgumentParser) -> None:
+def _add_shared_options(sub: argparse.ArgumentParser) -> None:
+    """The sequence source, --lambda and --format of every subcommand but verify."""
+    sub.add_argument(
+        "--lambda", dest="lam", default="", help="partition, e.g. 3,1 ('' for empty)"
+    )
+    sub.add_argument("--format", choices=("text", "json", "latex"), default="text")
     group = sub.add_argument_group("coefficient sequence")
-    group.add_argument("--preset", choices=PRESET_NAMES, help="built-in sequence")
+    group.add_argument("--preset", choices=PRESETS, help="built-in sequence")
     group.add_argument("--seq-file", help="JSON file with a and b tables")
     group.add_argument("--p", help="bc_jacobi parameter p (rational, e.g. 1 or 1/2)")
     group.add_argument("--q", help="bc_jacobi parameter q (rational)")
     group.add_argument(
         "--a-table",
-        dest="a_table",
         help="comma-separated rationals for the factorial preset",
     )
 
@@ -107,8 +82,6 @@ def _add_source_options(sub: argparse.ArgumentParser) -> None:
 def _sequence_from_args(args):
     if bool(args.preset) == bool(args.seq_file):
         raise ValueError("give exactly one of --preset and --seq-file")
-    if args.seq_file:
-        return load_coeffseq(args.seq_file)
     params = {}
     if args.p is not None:
         params["p"] = _rational(args.p)
@@ -118,6 +91,10 @@ def _sequence_from_args(args):
         params["a_table"] = [
             _rational(tok.strip()) for tok in args.a_table.split(",") if tok.strip()
         ]
+    if args.seq_file:
+        if params:
+            raise ValueError(f"--seq-file does not read {', '.join(params)}")
+        return load_coeffseq(args.seq_file)
     return make(args.preset, **params)
 
 
@@ -178,13 +155,9 @@ def _cmd_super(args) -> int:
     lam = parse_partition(args.lam)
     alphabet = SuperAlphabet(args.n, args.m)
     poly = super_schur(lam, seq, alphabet)
-    names = [f"x{i + 1}" for i in range(args.n)] + [
-        f"y{j + 1}" for j in range(args.m)
-    ]
-    latex_names = [f"x_{{{i + 1}}}" for i in range(args.n)] + [
-        f"y_{{{j + 1}}}" for j in range(args.m)
-    ]
-    print(_render_poly(poly, args.format, names=names, latex_names=latex_names))
+    var = "{}_{{{}}}" if args.format == "latex" else "{}{}"
+    names = [var.format(x, k + 1) for x, size in zip("xy", alphabet) for k in range(size)]
+    print(_render_poly(poly, args.format, names))
     return 0
 
 
@@ -224,33 +197,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="print one polynomial")
-    _add_source_options(compute)
+    _add_shared_options(compute)
     compute.add_argument("--n", type=int, required=True, help="variable count")
-    compute.add_argument(
-        "--lambda", dest="lam", default="", help="partition, e.g. 3,1 ('' for empty)"
-    )
     compute.add_argument(
         "--method",
         choices=("bialternant", "jt", "giambelli", "fh"),
         default="bialternant",
     )
-    compute.add_argument(
-        "--format", choices=("text", "json", "latex"), default="text"
-    )
     compute.set_defaults(func=_cmd_compute)
 
     expand = sub.add_parser("expand", help="print basis coefficients")
-    _add_source_options(expand)
+    _add_shared_options(expand)
     expand.add_argument("--n", type=int, required=True)
-    expand.add_argument("--lambda", dest="lam", default="")
     expand.add_argument(
         "--basis",
         choices=("monomial", "schur"),
         default="monomial",
         help="monomial symmetric functions or classical Schur polynomials",
-    )
-    expand.add_argument(
-        "--format", choices=("text", "json", "latex"), default="text"
     )
     expand.set_defaults(func=_cmd_expand)
 
@@ -267,33 +230,27 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     sup = sub.add_parser("super", help="two-alphabet realisation")
-    _add_source_options(sup)
+    _add_shared_options(sup)
     sup.add_argument("--n", type=int, required=True, help="x-variable count")
     sup.add_argument("--m", type=int, required=True, help="y-variable count")
-    sup.add_argument("--lambda", dest="lam", default="")
-    sup.add_argument("--format", choices=("text", "json", "latex"), default="text")
     sup.set_defaults(func=_cmd_super)
 
     stable = sub.add_parser("stable", help="any-d expansion on classical Schurs")
-    _add_source_options(stable)
+    _add_shared_options(stable)
     stable.add_argument(
         "--d", required=True, help="parameter value (rational, e.g. 7/2)"
     )
-    stable.add_argument("--lambda", dest="lam", default="")
     stable.add_argument(
         "--jt-check",
-        dest="jt_check",
         action="store_true",
         help="also check the parameterised determinant identity",
     )
     stable.add_argument(
         "--n-eval",
-        dest="n_eval",
         type=int,
         default=3,
         help="variables used to compare both sides of --jt-check (at least l(lambda))",
     )
-    stable.add_argument("--format", choices=("text", "json", "latex"), default="text")
     stable.set_defaults(func=_cmd_stable)
     return parser
 

@@ -1,11 +1,12 @@
-"""Core engine: generalized Schur polynomials by three determinantal routes.
+"""Core engine: generalized Schur polynomials by three independent routes.
 
 A `GschurContext` fixes the number of variables n and a coefficient sequence
 (a, b).  The recurrence family phi_i feeds the bialternant
 
     S_lam(x | a, b) = det[ phi_{lam_j + n - j}(x_i) ] / prod_{i<j} (x_i - x_j),
 
-which is the defining route.  The same polynomials come out of a Jacobi-Trudi
+which is the defining route, computed as divided differences rather than by
+polynomial division.  The same polynomials come out of a Jacobi-Trudi
 determinant over shifted one-row families h_i^{(r)} and out of a Giambelli
 determinant over hooks; keeping all three live is the point of the package,
 since their agreement is the principal correctness check.
@@ -166,6 +167,13 @@ class GschurContext:
 
     # -- building blocks ---------------------------------------------------
 
+    def fit_partition(self, lam) -> Partition:
+        """lam as a partition, checked to have at most n parts."""
+        lam = check_partition(lam)
+        if len(lam) > self.n:
+            raise ValueError(f"partition {lam} needs more than {self.n} variables")
+        return lam
+
     @cached_property
     def _sub(self) -> "GschurContext":
         """The context in x_2..x_n over the same sequence, built once."""
@@ -193,10 +201,8 @@ class GschurContext:
         d_1 first, the tail memoised in the (n-1)-variable sub-context.  Only
         phi is read, so the other routes stay independent.  No cap on n.
         """
-        lam = check_partition(lam)
+        lam = self.fit_partition(lam)
         n = self.n
-        if len(lam) > n:
-            raise ValueError(f"partition {lam} needs more than {n} variables")
         got = self._bialternant.get(lam)
         if got is not None:
             return got
@@ -254,9 +260,7 @@ class GschurContext:
 
     def jacobi_trudi(self, lam) -> MultiPoly:
         """The l x l determinant det[ h^{(k-1)}_{lam_j - j + 1} ]."""
-        lam = check_partition(lam)
-        if len(lam) > self.n:
-            raise ValueError(f"partition {lam} needs more than {self.n} variables")
+        lam = self.fit_partition(lam)
         indices = [lam[j] - j for j in range(len(lam))]
         return first_column_det(self.h_shift, indices, self.n)
 
@@ -286,9 +290,7 @@ class GschurContext:
 
     def giambelli(self, lam) -> MultiPoly:
         """Determinant of hooks over the Frobenius coordinates of lam."""
-        lam = check_partition(lam)
-        if len(lam) > self.n:
-            raise ValueError(f"partition {lam} needs more than {self.n} variables")
+        lam = self.fit_partition(lam)
         arms, legs = frobenius_coordinates(lam)
         r = diagonal_rank(lam)
         if r == 0:
@@ -307,7 +309,7 @@ class GschurContext:
         first, under the transposition (1 2) and the n-cycle, which together
         generate every permutation; a failure raises AssertionError.
         """
-        poly = self.bialternant(check_partition(lam))
+        poly = self.bialternant(lam)
         n = self.n
         if n > 1:
             for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):

@@ -116,25 +116,28 @@ def bc_jacobi(p, q, probe_upto: int = 8) -> CoeffSeq:
     return seq
 
 
+# Each preset's builder and the parameters it reads, in call order.
+PRESETS = {
+    "schur": (schur, ()),
+    "so_odd": (so_odd, ()),
+    "so_even": (so_even, ()),
+    "sp": (sp, ()),
+    "factorial": (factorial, ("a_table",)),
+    "bc_jacobi": (bc_jacobi, ("p", "q")),
+}
+
+
 def make(name: str, **params) -> CoeffSeq:
-    """Build a preset by name; used by the command-line front end."""
-    if name == "schur":
-        return schur()
-    if name == "so_odd":
-        return so_odd()
-    if name == "so_even":
-        return so_even()
-    if name == "sp":
-        return sp()
-    if name == "factorial":
-        if "a_table" not in params:
-            raise ValueError("the factorial preset needs a_table")
-        return factorial(params["a_table"])
-    if name == "bc_jacobi":
-        if "p" not in params or "q" not in params:
-            raise ValueError("the bc_jacobi preset needs p and q")
-        return bc_jacobi(params["p"], params["q"])
-    raise ValueError(f"unknown preset: {name!r}")
+    """Build a preset from exactly the parameters it reads, or raise ValueError."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset: {name!r}")
+    build, reads = PRESETS[name]
+    if any(key not in params for key in reads):
+        raise ValueError(f"the {name} preset needs {' and '.join(reads)}")
+    unread = [key for key in params if key not in reads]
+    if unread:
+        raise ValueError(f"the {name} preset does not read {', '.join(unread)}")
+    return build(*(params[key] for key in reads))
 
 
 def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
@@ -151,10 +154,8 @@ def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
             "the compact character determinant applies only to the "
             f"{'/'.join(CLASSICAL_PRESETS)} presets"
         )
-    lam = check_partition(lam)
+    lam = ctx.fit_partition(lam)
     l = len(lam)
-    if l > ctx.n:
-        raise ValueError(f"partition {lam} needs more than {ctx.n} variables")
     if l == 0:
         return MultiPoly.one(ctx.n)
     rows = []

@@ -8,8 +8,8 @@ integer counts (`schur_expand_at`), reconstructs the rational functions by
 exact interpolation with surplus validation points (`interpolate_c_family`),
 and evaluates the resulting "any-d" object at arbitrary rational parameter
 values (`gschur_function`).  On top of that sit the parameterised Jacobi-Trudi
-consistency check (`jt_infinite_check`) and the super-symmetric realisation
-(`super_schur`).
+consistency check (`jt_infinite_check`, at non-integer d or integer
+d >= l(lam)) and the super-symmetric realisation (`super_schur`).
 
 A coefficient map becomes a polynomial in one place, `realize_expansion`:
 Jacobi-Trudi determinants over the complete homogeneous functions of n x and
@@ -461,6 +461,10 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     l(lam) (products of l(lam) one-row objects on the left), where truncation
     is injective exactly when n_eval >= l(lam), so a smaller n_eval raises
     ValueError.  A float or bool d_value raises TypeError.
+
+    An integer d < l(lam) raises ValueError before any fit: there the entries
+    read boundary values such as a(0) and b(1), which no finite-count entry
+    with n >= l(lam) reads, so the two sides differ for so_odd and so_even.
     """
     if not seq.is_closed_form:
         raise ValueError("the parameterised recursion needs a closed-form sequence")
@@ -469,6 +473,8 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     if n_eval < max(1, l):
         raise ValueError(f"need n_eval >= max(1, l(lambda)) = {max(1, l)}, got {n_eval}")
     d = _to_fraction(d_value)
+    if d.denominator == 1 and d < l:
+        raise ValueError(f"at an integer d the check needs d >= l(lambda) = {l}, got {d}")
     rhs = realize_expansion(gschur_function(lam, seq, d), n_eval)
     if l == 0:
         return rhs == MultiPoly.one(n_eval)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line front end."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,13 +12,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gschur
 from gschur import cli, verify
 from gschur.coeffseq import random_coeffseq
 from gschur.engine import GschurContext
 from gschur.exactalg import MultiPoly, format_poly_text
-from gschur.verify import SHIFT_VAR_CAP, SuiteReport, run_property
+from gschur.presets import PRESETS
+from gschur.verify import _PROPERTIES, SHIFT_VAR_CAP, SuiteReport, run_property
 
 from oracles import coeffseq_to_json
 
@@ -574,6 +578,18 @@ EXIT_CODE_CASES = [
     # JSON booleans are not numbers, although Python's bool is an int.
     ("seq-file-booleans", SEQ_FILE_COMPUTE,
      json.dumps({"a": [True, False, True], "b": [False, True, True]}), 2),
+    # A sequence option the source does not read is refused, not ignored.
+    ("preset-unread-p-q", ["compute", "--preset", "schur", "--p", "1", "--q", "7",
+                           "--n", "2", "--lambda", "1"], None, 2),
+    ("preset-unread-a-table", ["stable", "--preset", "bc_jacobi", "--p", "1",
+                               "--q", "-3", "--a-table", "1,2", "--d", "1/3",
+                               "--lambda", "1"], None, 2),
+    ("seq-file-unread-p", ["compute", "--seq-file", "{seq}", "--p", "1", "--n", "2",
+                           "--lambda", "1"], json.dumps({"a": ["1"], "b": ["1"]}), 2),
+    # At an integer d below l(lambda) the two sides of --jt-check differ for
+    # so_odd and so_even, so every sequence is refused there.
+    ("jt-check-integer-d-below-length", ["stable", "--preset", "so_odd", "--d", "1",
+                                         "--lambda", "2,1", "--jt-check"], None, 2),
 ]
 
 
@@ -593,6 +609,103 @@ def test_exit_code_contract(tmp_path, argv, seq_body, expected):
     assert proc.stderr.count("\n") == 1
     if expected == 2:
         assert proc.stdout == ""
+
+
+# -- the exit-code contract over the parser's grammar -----------------------
+
+
+# Each list of words repeats the valid ones, so most vectors get past the
+# parser and the sequence checks.
+RATIONALS = ["1", "-3", "1/2", "-7/2", "1", "-3", "0", "1/0", "x"]
+A_TABLES = [",".join(str(i) for i in range(24))] * 3 + ["0,1,2,3", "-1,2", "1/0"]
+PARTITIONS = ["", "1", "2", "1,1", "2,1", "1,1,1", "3,1", "2,1", "1,1", "1,2", "a"]
+SIZES = ["1", "2", "3", "2", "1", "3", "2", "0", "-1"]
+SMALL = ["1", "2", "1", "2", "0"]
+FORMATS = ["--format", st.sampled_from(["text", "json", "latex"])]
+# a = 0, 1, 2, ... and b = 1 as a table: it interpolates in d, but it is not
+# a closed form, so --jt-check refuses it.
+POLYNOMIAL_TABLE = json.dumps({"a": [str(i) for i in range(24)], "b": ["1"] * 24})
+
+
+def words(*parts):
+    """Argument vectors joined from parts: words, and strategies that draw
+    a word or a list of words."""
+
+    def join(drawn):
+        return [w for part in drawn for w in ([part] if isinstance(part, str) else part)]
+
+    return st.tuples(
+        *(part if isinstance(part, st.SearchStrategy) else st.just(part) for part in parts)
+    ).map(join)
+
+
+def maybe(*parts, chance):
+    """parts in `chance` sixteenths of the draws, nothing in the others."""
+    return st.integers(0, 15).flatmap(
+        lambda k: words(*parts) if k >= 16 - chance else st.just([])
+    )
+
+
+@st.composite
+def sequence_sources(draw, seq_file):
+    source = draw(st.sampled_from([*PRESETS, "seq-file"]))
+    argv = ["--seq-file", seq_file] if source == "seq-file" else ["--preset", source]
+    reads = PRESETS[source][1] if source in PRESETS else ()
+    for key, values in (("p", RATIONALS), ("q", RATIONALS), ("a_table", A_TABLES)):
+        option = "--" + key.replace("_", "-")
+        argv += draw(maybe(option, st.sampled_from(values), chance=15 if key in reads else 1))
+    return argv
+
+
+def command_lines(seq_file):
+    src = sequence_sources(seq_file)
+    lam = ["--lambda", st.sampled_from(PARTITIONS)]
+    size = st.sampled_from(SIZES)
+    small = st.sampled_from(SMALL)
+    return st.one_of(
+        words("compute", src, "--n", size, *lam, "--method",
+              st.sampled_from(["bialternant", "jt", "giambelli", "fh"]), *FORMATS),
+        words("expand", src, "--n", size, *lam, "--basis",
+              st.sampled_from(["monomial", "schur"]), *FORMATS),
+        words("super", src, "--n", size, "--m", size, *lam, *FORMATS),
+        words("stable", src, "--d",
+              st.sampled_from(["-1", "0", "1", "2", "3", "1/3", "7/3", "-1/2", "1/0"]),
+              *lam, *FORMATS, maybe("--jt-check", chance=12),
+              maybe("--n-eval", size, chance=6)),
+        words("verify", "--property", st.sampled_from([*_PROPERTIES, "nope"]),
+              "--trials", st.sampled_from(["1", "1", "0", "-1"]), "--seed", small,
+              maybe("--max-weight", small, chance=12),
+              maybe("--max-vars", small, chance=12)),
+    )
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def polynomial_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seq") / "polynomial.json"
+    path.write_text(POLYNOMIAL_TABLE)
+    return str(path)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_command_line_keeps_the_exit_code_contract(polynomial_table, data):
+    argv = data.draw(command_lines(polynomial_table), label="argv")
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2, 3), err
+    if code == 1:
+        assert argv[0] == "verify" or "--jt-check" in argv
+        json.loads(out.splitlines()[-1])
+    if code in (2, 3):
+        assert out == ""
+        assert err.startswith(("error:", "usage:"))
+    assert run_in_process(argv) == (code, out, err)
 
 
 DEMOS = [

@@ -381,6 +381,8 @@ def test_format_poly_text_pinned():
     assert format_poly_text(-F(1, 2) * x(0) + 2) == "-1/2*x1 + 2"
     assert format_poly_text(2 * x(0) * x(1)) == "2*x1*x2"
     assert format_poly_text(x(0), names=["z"]) == "z"
+    latex = format_poly_text(-F(1, 2) * x(0) ** 2 * x(1) + 2, style="latex")
+    assert latex == "-\\frac{1}{2} x_{1}^{2}x_{2} + 2"
 
 
 # -- the stored integer form against plain Fraction dicts ------------------

@@ -100,6 +100,10 @@ def test_make_dispatch():
         make("bc_jacobi", p=1)
     with pytest.raises(ValueError):
         make("no_such_preset")
+    with pytest.raises(ValueError, match="the schur preset does not read p, q$"):
+        make("schur", p=1, q=7)
+    with pytest.raises(ValueError, match="the factorial preset does not read p$"):
+        make("factorial", a_table=[1, 2], p=1)
 
 
 def test_fh_determinant_matches_other_routes():

@@ -555,6 +555,34 @@ def test_jt_infinite_sees_an_error_on_the_longest_partition(monkeypatch, seq):
     assert not jt_infinite_check(lam, seq, d, 4)
 
 
+# Each (sequence, d, lam) returned False before integer d < l(lam) was
+# refused: the entries read a(0) or b(1) there, which the finite-count
+# entries never read.
+JT_BELOW_LENGTH = [
+    (so_odd, 0, (1, 1)),
+    (so_odd, 1, (2, 1)),
+    (so_odd, 2, (1, 1, 1)),
+    (so_even, -1, (2, 1)),
+    (so_even, 0, (2, 1)),
+    (so_even, 1, (1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, d, lam",
+    JT_BELOW_LENGTH,
+    ids=[f"{b.__name__}-d{d}-{''.join(map(str, lam))}" for b, d, lam in JT_BELOW_LENGTH],
+)
+def test_jt_infinite_refuses_an_integer_d_below_the_length(build, d, lam):
+    seq = build()
+    n_eval = max(3, len(lam))
+    with pytest.raises(ValueError, match=f"d >= l\\(lambda\\) = {len(lam)}, got {d}$"):
+        jt_infinite_check(lam, seq, d, n_eval)
+    assert not seq.families  # refused before anything was fitted
+    assert jt_infinite_check(lam, seq, len(lam), n_eval)
+    assert jt_infinite_check(lam, seq, len(lam) + 1, n_eval)
+
+
 def test_jt_infinite_classical_off_integer():
     assert jt_infinite_check((2, 1), schur(), F(5, 2), 2)
 
