@@ -28,9 +28,9 @@ no one-row polynomials.
 
 The sequence memoises its own phi family (`seq.phis`), so every context
 over one sequence shares it; contexts memoise shift scalars, shifted
-families, bialternants and hooks.  They are cheap to create and are meant
-to be used by a single thread; the polynomials they hand out are immutable
-and can be shared freely.
+families, bialternants and Jacobi-Trudi determinants, which hooks read.
+They are cheap to create and meant for a single thread; the polynomials
+they hand out are immutable and can be shared freely.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import lcm
+from operator import itemgetter
 from typing import Callable
 
 from .coeffseq import CoeffSeq
@@ -47,7 +48,6 @@ from .partitions import (
     Partition,
     check_partition,
     compositions,
-    diagonal_rank,
     frobenius_coordinates,
     pad,
 )
@@ -163,7 +163,7 @@ class GschurContext:
         self._shift_memo: dict[tuple[int, int], dict[int, Fraction]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
         self._compositions: dict[int, list[tuple[int, ...]]] = {}
-        self._hook_memo: dict[tuple[int, int], MultiPoly] = {}
+        self._jt_memo: dict[Partition, MultiPoly] = {}
 
     # -- building blocks ---------------------------------------------------
 
@@ -259,20 +259,23 @@ class GschurContext:
         return got
 
     def jacobi_trudi(self, lam) -> MultiPoly:
-        """The l x l determinant det[ h^{(k-1)}_{lam_j - j + 1} ]."""
+        """The l x l determinant det[ h^{(k-1)}_{lam_j - j + 1} ], memoised for `hook`."""
         lam = self.fit_partition(lam)
-        indices = [lam[j] - j for j in range(len(lam))]
-        return first_column_det(self.h_shift, indices, self.n)
+        got = self._jt_memo.get(lam)
+        if got is None:
+            indices = [lam[j] - j for j in range(len(lam))]
+            got = self._jt_memo[lam] = first_column_det(self.h_shift, indices, self.n)
+        return got
 
     # -- route 3: hooks and Giambelli -------------------------------------
 
     def hook(self, u: int, v: int) -> MultiPoly:
         """Hook-indexed polynomial S_(u|v) for arm u and leg v.
 
-        For u >= 0 this is the polynomial of the hook partition
-        (u+1, 1, ..., 1) with v ones, computed by its own first-column
-        determinant.  For u < 0 the determinant collapses to a constant:
-        (-1)^v when u + v = -1 and zero otherwise.
+        For u >= 0 this is the memoised Jacobi-Trudi determinant of the hook
+        partition (u+1, 1, ..., 1) with v ones, so Giambelli of a hook
+        partition is a lookup.  For u < 0 the determinant collapses to a
+        constant: (-1)^v when u + v = -1 and zero otherwise.
         """
         if v < 0:
             raise ValueError("leg length must be nonnegative")
@@ -281,22 +284,15 @@ class GschurContext:
             return MultiPoly.constant(self.n, value)
         if v + 1 > self.n:
             raise ValueError(f"hook ({u}|{v}) needs more than {self.n} variables")
-        key = (u, v)
-        got = self._hook_memo.get(key)
-        if got is None:
-            got = self.jacobi_trudi((u + 1,) + (1,) * v)
-            self._hook_memo[key] = got
-        return got
+        return self.jacobi_trudi((u + 1,) + (1,) * v)
 
     def giambelli(self, lam) -> MultiPoly:
         """Determinant of hooks over the Frobenius coordinates of lam."""
         lam = self.fit_partition(lam)
         arms, legs = frobenius_coordinates(lam)
-        r = diagonal_rank(lam)
-        if r == 0:
+        if not arms:
             return MultiPoly.one(self.n)
-        rows = [[self.hook(arms[i], legs[j]) for j in range(r)] for i in range(r)]
-        return determinant(rows)
+        return determinant([[self.hook(u, v) for v in legs] for u in arms])
 
     # -- expansions and identities ----------------------------------------
 
@@ -307,15 +303,17 @@ class GschurContext:
         so the expansion is read off the terms with weakly decreasing
         exponents, in decreasing graded-lex order.  Symmetry is checked
         first, under the transposition (1 2) and the n-cycle, which together
-        generate every permutation; a failure raises AssertionError.
+        generate every permutation, by looking up each term's image (a
+        bijection of the support); a failure raises AssertionError.
         """
         poly = self.bialternant(lam)
+        num, den = poly._num, poly._den
         n = self.n
         if n > 1:
             for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
-                if poly.apply_permutation(perm) != poly:
+                move = itemgetter(*perm)
+                if any(num.get(move(e)) != c for e, c in num.items()):
                     raise AssertionError(f"bialternant is not symmetric under {perm}")
-        num, den = poly._num, poly._den
         keys = [e for e in num if all(x >= y for x, y in zip(e, e[1:]))]
         keys.sort(key=grlex_key, reverse=True)
         return {check_partition(e): Fraction(num[e], den) for e in keys}

@@ -261,14 +261,6 @@ class MultiPoly:
         num = {(0,) + e: c for e, c in self._num.items()}
         return MultiPoly._make(self.arity + 1, num, self._den)
 
-    def apply_permutation(self, perm: Sequence[int]) -> "MultiPoly":
-        """Rename variable i to perm[i] for a permutation of 0..arity-1."""
-        if sorted(perm) != list(range(self.arity)):
-            raise ValueError("perm must be a permutation of the variable indices")
-        inverse = sorted(range(self.arity), key=perm.__getitem__)
-        num = {tuple([e[i] for i in inverse]): c for e, c in self._num.items()}
-        return MultiPoly._make(self.arity, num, self._den)
-
     def __repr__(self) -> str:
         return f"MultiPoly({self.arity}: {format_poly_text(self)})"
 
@@ -418,7 +410,8 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
     The expansion runs on packed integer numerators: each cofactor is one
     fused `sum of +-entry * minor` over the nonzero entries of its row, and
-    the minors stay packed, so only the result is unpacked and reduced.
+    the minors stay packed, so only the result is unpacked and reduced.  A
+    1 x 1 determinant is its entry, returned as it is, with nothing packed.
     """
     n = len(rows)
     if n == 0:
@@ -428,6 +421,8 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     arity = rows[0][0].arity
     if any(p.arity != arity for row in rows for p in row):
         raise ValueError("matrix entries must share one ring")
+    if n == 1:
+        return rows[0][0]
     # The determinant's total degree is at most the sum of the rows' largest.
     width = _field_width(
         sum(max((_degree(p._num) for p in row if p._num), default=0) for row in rows)

@@ -15,6 +15,7 @@ never reach the shifted families used by the Jacobi-Trudi route.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .coeffseq import CoeffSeq, PoleError
@@ -168,16 +169,32 @@ def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
     return determinant(rows)
 
 
+@cache
+def _boundary_variants(n: int) -> list:
+    """(a_of, b_of, memo) for a(0) in {0, -1} and b(1) in {1, 2}, elsewhere
+    a = 0 and b = 1; each memo holds shift scalars at offset n for every lam."""
+
+    def variant(a0: int, b1: int):
+        def a_of(k) -> Fraction:
+            return _F(a0) if k == 0 else _F(0)
+
+        def b_of(k) -> Fraction:
+            return _F(0) if k < 0 else _F(b1) if k == 1 else _F(1)
+
+        return a_of, b_of, {}
+
+    return [variant(a0, b1) for a0, b1 in product((0, -1), (1, 2))]
+
+
 def boundary_insensitivity(lam, n: int) -> bool:
     """Check that a(0) and b(1) never reach the Jacobi-Trudi shift entries.
 
     Each h^{(r)}_i is a combination sum_j c_j h_j whose scalars c_j come from
-    the recursion coefficients alone (`shift_coefficients`).  This computes
-    those {j: c_j} maps for every combination of a(0) in {0, -1} and b(1) in
-    {1, 2}, all other indices held at a = 0, b = 1, and reports whether the
-    four maps agree for every entry with positive shift used by the
-    Jacobi-Trudi determinant of lam.  It compares scalars only; no
-    polynomial or formal symbol is built.
+    the recursion coefficients alone (`shift_coefficients`).  This reports
+    whether the {j: c_j} maps of the four `_boundary_variants(n)` agree for
+    every entry with positive shift used by the Jacobi-Trudi determinant of
+    lam.  It compares scalars only, memoised per n at module level and, like
+    a context's memos, meant for a single thread; no polynomial is built.
     """
     lam = check_partition(lam)
     if len(lam) > n:
@@ -186,18 +203,7 @@ def boundary_insensitivity(lam, n: int) -> bool:
     if l <= 1:
         return True
 
-    def variant(a0: int, b1: int):
-        def a_of(k) -> Fraction:
-            return _F(a0) if k == 0 else _F(0)
-
-        def b_of(k) -> Fraction:
-            if k < 0:
-                return _F(0)
-            return _F(b1) if k == 1 else _F(1)
-
-        return a_of, b_of, {}
-
-    variants = [variant(a0, b1) for a0, b1 in product((0, -1), (1, 2))]
+    variants = _boundary_variants(n)
     for j in range(l):
         i = lam[j] - j
         for r in range(1, l):

@@ -10,8 +10,9 @@ but with no shared code paths with the package internals beyond the
 MultiPoly container and its `+`/`-`.
 
 The last section holds helpers only the tests use: the table-style JSON
-writer that round-trips with `coeffseq_from_json`, and the hook/row index
-identity behind the Giambelli route.
+writer that round-trips with `coeffseq_from_json`, the hook/row index
+identity behind the Giambelli route, and renaming variables by a
+permutation.
 """
 
 from fractions import Fraction
@@ -345,3 +346,17 @@ def index_set_identity(p) -> bool:
     left = [k - p[k - 1] - 1 for k in range(r + 1, l + 1)]
     right = [q[j - 1] - j for j in range(1, r + 1)]
     return sorted(left + right) == list(range(l))
+
+
+def apply_permutation(poly, perm) -> MultiPoly:
+    """Rename variable i to perm[i] for a permutation of 0..arity-1."""
+    n = poly.arity
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm must be a permutation of the variable indices")
+    moved = {}
+    for e, c in poly.items():
+        key = [0] * n
+        for i, k in enumerate(e):
+            key[perm[i]] = k
+        moved[tuple(key)] = c
+    return MultiPoly(n, moved)

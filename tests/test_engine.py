@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gschur import engine
 from gschur.coeffseq import CoeffSeq, PoleError, random_coeffseq
 from gschur.engine import (
     GschurContext,
@@ -21,6 +22,7 @@ from gschur.verify import alternant_part
 
 from oracles import (
     alternation,
+    apply_permutation,
     fraction_phi_table,
     fraction_product,
     leibniz_det,
@@ -77,7 +79,7 @@ def test_bialternant_is_symmetric():
     ctx = GschurContext(3, seeded_seq(2))
     p = ctx.bialternant((3, 1))
     for perm in permutations(range(3)):
-        assert p.apply_permutation(perm) == p
+        assert apply_permutation(p, perm) == p
 
 
 ORACLE_PRESETS = {
@@ -321,6 +323,36 @@ def test_giambelli_equals_bialternant_on_seeded_sequences():
                 assert ctx.giambelli(lam) == ctx.bialternant(lam)
 
 
+def test_jacobi_trudi_and_giambelli_share_each_determinant(monkeypatch):
+    # The order of every engine determinant call of order >= 2; a 1 x 1
+    # determinant is its entry and is not counted.
+    orders = []
+    real = engine.determinant
+
+    def counting(rows):
+        if len(rows) >= 2:
+            orders.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(engine, "determinant", counting)
+    for seq in (schur(), seeded_seq(14)):
+        # A hook partition: Giambelli reads the Jacobi-Trudi result as its 1 x 1 matrix.
+        ctx = GschurContext(3, seq)
+        orders.clear()
+        jt = ctx.jacobi_trudi((3, 1, 1))
+        assert ctx.giambelli((3, 1, 1)) == jt == ctx.bialternant((3, 1, 1))
+        assert orders == [3]
+        # (2, 2) = (1 0 | 1 0): once its four hooks are memoised, one 2 x 2 determinant.
+        ctx = GschurContext(2, seq)
+        hooks = [ctx.hook(u, v) for u in (1, 0) for v in (1, 0)]
+        assert hooks[0] == ctx.jacobi_trudi((2, 1)) == ctx.bialternant((2, 1))
+        orders.clear()
+        assert ctx.giambelli((2, 2)) == ctx.bialternant((2, 2))
+        assert orders == [2]
+        assert ctx.jacobi_trudi((2, 2)) == ctx.bialternant((2, 2))
+        assert orders == [2, 2]
+
+
 def test_giambelli_empty_partition():
     ctx = GschurContext(2, seeded_seq(12))
     assert ctx.giambelli(()) == MultiPoly.one(2)
@@ -356,6 +388,23 @@ def test_monomial_expansion_rejects_a_non_symmetric_polynomial(monkeypatch):
     monkeypatch.setattr(ctx, "bialternant", lambda lam: xv(0, 2) ** 2)
     with pytest.raises(AssertionError):
         ctx.monomial_expansion((2,))
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        # symmetric under (1 2), not under the 3-cycle
+        lambda x1, x2, x3: x1 + x2,
+        # symmetric under the 3-cycle, not under (1 2)
+        lambda x1, x2, x3: x1 ** 2 * x2 + x2 ** 2 * x3 + x3 ** 2 * x1,
+    ],
+    ids=["transposition-only", "cycle-only"],
+)
+def test_monomial_expansion_checks_both_generators(planted):
+    ctx = GschurContext(3, schur())
+    ctx._bialternant[(2, 1)] = planted(*(xv(i, 3) for i in range(3)))
+    with pytest.raises(AssertionError):
+        ctx.monomial_expansion((2, 1))
 
 
 def test_alternant_part_of_symmetric_times_delta():

@@ -18,7 +18,13 @@ from gschur.exactalg import (
     poly_to_json_terms,
 )
 
-from oracles import fraction_linear, fraction_product, leibniz_det, vandermonde
+from oracles import (
+    apply_permutation,
+    fraction_linear,
+    fraction_product,
+    leibniz_det,
+    vandermonde,
+)
 
 F = Fraction
 
@@ -187,9 +193,9 @@ def test_prepend_variable_shifts_indices():
 
 def test_apply_permutation_swaps_variables():
     p = x(0) ** 2 + 3 * x(1)
-    assert p.apply_permutation([1, 0]) == x(1) ** 2 + 3 * x(0)
+    assert apply_permutation(p, [1, 0]) == x(1) ** 2 + 3 * x(0)
     with pytest.raises(ValueError):
-        p.apply_permutation([0, 0])
+        apply_permutation(p, [0, 0])
 
 
 def test_exact_divide_pinned_product():
@@ -249,7 +255,7 @@ def test_exact_divide_of_oracle_product_is_canonical(a, b):
 def symmetrized(p):
     out = MultiPoly.zero(p.arity)
     for perm in permutations(range(p.arity)):
-        out = out + p.apply_permutation(perm)
+        out = out + apply_permutation(p, perm)
     return out
 
 
@@ -309,6 +315,14 @@ def test_exact_divide_skips_cancelled_remainder_terms():
 def test_determinant_2x2_pinned():
     m = [[x(0), x(1)], [MultiPoly.one(2), x(0)]]
     assert determinant(m) == x(0) ** 2 - x(1)
+
+
+def test_determinant_of_order_one_is_its_entry():
+    p, q = x(0) ** 2 - 3 * x(1), x(1)
+    assert determinant([[p]]) is p
+    for rows in ([[p, q]], [[p], [q]], []):
+        with pytest.raises(ValueError):
+            determinant(rows)
 
 
 def test_determinant_row_swap_changes_sign():

@@ -9,6 +9,7 @@ from gschur.engine import GschurContext
 from gschur.exactalg import MultiPoly
 from gschur.partitions import partitions_up_to
 from gschur.presets import (
+    _boundary_variants,
     bc_jacobi,
     boundary_insensitivity,
     factorial,
@@ -161,6 +162,17 @@ def test_boundary_values_never_reach_shift_entries():
     for n in (2, 3):
         for lam in partitions_up_to(4, n):
             assert boundary_insensitivity(lam, n)
+
+
+def test_boundary_verdicts_do_not_depend_on_the_call_order():
+    # The shift-scalar memos behind the check are shared across calls per n.
+    cases = [(lam, n) for n in range(1, 5) for lam in partitions_up_to(6, n)]
+    _boundary_variants.cache_clear()
+    forward = {case: boundary_insensitivity(*case) for case in cases}
+    _boundary_variants.cache_clear()
+    backward = {case: boundary_insensitivity(*case) for case in reversed(cases)}
+    assert forward == backward
+    assert all(forward.values())
 
 
 def test_boundary_check_short_partitions_trivial():
