@@ -20,9 +20,10 @@ with h_d the classical complete homogeneous polynomial of degree d.  The
 shift recursion is linear in its base family, so each shifted one-row
 polynomial is a scalar combination h_i^{(r)} = sum_j c_j S_(j) whose c_j
 depend only on a, b and the offset; `shift_coefficients` computes those
-scalars, and `h_shift` folds them into one scalar per degree d, as integer
-numerators over one denominator.  The h_d of different degrees have disjoint
-monomial supports, so each is written straight onto its monomials once.
+scalars, and `h_shift` folds them into one scalar per degree d, both as
+integer numerators over one denominator, with no `Fraction` arithmetic.  The
+h_d of different degrees have disjoint monomial supports, so each is written
+straight onto its monomials once.
 The stable layer reads the same phi coefficients as scalar minors and builds
 no one-row polynomials.
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable
 
@@ -60,7 +61,7 @@ def shift_coefficients(
     i: int,
     r: int,
     memo: dict,
-) -> dict[int, Fraction]:
+) -> tuple[dict[int, int], int]:
     """Scalars c_j with f_i^{(r)} = sum_j c_j f_j, for any base family f.
 
     The shifted families obey
@@ -69,40 +70,49 @@ def shift_coefficients(
                                     + b(i + offset - 1) f_{i-1}^{(r)},
 
     with f^{(0)} = f and f_j = 0 for j < 0.  The recursion is linear in the
-    base, so it runs here on {j: c_j} maps and the caller writes the sum
-    out once.  `offset` is the variable count in the finite case and may be
-    a rational parameter in the stable case; `a_of` / `b_of` just have to
+    base, so it runs on the scalars, kept as `MultiPoly` keeps its terms:
+    nonzero integer numerators {j: n_j} over one den > 0 with
+    gcd(den, *n_j) = 1, so equal maps are equal pairs and the empty map is
+    ({}, 1).  Each step sums its three terms over the lcm of their
+    denominators.  `offset` is the variable count in the finite case and may
+    be a rational parameter in the stable case; `a_of` / `b_of` just have to
     accept whatever `i + offset - 1` evaluates to.  Entries with i + r < 0
-    are the empty map and read no coefficients; every other entry with
-    r >= 1 reads a and b at i + offset - 1.  No zero scalar is stored.
-    `memo` is keyed by (i, r) and its maps must not be mutated.
+    are empty and read no coefficients; every other entry with r >= 1 reads
+    a and b at i + offset - 1.  `memo` is keyed by (i, r); its pairs must
+    not be mutated.
     """
     if r < 0:
         raise ValueError("shift order must be nonnegative")
     if i + r < 0:
-        return {}
+        return {}, 1
     key = (i, r)
     got = memo.get(key)
     if got is not None:
         return got
     if r == 0:
-        value = {i: Fraction(1)}
+        value = {i: 1}, 1
     else:
         arg = i + offset - 1
-        value = dict(shift_coefficients(a_of, b_of, offset, i + 1, r - 1, memo))
+        up = shift_coefficients(a_of, b_of, offset, i + 1, r - 1, memo)
         a = a_of(arg)
         same = shift_coefficients(a_of, b_of, offset, i, r - 1, memo)
         b = b_of(arg)
         lower = shift_coefficients(a_of, b_of, offset, i - 1, r - 1, memo)
-        for scale, part in ((a, same), (b, lower)):
-            if not scale:
-                continue
-            for j, c in part.items():
-                total = value.get(j, 0) + scale * c
-                if total:
-                    value[j] = total
-                else:
-                    value.pop(j, None)
+        # (scale numerator, scale denominator * part denominator, numerators)
+        parts = [
+            (s.numerator, s.denominator * d, nums)
+            for s, (nums, d) in ((1, up), (a, same), (b, lower))
+            if s and nums
+        ]
+        den = lcm(*(d for _, d, _ in parts))
+        out: dict[int, int] = {}
+        for s, d, nums in parts:
+            s *= den // d
+            for j, c in nums.items():
+                out[j] = out.get(j, 0) + s * c
+        out = {j: c for j, c in out.items() if c}
+        g = gcd(den, *out.values())
+        value = ({j: c // g for j, c in out.items()}, den // g) if g != 1 else (out, den)
     memo[key] = value
     return value
 
@@ -160,7 +170,7 @@ class GschurContext:
         self.n = n
         self.seq = seq
         self._bialternant: dict[Partition, MultiPoly] = {}
-        self._shift_memo: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._shift_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
         self._compositions: dict[int, list[tuple[int, ...]]] = {}
         self._jt_memo: dict[Partition, MultiPoly] = {}
@@ -224,14 +234,16 @@ class GschurContext:
     def h_shift(self, i: int, r: int) -> MultiPoly:
         """The r-times shifted one-row family h_i^{(r)} = sum_j c_j S_(j).
 
-        The scalars c_j come from `shift_coefficients` with arguments offset
-        by n - 1.  Composed with S_(j) = sum_m [z^m] phi_{j+n-1} h_{m-n+1},
-        they give one scalar per classical degree d,
+        The scalars c_j = n_j / den come from `shift_coefficients` with
+        arguments offset by n - 1.  Composed with
+        S_(j) = sum_m [z^m] phi_{j+n-1} h_{m-n+1}, they give one scalar per
+        classical degree d,
 
-            sum_j c_j [z^{d+n-1}] phi_{j+n-1},
+            sum_j n_j [z^{d+n-1}] phi_{j+n-1} / den,
 
-        which is written once onto every exponent tuple of total degree d;
-        the h_d of different degrees have disjoint supports.  Values with
+        folded in integers over den times the lcm of the phi denominators
+        and written once onto every exponent tuple of total degree d; the
+        h_d of different degrees have disjoint supports.  Values with
         i + r < 0 vanish identically, whatever negative-index extension the
         sequence carries.
         """
@@ -240,22 +252,25 @@ class GschurContext:
         if got is not None:
             return got
         n = self.n
-        coeffs = shift_coefficients(self.seq.a, self.seq.b, n, i, r, self._shift_memo)
-        parts = [(c, self.seq.phis.phi(j + n - 1)) for j, c in coeffs.items()]
-        den = lcm(*(c.denominator * phi._den for c, phi in parts))
+        nums, den = shift_coefficients(self.seq.a, self.seq.b, n, i, r, self._shift_memo)
+        parts = [(c, self.seq.phis.phi(j + n - 1)) for j, c in nums.items()]
+        phi_den = lcm(*(phi._den for _, phi in parts))
         by_degree: dict[int, int] = {}
         for c, phi in parts:
-            scale = c.numerator * (den // (c.denominator * phi._den))
+            scale = c * (phi_den // phi._den)
             for (m,), p in phi._num.items():
                 if m >= n - 1:
                     by_degree[m - n + 1] = by_degree.get(m - n + 1, 0) + scale * p
+        # Reduced here, before each scalar is copied onto its monomials.
+        den *= phi_den
+        g = gcd(den, *by_degree.values())
         terms = {}
         for degree, c in by_degree.items():
             if c:
                 if degree not in self._compositions:
                     self._compositions[degree] = list(compositions(n, degree))
-                terms.update(dict.fromkeys(self._compositions[degree], c))
-        got = self._h_shift_memo[key] = MultiPoly._make(n, terms, den)
+                terms.update(dict.fromkeys(self._compositions[degree], c // g))
+        got = self._h_shift_memo[key] = MultiPoly._make(n, terms, den // g)
         return got
 
     def jacobi_trudi(self, lam) -> MultiPoly:
@@ -323,8 +338,9 @@ class GschurContext:
 
         Returns h_i^{(r)}(x_1..x_n) - x_1 h_i^{(r-1)}(x_1..x_n)
         - h_{i+1}^{(r-1)}(x_2..x_n), the last term computed in an (n-1)-variable
-        context over the same sequence and then re-embedded.  Must vanish
-        whenever r <= i + 2n - 2.
+        context over the same sequence and then re-embedded, and the middle
+        one written as an exponent shift of h_i^{(r-1)}, with no product.
+        Must vanish whenever r <= i + 2n - 2.
         """
         if r < 1:
             raise ValueError("the identity needs a positive shift order")
@@ -332,6 +348,8 @@ class GschurContext:
             raise ValueError("the identity needs at least two variables")
         if r > i + 2 * self.n - 2:
             raise ValueError("shift order exceeds the extension-independence bound")
-        x1 = MultiPoly.variable(self.n, 0)
         tail = self._sub.h_shift(i + 1, r - 1).prepend_variable()
-        return self.h_shift(i, r) - x1 * self.h_shift(i, r - 1) - tail
+        head = self.h_shift(i, r)
+        prev = self.h_shift(i, r - 1)
+        x1_prev = {(e[0] + 1,) + e[1:]: c for e, c in prev._num.items()}
+        return head - MultiPoly._make(self.n, x1_prev, prev._den) - tail

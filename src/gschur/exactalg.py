@@ -230,7 +230,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return (self.arity, self._den, self._num) == (other.arity, other._den, other._num)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == MultiPoly.constant(self.arity, other)
         return NotImplemented
 
@@ -472,7 +472,7 @@ def _terms(poly: MultiPoly) -> Iterator[tuple[Exponent, int, int]]:
     first: every output of a polynomial is written from here."""
     num, den = poly._num, poly._den
     for e in sorted(num, key=grlex_key, reverse=True):
-        g = gcd(num[e], den)
+        g = gcd(num[e], den) if den != 1 else 1
         yield e, num[e] // g, den // g
 
 

@@ -191,7 +191,8 @@ def boundary_insensitivity(lam, n: int) -> bool:
 
     Each h^{(r)}_i is a combination sum_j c_j h_j whose scalars c_j come from
     the recursion coefficients alone (`shift_coefficients`).  This reports
-    whether the {j: c_j} maps of the four `_boundary_variants(n)` agree for
+    whether the reduced (numerators, denominator) pairs of the four
+    `_boundary_variants(n)`, equal exactly when the maps are, agree for
     every entry with positive shift used by the Jacobi-Trudi determinant of
     lam.  It compares scalars only, memoised per n at module level and, like
     a context's memos, meant for a single thread; no polynomial is built.

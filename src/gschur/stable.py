@@ -486,9 +486,9 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
 
     def entry(i: int, c: int) -> MultiPoly:
         out = MultiPoly.zero(n_eval)
-        coeffs = shift_coefficients(seq.a_at, seq.b_at, d, i, c, memo)
-        for j, coeff in coeffs.items():
-            out = out + coeff * realized[j]
+        nums, den = shift_coefficients(seq.a_at, seq.b_at, d, i, c, memo)
+        for j, coeff in nums.items():
+            out = out + Fraction(coeff, den) * realized[j]
         return out
 
     indices = [lam[j] - j for j in range(l)]

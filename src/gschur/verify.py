@@ -43,8 +43,8 @@ from .stable import (
 
 _F = Fraction
 
-# The shift suites' cost grows about 9x per variable: on one table `lemma`
-# took 9.2 s at 6 variables and 81 s at 7 (2 vCPUs, Python 3.11).
+# The shift suites' cost grows about 8x per variable: on one table `lemma`
+# took 2.3 s at 6 variables and 17 s at 7 (2 vCPUs, Python 3.11).
 SHIFT_VAR_CAP = 6
 
 # Per property: the options it reads, and whether SHIFT_VAR_CAP caps its --max-vars.
@@ -409,7 +409,7 @@ def run_property(
         raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
     if shifts and max_vars > SHIFT_VAR_CAP:
         raise ValueError(
-            f"property {name} sweeps shifted families, whose cost grows about 9x per variable,"
+            f"property {name} sweeps shifted families, whose cost grows about 8x per variable,"
             f" so it is capped at {SHIFT_VAR_CAP} variables; lower --max-vars (got {max_vars})"
         )
     rng = random.Random(seed)

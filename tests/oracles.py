@@ -5,9 +5,10 @@ summing over all permutations, products by a double loop over `Fraction` terms, 
 by Gauss-Jordan over `Fraction`, rational functions reduced by Euclid's
 algorithm over `Fraction` coefficient lists, Schur polynomials by listing semistandard
 tableaux, super complete homogeneous functions by Newton's identities,
-Schur-basis minors by the Leibniz sum over a `Fraction` phi table.  Slow,
-but with no shared code paths with the package internals beyond the
-MultiPoly container and its `+`/`-`.
+Schur-basis minors by the Leibniz sum over a `Fraction` phi table, shift
+scalars by their recursion on `Fraction` maps.  Slow, but with no shared
+code paths with the package internals beyond the MultiPoly container and
+its `+`/`-`.
 
 The last section holds helpers only the tests use: the table-style JSON
 writer that round-trips with `coeffseq_from_json`, the hook/row index
@@ -161,6 +162,34 @@ def minor_expansion(lam, seq, n, mus):
         if minor:
             out[tuple(p for p in mu if p)] = minor
     return out
+
+
+def fraction_shift_coefficients(a_of, b_of, offset, i, r, memo) -> dict:
+    """The shift scalars {j: c_j} of `engine.shift_coefficients`, by the same
+    recursion on `Fraction` maps, reading a and b in the same order."""
+    if r < 0:
+        raise ValueError("shift order must be nonnegative")
+    if i + r < 0:
+        return {}
+    key = (i, r)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if r == 0:
+        value = {i: Fraction(1)}
+    else:
+        arg = i + offset - 1
+        value = dict(fraction_shift_coefficients(a_of, b_of, offset, i + 1, r - 1, memo))
+        a = a_of(arg)
+        same = fraction_shift_coefficients(a_of, b_of, offset, i, r - 1, memo)
+        b = b_of(arg)
+        lower = fraction_shift_coefficients(a_of, b_of, offset, i - 1, r - 1, memo)
+        for scale, part in ((a, same), (b, lower)):
+            for j, c in part.items():
+                value[j] = value.get(j, 0) + scale * c
+        value = {j: c for j, c in value.items() if c}
+    memo[key] = value
+    return value
 
 
 def newton_complete_homogeneous(n, m, upto):

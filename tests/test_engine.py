@@ -3,11 +3,12 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gschur import engine
+from gschur import engine, presets
 from gschur.coeffseq import CoeffSeq, PoleError, random_coeffseq
 from gschur.engine import (
     GschurContext,
@@ -25,6 +26,7 @@ from oracles import (
     apply_permutation,
     fraction_phi_table,
     fraction_product,
+    fraction_shift_coefficients,
     leibniz_det,
     schur_by_tableaux,
     vandermonde,
@@ -192,10 +194,10 @@ def test_h_shift_vanishes_below_the_diagonal():
 def test_shift_coefficients_single_step_for_sp():
     seq = sp()
     for n in (1, 2, 3):
-        assert shift_coefficients(seq.a, seq.b, n, 0, 1, {}) == {1: 1}
+        assert shift_coefficients(seq.a, seq.b, n, 0, 1, {}) == ({1: 1}, 1)
         for i in range(1, 5):
             step = shift_coefficients(seq.a, seq.b, n, i, 1, {})
-            assert step == {i + 1: 1, i - 1: 1}
+            assert step == ({i + 1: 1, i - 1: 1}, 1)
 
 
 def test_shift_coefficients_below_the_diagonal_read_nothing():
@@ -205,7 +207,7 @@ def test_shift_coefficients_below_the_diagonal_read_nothing():
     memo = {}
     for r in range(0, 5):
         for i in range(-8, -r):
-            assert shift_coefficients(refuse, refuse, 2, i, r, memo) == {}
+            assert shift_coefficients(refuse, refuse, 2, i, r, memo) == ({}, 1)
     assert memo == {}
 
 
@@ -219,12 +221,12 @@ def test_shift_coefficients_store_no_zero_scalars():
 
     memo = {}
     for i in range(0, 4):
-        assert shift_coefficients(a_of, b_of, 1, i, 2, memo) == {i + 2: 1, i: 1}
+        assert shift_coefficients(a_of, b_of, 1, i, 2, memo) == ({i + 2: 1, i: 1}, 1)
     for i in range(-2, 3):
         for r in range(0, 5):
             shift_coefficients(a_of, b_of, 1, i, r, memo)
     assert memo
-    assert all(c for value in memo.values() for c in value.values())
+    assert all(c for nums, _ in memo.values() for c in nums.values())
 
 
 def test_shift_coefficients_propagate_poles():
@@ -247,9 +249,66 @@ def test_shift_coefficients_see_a_boundary_value_they_read():
 
     plain = shift_coefficients(lambda k: F(0), b_of, 1, 0, 1, {})
     moved = shift_coefficients(lambda k: F(-1) if k == 0 else F(0), b_of, 1, 0, 1, {})
-    assert plain == {1: 1}
-    assert moved == {1: 1, 0: -1}
+    assert plain == ({1: 1}, 1)
+    assert moved == ({1: 1, 0: -1}, 1)
     assert plain != moved
+
+
+def _logged(of, log, tag):
+    def read(k):
+        log.append((tag, k))
+        return of(k)
+
+    return read
+
+
+def _table_case(seed, extend, offset):
+    seq = random_coeffseq(random.Random(seed))
+    if extend:
+        rng = random.Random(-seed - 1)
+        neg_a, neg_b = ({-k: F(rng.randint(-9, 9), rng.randint(1, 4)) for k in range(1, 5)}
+                        for _ in range(2))
+        seq = seq.with_negative(neg_a, neg_b)
+    return seq.a, seq.b, offset
+
+
+_BC = bc_jacobi(1, -3)
+
+# (a_of, b_of, offset): random tables and their negative extensions at
+# integer offsets, bc_jacobi(1, -3) off the integers, the boundary variants.
+shift_cases = st.one_of(
+    st.builds(_table_case, st.integers(0, 999), st.booleans(), st.integers(1, 4)),
+    st.fractions(-4, 4, max_denominator=4).map(lambda d: (_BC.a_at, _BC.b_at, d)),
+    st.builds(
+        lambda n, k: (*presets._boundary_variants(n)[k][:2], n),
+        st.integers(1, 4), st.integers(0, 3),
+    ),
+)
+
+
+@given(shift_cases, st.integers(-6, 5), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_shift_coefficients_match_the_fraction_oracle(case, i, r):
+    a_of, b_of, offset = case
+    logs, results = [], []
+    for compute in (shift_coefficients, fraction_shift_coefficients):
+        log, memo = [], {}
+        try:
+            got = compute(_logged(a_of, log, "a"), _logged(b_of, log, "b"), offset, i, r, memo)
+        except PoleError:
+            assert (i, r) not in memo
+            got = PoleError
+        logs.append(log)
+        results.append(got)
+    assert logs[0] == logs[1]
+    got, want = results
+    if want is PoleError:
+        assert got is PoleError
+        return
+    nums, den = got
+    assert {j: F(c, den) for j, c in nums.items()} == want
+    assert den > 0 and all(type(c) is int and c for c in nums.values())
+    assert gcd(den, *nums.values()) == 1
 
 
 def test_jacobi_trudi_pinned_classical():

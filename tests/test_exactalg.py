@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gschur.exactalg import (
     DivisionNotExactError,
     MultiPoly,
+    _terms,
     determinant,
     exact_divide,
     format_poly_text,
@@ -386,6 +387,34 @@ def test_json_roundtrip(p):
     # terms must come out in descending graded-lex order
     keys = [tuple(item["e"]) for item in data]
     assert keys == sorted(keys, key=grlex_key, reverse=True)
+
+
+@given(
+    st.integers(0, 5).flatmap(
+        lambda k: st.tuples(st.just(k), rational_terms(arity=k, max_exp=3, max_terms=8))
+    ),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_terms_come_in_descending_grlex_order_and_reduced(case, integral):
+    arity, terms = case
+    if integral:  # the den == 1 path
+        terms = {e: c.numerator for e, c in terms.items()}
+    p = MultiPoly(arity, terms)
+    got = list(_terms(p))
+    assert [e for e, _, _ in got] == sorted(p._num, key=grlex_key, reverse=True)
+    for e, num, den in got:
+        assert F(num, den) == p.coefficient(e)
+        assert den > 0 and gcd(num, den) == 1
+
+
+def test_equality_with_a_bool_is_false():
+    for p in (MultiPoly.variable(1, 0), MultiPoly.one(1), MultiPoly.zero(2)):
+        assert not p == True  # noqa: E712 (the comparison is the test)
+        assert not p == False  # noqa: E712
+        assert p != True  # noqa: E712
+        assert p not in [True, False]
+    assert MultiPoly.one(1) == 1 and MultiPoly.zero(1) == 0
 
 
 def test_format_poly_text_pinned():
