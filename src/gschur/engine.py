@@ -23,7 +23,8 @@ depend only on a, b and the offset; `shift_coefficients` computes those
 scalars, and `h_shift` folds them into one scalar per degree d, both as
 integer numerators over one denominator, with no `Fraction` arithmetic.  The
 h_d of different degrees have disjoint monomial supports, so each is written
-straight onto its monomials once.
+straight onto its monomials once; those supports (`_support`) are built once
+per process and shared by every context, sub-context and sequence.
 The stable layer reads the same phi coefficients as scalar minors and builds
 no one-row polynomials.
 
@@ -37,7 +38,7 @@ they hand out are immutable and can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from math import gcd, lcm
 from operator import itemgetter
@@ -147,6 +148,13 @@ def _divided_difference(num: dict[tuple, int], i: int) -> dict[tuple, int]:
     return {k: c for k, c in out.items() if c}
 
 
+@cache
+def _support(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuples of h_d(x_1..x_n): `compositions(n, d)`, built once
+    per process and shared by every context and sub-context."""
+    return tuple(compositions(n, d))
+
+
 def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
     """The monomial symmetric polynomial m_mu in n variables.
 
@@ -172,7 +180,6 @@ class GschurContext:
         self._bialternant: dict[Partition, MultiPoly] = {}
         self._shift_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
-        self._compositions: dict[int, list[tuple[int, ...]]] = {}
         self._jt_memo: dict[Partition, MultiPoly] = {}
 
     # -- building blocks ---------------------------------------------------
@@ -243,7 +250,9 @@ class GschurContext:
 
         folded in integers over den times the lcm of the phi denominators
         and written once onto every exponent tuple of total degree d; the
-        h_d of different degrees have disjoint supports.  Values with
+        h_d of different degrees have disjoint supports.  Those supports come
+        from `_support`, built once per (n, d) and shared process-wide by
+        every context over every sequence.  Values with
         i + r < 0 vanish identically, whatever negative-index extension the
         sequence carries.
         """
@@ -267,9 +276,7 @@ class GschurContext:
         terms = {}
         for degree, c in by_degree.items():
             if c:
-                if degree not in self._compositions:
-                    self._compositions[degree] = list(compositions(n, degree))
-                terms.update(dict.fromkeys(self._compositions[degree], c // g))
+                terms.update(dict.fromkeys(_support(n, degree), c // g))
         got = self._h_shift_memo[key] = MultiPoly._make(n, terms, den // g)
         return got
 

@@ -16,8 +16,11 @@ lcm of the two denominators, and the costly loops (products and the cofactor
 sums of `determinant`) also pack each exponent tuple into one integer
 ordered as graded lex.  `exact_divide` is uncalled in the package and kept
 because the benchmark's tracer looks it up by name.  Coefficients become
-reduced `Fraction`s only in `items()`, `coefficient()` and `leading_term()`;
-output (JSON, text, LaTeX) is written from the numerators.
+reduced `Fraction`s only in `items()`, `coefficient()` and `leading_term()`.
+Output (JSON, text, LaTeX) is written from the numerators by `_terms`, which
+reduces each distinct numerator against the denominator once: a shifted
+one-row family repeats one numerator per degree on every monomial of that
+degree, so the output holds far fewer distinct coefficients than terms.
 
 Polynomials are immutable by convention: no method mutates `self`, and all
 arithmetic returns fresh objects, so values can be shared freely between
@@ -35,6 +38,8 @@ Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 # Integer numerators keyed by packed exponents, and their common denominator.
 _Cleared = tuple[dict[int, int], int]
+# A coefficient in lowest terms, (numerator, denominator > 0).
+_Ratio = tuple[int, int]
 
 
 class DivisionNotExactError(ArithmeticError):
@@ -467,13 +472,17 @@ _STYLES = {
 }
 
 
-def _terms(poly: MultiPoly) -> Iterator[tuple[Exponent, int, int]]:
-    """(exponent, numerator, denominator) of each term, reduced, leading term
-    first: every output of a polynomial is written from here."""
+def _terms(poly: MultiPoly) -> tuple[list[Exponent], dict[Exponent, int], dict[int, _Ratio]]:
+    """The exponents, leading term first; the numerator map; and each distinct
+    numerator reduced once against the denominator, {numerator: (p, q)} with
+    q > 0.  Every output of a polynomial is written from here, formatting
+    each distinct coefficient once and looking it up for each term."""
     num, den = poly._num, poly._den
-    for e in sorted(num, key=grlex_key, reverse=True):
-        g = gcd(num[e], den) if den != 1 else 1
-        yield e, num[e] // g, den // g
+    reduced = {}
+    for c in set(num.values()):
+        g = gcd(c, den)
+        reduced[c] = (c // g, den // g)
+    return sorted(num, key=grlex_key, reverse=True), num, reduced
 
 
 def _ratio(p: int, q: int, style: str = "text") -> str:
@@ -483,8 +492,10 @@ def _ratio(p: int, q: int, style: str = "text") -> str:
 
 def poly_to_json_terms(poly: MultiPoly) -> list[dict]:
     """JSON-ready term list, leading term first; each coefficient reads as `str`
-    of its reduced `Fraction` (`_ratio` inline: a call per term costs ~15 %)."""
-    return [{"e": list(e), "c": str(p) if q == 1 else f"{p}/{q}"} for e, p, q in _terms(poly)]
+    of its reduced `Fraction`."""
+    exps, num, reduced = _terms(poly)
+    text = {c: _ratio(p, q) for c, (p, q) in reduced.items()}
+    return [{"e": list(e), "c": text[num[e]]} for e in exps]
 
 
 def _join_signed(terms: Iterable[tuple[str, Scalar]]) -> str:
@@ -511,17 +522,20 @@ def format_poly_text(
     var, power, times, sep, _ = _STYLES[style]
     if names is None:
         names = [var.format(i + 1) for i in range(poly.arity)]
+    exps, num, reduced = _terms(poly)
+    mags = {c: _ratio(abs(p), q, style) for c, (p, q) in reduced.items()}
     terms = []
-    for e, p, q in _terms(poly):
+    for e in exps:
         mono = times.join(
             power.format(names[i], k) if k > 1 else names[i] for i, k in enumerate(e) if k
         )
-        mag = _ratio(abs(p), q, style)
+        c = num[e]
+        mag = mags[c]
         if not mono:
             body = mag
         elif mag == "1":
             body = mono
         else:
             body = f"{mag}{sep}{mono}"
-        terms.append((body, p))
+        terms.append((body, c))
     return _join_signed(terms) or "0"

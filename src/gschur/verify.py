@@ -23,7 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, starmap
 from math import comb
+from operator import add, lt
 
 from . import presets as presets_mod
 from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
@@ -171,24 +173,31 @@ def alternant_part(poly: MultiPoly) -> MultiPoly:
     strictly decreasing e, and x^e occurs in a_e only, so two alternations
     agree exactly when these parts do.  A term with a repeated exponent
     cancels; any other sorts onto its decreasing rearrangement, with sign
-    (-1)^(number of inversions).
+    (-1)^(number of inversions).  The integer numerators are summed over
+    the polynomial's denominator, with no `Fraction` per term.
     """
     terms: dict = {}
-    for e, c in poly.items():
+    for e, c in poly._num.items():
         if len(set(e)) == len(e):
             key = tuple(sorted(e, reverse=True))
-            flips = sum(x < y for k, x in enumerate(e) for y in e[k + 1:])
+            flips = sum(starmap(lt, combinations(e, 2)))
             terms[key] = terms.get(key, 0) + (-c if flips % 2 else c)
-    return MultiPoly(poly.arity, terms)
+    nonzero = {e: c for e, c in terms.items() if c}
+    return MultiPoly._make(poly.arity, nonzero, poly._den)
+
+
+def _times_monomial(poly: MultiPoly, shift: tuple) -> MultiPoly:
+    """poly * x^shift, written as an exponent shift with no product."""
+    num = {tuple(map(add, e, shift)): c for e, c in poly._num.items()}
+    return MultiPoly._make(poly.arity, num, poly._den)
 
 
 def _bracket_identity(ctx, case):
     n, i, r = ctx.n, case["i"], case["r"]
-    delta = MultiPoly.monomial(n, tuple(range(n - 1, -1, -1)), 1)
-    rhs_mono = MultiPoly.monomial(n, (r,) + tuple(range(n - 2, -1, -1)), 1)
+    delta = tuple(range(n - 1, -1, -1))
     return _mismatch(
-        alternant_part(ctx.h_shift(i, r) * delta),
-        alternant_part(ctx.phi_at_var(i + n - 1, 0) * rhs_mono),
+        alternant_part(_times_monomial(ctx.h_shift(i, r), delta)),
+        alternant_part(_times_monomial(ctx.phi_at_var(i + n - 1, 0), (r,) + delta[1:])),
     )
 
 

@@ -10,14 +10,16 @@ scalars by their recursion on `Fraction` maps.  Slow, but with no shared
 code paths with the package internals beyond the MultiPoly container and
 its `+`/`-`.
 
-The last section holds helpers only the tests use: the table-style JSON
-writer that round-trips with `coeffseq_from_json`, the hook/row index
-identity behind the Giambelli route, and renaming variables by a
-permutation.
+The last sections hold the per-term polynomial writer (a gcd and a
+coefficient string for every term, which the package's writers must match
+byte for byte), and helpers only the tests use: the table-style JSON writer
+that round-trips with `coeffseq_from_json`, the hook/row index identity
+behind the Giambelli route, and renaming variables by a permutation.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import gcd
 
 from gschur.exactalg import MultiPoly
 from gschur.partitions import check_partition, conjugate, diagonal_rank
@@ -342,6 +344,58 @@ def kostka(lam, mu) -> int:
         if tuple(content) == mu:
             count += 1
     return count
+
+
+# -- the per-term polynomial writer -----------------------------------------
+
+# Per printed style: variable name, power, product, coefficient joint, fraction.
+_STYLES = {
+    "text": ("x{}", "{}^{}", "*", "*", "{}/{}"),
+    "latex": ("x_{{{}}}", "{}^{{{}}}", "", " ", "\\frac{{{}}}{{{}}}"),
+}
+
+
+def _per_term(poly):
+    """(exponent, p, q) of each term, leading term first in graded lex, each
+    reduced by its own gcd."""
+    num, den = poly._num, poly._den
+    for e in sorted(num, key=lambda e: (sum(e), e), reverse=True):
+        g = gcd(num[e], den)
+        yield e, num[e] // g, den // g
+
+
+def _per_term_ratio(p, q, style):
+    return str(p) if q == 1 else _STYLES[style][4].format(p, q)
+
+
+def per_term_json(poly) -> list:
+    """JSON term list, leading term first, each coefficient formatted anew."""
+    return [{"e": list(e), "c": _per_term_ratio(p, q, "text")} for e, p, q in _per_term(poly)]
+
+
+def per_term_text(poly, names=None, style="text") -> str:
+    """Text or LaTeX rendering, leading term first, each coefficient
+    formatted anew and each term joined by its own sign."""
+    var, power, times, sep, _ = _STYLES[style]
+    if names is None:
+        names = [var.format(i + 1) for i in range(poly.arity)]
+    pieces = []
+    for e, p, q in _per_term(poly):
+        mono = times.join(
+            power.format(names[i], k) if k > 1 else names[i] for i, k in enumerate(e) if k
+        )
+        mag = _per_term_ratio(abs(p), q, style)
+        if not mono:
+            body = mag
+        elif mag == "1":
+            body = mono
+        else:
+            body = f"{mag}{sep}{mono}"
+        if pieces:
+            pieces.append(f" + {body}" if p > 0 else f" - {body}")
+        else:
+            pieces.append(body if p > 0 else f"-{body}")
+    return "".join(pieces) or "0"
 
 
 # -- test-only helpers ------------------------------------------------------

@@ -17,7 +17,7 @@ from gschur.engine import (
     shift_coefficients,
 )
 from gschur.exactalg import MultiPoly
-from gschur.partitions import partitions_up_to
+from gschur.partitions import compositions, partitions_up_to
 from gschur.presets import bc_jacobi, schur, so_even, so_odd, sp
 from gschur.verify import alternant_part
 
@@ -189,6 +189,30 @@ def test_h_shift_vanishes_below_the_diagonal():
             assert ctx.h_shift(i, r).is_zero
         # the boundary value sits at exactly i + r = 0
         assert ctx.h_shift(-r, r) == MultiPoly.one(2)
+
+
+def test_support_is_the_compositions():
+    for n in range(6):
+        for d in range(9):
+            assert engine._support(n, d) == tuple(compositions(n, d))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_h_shift_is_the_same_whichever_context_is_built_first(first):
+    # The supports are shared process-wide by contexts of every n.  Start them
+    # cold and fill them from either of two fresh contexts over equal,
+    # separately built sequences, with a 2-variable context in between.
+    engine._support.cache_clear()
+    cases = [(i, r) for i in range(-1, 4) for r in range(4)]
+    pair = [GschurContext(3, seeded_seq(8)), GschurContext(3, seeded_seq(8))]
+    for ctx in (pair[first], GschurContext(2, seeded_seq(8)), pair[1 - first]):
+        for i, r in cases:
+            ctx.h_shift(i, r)
+        # The bialternant reads no support, so it checks what was filled.
+        assert [ctx.h(i) for i in range(4)] == [ctx.bialternant((i,)) for i in range(4)]
+    assert [pair[0].h_shift(i, r) for i, r in cases] == [
+        pair[1].h_shift(i, r) for i, r in cases
+    ]
 
 
 def test_shift_coefficients_single_step_for_sp():

@@ -1,5 +1,6 @@
 """Tests for the sparse polynomial core and exact determinants."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -24,6 +25,8 @@ from oracles import (
     fraction_linear,
     fraction_product,
     leibniz_det,
+    per_term_json,
+    per_term_text,
     vandermonde,
 )
 
@@ -398,14 +401,41 @@ def test_json_roundtrip(p):
 @settings(max_examples=100, deadline=None)
 def test_terms_come_in_descending_grlex_order_and_reduced(case, integral):
     arity, terms = case
-    if integral:  # the den == 1 path
+    if integral:  # den == 1, so every (p, q) has q == 1
         terms = {e: c.numerator for e, c in terms.items()}
     p = MultiPoly(arity, terms)
-    got = list(_terms(p))
-    assert [e for e, _, _ in got] == sorted(p._num, key=grlex_key, reverse=True)
-    for e, num, den in got:
-        assert F(num, den) == p.coefficient(e)
-        assert den > 0 and gcd(num, den) == 1
+    exps, num, reduced = _terms(p)
+    assert exps == sorted(p._num, key=grlex_key, reverse=True)
+    assert set(reduced) == set(num.values())
+    for e in exps:
+        top, bottom = reduced[num[e]]
+        assert F(top, bottom) == p.coefficient(e)
+        assert bottom > 0 and gcd(top, bottom) == 1
+
+
+@st.composite
+def repeated_coefficient_polys(draw):
+    """Polynomials in 0..5 variables whose few distinct coefficients, of
+    either sign and mostly with denominators other than 1, sit on many
+    terms each, as a shifted one-row family's do."""
+    arity = draw(st.integers(0, 5))
+    pool = draw(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=1, max_size=4
+        )
+    )
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * arity), max_size=40, unique=True))
+    return MultiPoly(arity, {e: draw(st.sampled_from(pool)) for e in exps})
+
+
+@given(repeated_coefficient_polys())
+@settings(max_examples=150, deadline=None)
+def test_writers_match_the_per_term_oracle_byte_for_byte(p):
+    assert json.dumps(poly_to_json_terms(p)) == json.dumps(per_term_json(p))
+    for style in ("text", "latex"):
+        assert format_poly_text(p, style=style) == per_term_text(p, style=style)
+    names = [f"y{k}" for k in range(p.arity)]
+    assert format_poly_text(p, names) == per_term_text(p, names)
 
 
 def test_equality_with_a_bool_is_false():
