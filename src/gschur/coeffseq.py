@@ -14,17 +14,20 @@ exercise the fact that downstream determinants never depend on the choice.
 Each sequence owns one memoised family, `seq.phis`, built with it; every
 route of the package (bialternant rows, one-row polynomials, the stable
 layer's scalar minors) reads phi_i from there, so each coefficient a(j),
-b(j) that the family needs is evaluated once per sequence.  Next to it,
-`seq.families` memoises the stable layer's successful interpolations.
+b(j) that the family needs is evaluated once per sequence.  The family is
+extended on integer coefficient lists over one denominator per row, with
+no polynomial products or sums.  Next to it, `seq.families` memoises the
+stable layer's successful interpolations.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, _coerce_scalar
 
 _ZERO = Fraction(0)
 
@@ -198,7 +201,9 @@ class UniPolySeq:
     phi_{-1} = 0 and phi_0 = 1 seed the recurrence; phi_i for i >= 1 is monic
     of degree i.  All values are univariate MultiPoly instances.  Every
     `CoeffSeq` builds one of these as `seq.phis`; the package reads phi only
-    from there.  Only computed rows are memoised, so a PoleError or
+    from there.  The recurrence runs on integer coefficient lists over one
+    denominator per row, reading a(j) before b(j); no polynomial arithmetic
+    is involved.  Only computed rows are memoised, so a PoleError or
     IndexError met while extending the family is raised again on every call
     that needs the missing row.
     """
@@ -209,6 +214,9 @@ class UniPolySeq:
             -1: MultiPoly.zero(1),
             0: MultiPoly.one(1),
         }
+        # Numerators (index = power of z) and denominator of the two highest
+        # stored rows, lower first: the state that extends the family.
+        self._last = (([], 1), ([1], 1))
 
     def phi(self, i: int) -> MultiPoly:
         if i < -1:
@@ -216,13 +224,28 @@ class UniPolySeq:
         got = self._memo.get(i)
         if got is not None:
             return got
-        z = MultiPoly.variable(1, 0)
-        top = max(self._memo)
-        prev, prev2 = self._memo[top], self._memo[top - 1]
-        for j in range(top, i):
-            nxt = (z - self.seq.a(j)) * prev - self.seq.b(j) * prev2
-            self._memo[j + 1] = nxt
-            prev2, prev = prev, nxt
+        (p2, d2), (p1, d1) = self._last
+        for j in range(len(self._memo) - 2, i):
+            a = _coerce_scalar(self.seq.a(j))
+            b = _coerce_scalar(self.seq.b(j))
+            pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+            # (z - pa/qa) p1/d1 - (pb/qb) p2/d2 over den = lcm(qa d1, qb d2).
+            den = lcm(qa * d1, qb * d2)
+            s1 = den // d1
+            sa, sb = pa * (s1 // qa), pb * (den // (qb * d2))
+            nxt = [0, *(c * s1 for c in p1)]
+            for m, c in enumerate(p1):
+                nxt[m] -= sa * c
+            for m, c in enumerate(p2):
+                nxt[m] -= sb * c
+            g = gcd(den, *nxt)
+            if g != 1:
+                nxt = [c // g for c in nxt]
+                den //= g
+            self._memo[j + 1] = MultiPoly._make(
+                1, {(m,): c for m, c in enumerate(nxt) if c}, den
+            )
+            (p2, d2), (p1, d1) = self._last = ((p1, d1), (nxt, den))
         return self._memo[i]
 
 

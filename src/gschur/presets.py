@@ -86,8 +86,8 @@ def bc_jacobi(p, q, probe_upto: int = 8) -> CoeffSeq:
 
     Both formulas can vanish in the denominator at small indices, depending
     on p and q.  Construction eagerly probes indices 0..probe_upto and fails
-    fast with a PoleError naming the first singular index; pass probe_upto=0
-    to defer the failure to first use.
+    fast with a PoleError naming the first singular index; pass probe_upto=-1
+    to defer every failure to first use (0 still probes index 0).
     """
     p = Fraction(p)
     q = Fraction(q)

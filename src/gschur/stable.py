@@ -30,11 +30,17 @@ unless mu lies inside lam.  `schur_expand_at` is the one finite-count
 expansion: it takes these l x l scalar minors over the sequence's own phi
 table (`seq.phis`), which every sample count of every interpolation shares,
 as integer determinants of the phi numerators over the product of the row
-denominators.  The fit solves its linear system and checks every sample in
-integers, and each sequence keeps its successful fits (`seq.families`), so
-the one-row families that `jt_infinite_check` needs, or a family evaluated
-at many d, are fitted once.  The minors and the fit share one fraction-free
-elimination, `_echelon`.
+denominators.  Which mu lie inside lam, in decreasing graded-lex order,
+depends on lam alone, so that list is enumerated once per partition and
+shared process-wide (`_inside`) by every sample count.  The fit solves its
+linear system and checks every sample in integers, and each sequence keeps
+its successful fits (`seq.families`), so the one-row families that
+`jt_infinite_check` needs, or a family evaluated at many d, are fitted
+once.  The minors and the fit share one fraction-free elimination,
+`_echelon`.  A fitted function is evaluated in integers as well: at
+x = s/t its numerator and denominator are homogenised in s and t over one
+common denominator of their coefficients, and the value is the one
+`Fraction` built.
 
 A fit needs no polynomial gcd: it comes out reduced.  Suppose P0/Q0, in
 lowest terms, fits the 2*bound + 1 nodes with Q0 nonzero at each.  For any
@@ -52,8 +58,9 @@ the lower layers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, _to_fraction
@@ -87,11 +94,13 @@ def _trimmed(cs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _eval_coeffs(cs, x):
-    """Horner evaluation; integer coefficients at an integer x stay ints."""
-    total = 0
+def _eval_homogeneous(cs: Sequence[int], s: int, t: int = 1) -> int:
+    """t^k P(s/t) for the integer coefficient list of P, k = len(cs) - 1;
+    with the default t = 1 that is P(s)."""
+    total, power = 0, 1
     for c in reversed(cs):
-        total = total * x + c
+        total = total * s + c * power
+        power *= t
     return total
 
 
@@ -102,9 +111,12 @@ class RationalFunctionOfD:
     it divides out no common factor, so the caller passes a coprime pair
     (the fit in `_fit_and_validate` only ever finds one).  Then equal
     functions have equal coefficient tuples and `==` is semantic equality.
+    A call evaluates both over one common integer denominator of the
+    coefficients, homogenised in x's numerator and denominator, so the only
+    `Fraction` it builds is the value.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_ints")
 
     def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction]):
         num = _trimmed(num)
@@ -116,16 +128,32 @@ class RationalFunctionOfD:
         lead = den[-1]
         self.num = tuple(c / lead for c in num)
         self.den = tuple(c / lead for c in den)
+        common = lcm(*(c.denominator for c in self.num + self.den))
+        self._ints = tuple(
+            [c.numerator * (common // c.denominator) for c in cs]
+            for cs in (self.num, self.den)
+        )
 
     def __call__(self, x) -> Fraction:
         """Value at an exact rational x; a float or bool raises TypeError."""
         x = _to_fraction(x)
-        bottom = _eval_coeffs(self.den, x)
-        if bottom == 0:
+        s, t = x.numerator, x.denominator
+        top, bottom = self._ints
+        q = _eval_homogeneous(bottom, s, t)
+        if not q:
             raise PoleError(x, f"rational function has a pole at d = {x}")
-        return _eval_coeffs(self.num, x) / bottom
+        p = _eval_homogeneous(top, s, t)
+        # P(x) / Q(x) = p t^deg(Q) / (q t^deg(P)).
+        shift = len(bottom) - len(top)
+        if shift > 0:
+            p *= t**shift
+        elif shift < 0:
+            q *= t**-shift
+        return Fraction(p, q)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, bool):
+            return NotImplemented
         if isinstance(other, RationalFunctionOfD):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
@@ -250,18 +278,31 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
     phis = [seq.phis.phi(part + n - 1 - j) for j, part in enumerate(lam)]
     rows = [{m: c for (m,), c in phi._num.items()} for phi in phis]
     den = prod(phi._den for phi in phis)
+    out: dict[Partition, Fraction] = {}
+    for mu, offsets in _inside(lam):
+        minor = _int_det([[row.get(n - 1 + o, 0) for o in offsets] for row in rows])
+        if minor:
+            out[mu] = Fraction(minor, den)
+    return out
+
+
+@cache
+def _inside(lam: Partition) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """The mu inside lam in decreasing graded-lex order, each with mu_k - k.
+
+    Padded to l(lam) parts, mu's column in `schur_expand_at` at count n is
+    n - 1 + mu_k - k; the list depends on lam alone, so it is built once
+    per partition and shared process-wide.
+    """
+    l = len(lam)
     inside = sorted(
         (mu for mu in partitions_up_to(sum(lam), l) if contains(lam, mu)),
         key=lambda mu: (sum(mu), mu),
         reverse=True,
     )
-    out: dict[Partition, Fraction] = {}
-    for mu in inside:
-        cols = [part + n - 1 - k for k, part in enumerate(pad(mu, l))]
-        minor = _int_det([[row.get(m, 0) for m in cols] for row in rows])
-        if minor:
-            out[mu] = Fraction(minor, den)
-    return out
+    return tuple(
+        (mu, tuple(part - k for k, part in enumerate(pad(mu, l)))) for mu in inside
+    )
 
 
 # -- exact rational interpolation in the variable count ---------------------
@@ -353,12 +394,12 @@ def _fit_and_validate(
     sol = _kernel_vector(rows)
     top, bottom = sol[: g + 1], sol[g + 1 :]
     for x, y in zip(xs, ys):
-        q = _eval_coeffs(bottom, x)
+        q = _eval_homogeneous(bottom, x)
         if not q:
             raise InterpolationInconsistentError(
                 f"fitted function has a pole at sample {x}"
             )
-        if _eval_coeffs(top, x) * y.denominator != y.numerator * q:
+        if _eval_homogeneous(top, x) * y.denominator != y.numerator * q:
             raise InterpolationInconsistentError(
                 f"fitted function disagrees with the sample at {x}"
             )

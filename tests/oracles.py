@@ -3,7 +3,8 @@
 Everything here is deliberately naive: determinants and alternations by
 summing over all permutations, products by a double loop over `Fraction` terms, kernel vectors
 by Gauss-Jordan over `Fraction`, rational functions reduced by Euclid's
-algorithm over `Fraction` coefficient lists, Schur polynomials by listing semistandard
+algorithm over `Fraction` coefficient lists and evaluated by Horner's rule
+over `Fraction`, Schur polynomials by listing semistandard
 tableaux, super complete homogeneous functions by Newton's identities,
 Schur-basis minors by the Leibniz sum over a `Fraction` phi table, shift
 scalars by their recursion on `Fraction` maps.  Slow, but with no shared
@@ -21,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import gcd
 
+from gschur.coeffseq import PoleError
 from gschur.exactalg import MultiPoly
 from gschur.partitions import check_partition, conjugate, diagonal_rank
 
@@ -287,6 +289,23 @@ def fraction_reduced_ratio(num, den):
         a, b = b, _fraction_divmod(a, b)[1]
     num, den = _fraction_divmod(num, a)[0], _fraction_divmod(den, a)[0]
     return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def fraction_rational_value(func, x):
+    """func(x) for a `RationalFunctionOfD` by Horner's rule over Fraction on
+    its `num` and `den`, raising the same PoleError at a root of `den`."""
+    x = Fraction(x)
+
+    def horner(cs):
+        total = Fraction(0)
+        for c in reversed(cs):
+            total = total * x + c
+        return total
+
+    bottom = horner(func.den)
+    if bottom == 0:
+        raise PoleError(x, f"rational function has a pole at d = {x}")
+    return horner(func.num) / bottom
 
 
 def semistandard_tableaux(shape, max_entry):

@@ -17,8 +17,9 @@ from gschur.coeffseq import (
     random_polynomial_coeffseq,
 )
 from gschur.exactalg import MultiPoly
+from gschur.presets import bc_jacobi
 
-from oracles import coeffseq_to_json
+from oracles import coeffseq_to_json, fraction_phi_table
 
 F = Fraction
 
@@ -158,6 +159,110 @@ def test_phi_failure_is_not_memoised():
         with pytest.raises(IndexError):
             seq.phis.phi(4)
     assert seq.phis.phi(2).leading_term() == ((2,), 1)
+
+
+def assert_phis_match_the_oracle(seq, upto):
+    """phi_0..phi_upto equal `fraction_phi_table`.  When reading a(j), then
+    b(j), for j < upto fails first at some j, phi_{j+1} must raise that
+    error on every call with phi_j the last row stored."""
+    failure = None
+    for j in range(upto):
+        try:
+            seq.a(j)
+            seq.b(j)
+        except (PoleError, IndexError) as exc:
+            failure, upto = exc, j
+            break
+    for i, coeffs in enumerate(fraction_phi_table(seq, upto)):
+        assert seq.phis.phi(i) == MultiPoly(1, {(m,): c for m, c in enumerate(coeffs)})
+    if failure is not None:
+        for _ in range(2):
+            with pytest.raises(type(failure)) as got:
+                seq.phis.phi(upto + 1)
+            assert str(got.value) == str(failure)
+            assert max(seq.phis._memo) == upto
+
+
+negative_tables = st.dictionaries(st.integers(-4, -1), fractions, max_size=3)
+
+
+@given(
+    st.lists(fractions, min_size=1, max_size=8),
+    st.lists(fractions, min_size=1, max_size=8),
+    negative_tables,
+    negative_tables,
+)
+@settings(max_examples=60, deadline=None)
+def test_phi_matches_the_fraction_oracle_on_tables(a_table, b_table, neg_a, neg_b):
+    # Unequal lengths run out on a(j) or on b(j) first.
+    seq = CoeffSeq.from_tables(a_table, b_table, negative_a=neg_a, negative_b=neg_b)
+    assert_phis_match_the_oracle(seq, max(len(a_table), len(b_table)) + 1)
+
+
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_phi_matches_the_fraction_oracle_on_bc_jacobi(p, q):
+    # Unprobed, so a pole at a small index reaches phi.
+    assert_phis_match_the_oracle(bc_jacobi(p, q, probe_upto=-1), 8)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_phi_matches_the_fraction_oracle_on_random_polynomials(seed, degree):
+    seq = random_polynomial_coeffseq(random.Random(seed), degree=degree)
+    assert_phis_match_the_oracle(seq, 10)
+
+
+def test_phi_reads_each_a_before_its_b_and_each_once():
+    log = []
+
+    def reader(which, value):
+        def of(i):
+            log.append((which, i))
+            return value(i)
+
+        return of
+
+    seq = CoeffSeq(
+        reader("a", lambda i: F(i + 1, 2)), reader("b", lambda i: F(-i, 3)),
+        closed_form=False,
+    )
+    for i in (3, 2, 6):
+        seq.phis.phi(i)
+    assert log == [(which, j) for j in range(6) for which in "ab"]
+    assert_phis_match_the_oracle(seq, 6)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, False])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_a_float_or_bool_coefficient_raises_type_error(which, bad):
+    def coeff(name):
+        return lambda x: bad if name == which and x == 2 else F(x + 1)
+
+    seq = CoeffSeq.from_functions(coeff("a"), coeff("b"))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            seq.phis.phi(4)
+        assert max(seq.phis._memo) == 2
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_a_pole_is_raised_again_with_no_row_past_the_last_good_one(which):
+    def coeff(name):
+        def of(x):
+            if name == which and x == 3:
+                raise PoleError(x)
+            return F(1, x + 2)
+
+        return of
+
+    seq = CoeffSeq.from_functions(coeff("a"), coeff("b"))
+    assert_phis_match_the_oracle(seq, 6)
+    with pytest.raises(PoleError, match="pole at 3$"):
+        seq.phis.phi(5)
 
 
 def test_pole_error_carries_index():

@@ -40,6 +40,7 @@ from gschur.stable import (
 
 from oracles import (
     fraction_kernel_vector,
+    fraction_rational_value,
     fraction_reduced_ratio,
     leibniz_det,
     minor_expansion,
@@ -71,6 +72,15 @@ def test_rational_function_pole_and_repr():
         f(2)
     with pytest.raises(ZeroDivisionError):
         RationalFunctionOfD([1], [0])
+
+
+def test_rational_function_is_not_equal_to_a_bool():
+    # True == 1 and False == 0, but a truth value is not a constant function.
+    one, zero = RationalFunctionOfD([1], [1]), RationalFunctionOfD([], [1])
+    assert (one == True) is False and (one != True) is True  # noqa: E712
+    assert (zero == False) is False  # noqa: E712
+    assert one.__eq__(True) is NotImplemented
+    assert one == 1 and zero == 0
 
 
 # -- classical expansion ----------------------------------------------------
@@ -150,6 +160,22 @@ def test_schur_expand_at_support_and_diagonal():
     assert expansion[lam] == 1
     for mu in expansion:
         assert contains(lam, mu)
+
+
+def test_partitions_inside_are_listed_once_per_partition_in_decreasing_grlex():
+    for lam in partitions_up_to(7):
+        l = len(lam)
+        want = sorted(
+            (mu for mu in partitions_up_to(sum(lam), l) if contains(lam, mu)),
+            key=lambda mu: (sum(mu), mu),
+            reverse=True,
+        )
+        got = stable._inside(lam)
+        assert [mu for mu, _ in got] == want
+        for mu, offsets in got:
+            padded = mu + (0,) * (l - len(mu))
+            assert offsets == tuple(part - k for k, part in enumerate(padded))
+        assert stable._inside(lam) is got
 
 
 def test_schur_expand_at_needs_enough_variables():
@@ -452,6 +478,34 @@ def test_fit_matches_fraction_oracle(g, num, den, common, noise):
         return
     assert fraction_reduced_ratio(fit.num, fit.den) == (fit.num, fit.den)
     assert [fit(x) for x in xs] == ys
+
+
+short_coefficient_lists = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=6
+)
+
+
+@given(
+    short_coefficient_lists, short_coefficient_lists,
+    st.fractions(min_value=-6, max_value=6, max_denominator=5), st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_call_matches_the_fraction_horner_oracle(num, den, x, pole):
+    # With `pole`, den gains the factor (d - x): x is a pole even where num
+    # shares that factor, since the constructor divides out nothing.
+    if pole:
+        den = list_product(den, [-x, F(1)])
+    assume(any(den))
+    func = RationalFunctionOfD(num, den)
+    try:
+        want = fraction_rational_value(func, x)
+    except PoleError as exc:
+        with pytest.raises(PoleError) as got:
+            func(x)
+        assert (got.value.index, str(got.value)) == (exc.index, str(exc))
+        return
+    got = func(x)
+    assert type(got) is Fraction and got == want
 
 
 def test_fit_rejects_a_planted_disagreement():
