@@ -20,17 +20,16 @@ with h_d the classical complete homogeneous polynomial of degree d.  The
 shift recursion is linear in its base family, so each shifted one-row
 polynomial is a scalar combination h_i^{(r)} = sum_j c_j S_(j) whose c_j
 depend only on a, b and the offset; `shift_coefficients` computes those
-scalars, and `h_shift` folds them into one scalar per degree d, both as
-integer numerators over one denominator, with no `Fraction` arithmetic.  The
-h_d of different degrees have disjoint monomial supports, so each is written
-straight onto its monomials once; those supports (`_support`) are built once
-per process and shared by every context, sub-context and sequence.
+scalars, and `shift_scalars` folds them into one scalar per degree d,
+h_i^{(r)} = sum_d s_d h_d(x_1..x_n), both as integer numerators over one
+denominator.  `h_shift` writes its polynomial from that map alone, and
+`gschur verify` checks the shift identities on the same map.
 The stable layer reads the same phi coefficients as scalar minors and builds
 no one-row polynomials.
 
 The sequence memoises its own phi family (`seq.phis`), so every context
-over one sequence shares it; contexts memoise shift scalars, shifted
-families, bialternants and Jacobi-Trudi determinants, which hooks read.
+over one sequence shares it; contexts memoise shift and degree scalars,
+shifted families, bialternants and Jacobi-Trudi determinants, which hooks read.
 They are cheap to create and meant for a single thread; the polynomials
 they hand out are immutable and can be shared freely.
 """
@@ -45,7 +44,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .coeffseq import CoeffSeq
-from .exactalg import MultiPoly, determinant, grlex_key
+from .exactalg import MultiPoly, _coerce_scalar, determinant, grlex_key
 from .partitions import (
     Partition,
     check_partition,
@@ -79,8 +78,9 @@ def shift_coefficients(
     be a rational parameter in the stable case; `a_of` / `b_of` just have to
     accept whatever `i + offset - 1` evaluates to.  Entries with i + r < 0
     are empty and read no coefficients; every other entry with r >= 1 reads
-    a and b at i + offset - 1.  `memo` is keyed by (i, r); its pairs must
-    not be mutated.
+    a and b at i + offset - 1, each an int or a `Fraction` (a bool, a float
+    or anything else raises TypeError).  `memo` is keyed by (i, r); its
+    pairs must not be mutated.
     """
     if r < 0:
         raise ValueError("shift order must be nonnegative")
@@ -95,9 +95,9 @@ def shift_coefficients(
     else:
         arg = i + offset - 1
         up = shift_coefficients(a_of, b_of, offset, i + 1, r - 1, memo)
-        a = a_of(arg)
+        a = _coerce_scalar(a_of(arg))
         same = shift_coefficients(a_of, b_of, offset, i, r - 1, memo)
-        b = b_of(arg)
+        b = _coerce_scalar(b_of(arg))
         lower = shift_coefficients(a_of, b_of, offset, i - 1, r - 1, memo)
         # (scale numerator, scale denominator * part denominator, numerators)
         parts = [
@@ -179,6 +179,7 @@ class GschurContext:
         self.seq = seq
         self._bialternant: dict[Partition, MultiPoly] = {}
         self._shift_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
+        self._scalar_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
         self._jt_memo: dict[Partition, MultiPoly] = {}
 
@@ -195,13 +196,6 @@ class GschurContext:
     def _sub(self) -> "GschurContext":
         """The context in x_2..x_n over the same sequence, built once."""
         return GschurContext(self.n - 1, self.seq)
-
-    def phi_at_var(self, degree_index: int, var: int) -> MultiPoly:
-        """phi_{degree_index}(x_var) as an n-variable polynomial."""
-        uni = self.seq.phis.phi(degree_index)
-        before, after = (0,) * var, (0,) * (self.n - 1 - var)
-        num = {before + e + after: c for e, c in uni._num.items()}
-        return MultiPoly._make(self.n, num, uni._den)
 
     # -- route 1: bialternant ---------------------------------------------
 
@@ -238,26 +232,18 @@ class GschurContext:
         """One-row polynomial S_(i), that is h_i^{(0)}; zero for negative i."""
         return self.h_shift(i, 0)
 
-    def h_shift(self, i: int, r: int) -> MultiPoly:
-        """The r-times shifted one-row family h_i^{(r)} = sum_j c_j S_(j).
+    def shift_scalars(self, i: int, r: int) -> tuple[dict[int, int], int]:
+        """The degree scalars of h_i^{(r)} = sum_d s_d h_d(x_1..x_n).
 
-        The scalars c_j = n_j / den come from `shift_coefficients` with
-        arguments offset by n - 1.  Composed with
-        S_(j) = sum_m [z^m] phi_{j+n-1} h_{m-n+1}, they give one scalar per
-        classical degree d,
-
-            sum_j n_j [z^{d+n-1}] phi_{j+n-1} / den,
-
-        folded in integers over den times the lcm of the phi denominators
-        and written once onto every exponent tuple of total degree d; the
-        h_d of different degrees have disjoint supports.  Those supports come
-        from `_support`, built once per (n, d) and shared process-wide by
-        every context over every sequence.  Values with
-        i + r < 0 vanish identically, whatever negative-index extension the
-        sequence carries.
+        With c_j = n_j / den from `shift_coefficients` (arguments offset by
+        n - 1) and S_(j) = sum_m [z^m] phi_{j+n-1} h_{m-n+1},
+        s_d = sum_j n_j [z^{d+n-1}] phi_{j+n-1} / den, folded in integers.
+        Returned as ({d: n_d}, den), reduced like the `shift_coefficients`
+        map, so equal maps are equal pairs; memoised per (i, r), not to be
+        mutated.  Empty for i + r < 0, whatever the negative extension.
         """
         key = (i, r)
-        got = self._h_shift_memo.get(key)
+        got = self._scalar_memo.get(key)
         if got is not None:
             return got
         n = self.n
@@ -270,14 +256,25 @@ class GschurContext:
             for (m,), p in phi._num.items():
                 if m >= n - 1:
                     by_degree[m - n + 1] = by_degree.get(m - n + 1, 0) + scale * p
-        # Reduced here, before each scalar is copied onto its monomials.
         den *= phi_den
         g = gcd(den, *by_degree.values())
+        got = self._scalar_memo[key] = {d: c // g for d, c in by_degree.items() if c}, den // g
+        return got
+
+    def h_shift(self, i: int, r: int) -> MultiPoly:
+        """The r-times shifted one-row family h_i^{(r)}, written from
+        `shift_scalars` alone: each s_d goes once onto the exponent tuples of
+        degree d (`_support`, built once per (n, d) and shared process-wide),
+        since the h_d of different degrees have disjoint supports."""
+        key = (i, r)
+        got = self._h_shift_memo.get(key)
+        if got is not None:
+            return got
+        nums, den = self.shift_scalars(i, r)
         terms = {}
-        for degree, c in by_degree.items():
-            if c:
-                terms.update(dict.fromkeys(_support(n, degree), c // g))
-        got = self._h_shift_memo[key] = MultiPoly._make(n, terms, den // g)
+        for degree, c in nums.items():
+            terms.update(dict.fromkeys(_support(self.n, degree), c))
+        got = self._h_shift_memo[key] = MultiPoly._make(self.n, terms, den)
         return got
 
     def jacobi_trudi(self, lam) -> MultiPoly:

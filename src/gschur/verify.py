@@ -6,10 +6,12 @@ with enough context to replay the failure: the trial number (the table's
 position in the input list), the table, the partition or shift indices and
 variable count, and both mismatched values.  The table-driven suites (the
 three routes, the lemma, the extension and the alternation) are one driver,
-`_sweep`, run with one check function per property.  The alternation and
-Laurent checks compare exact coordinates (`alternant_part`, and the Laurent
-coefficients of phi_i(x + 1/x)), so neither sums over permutations nor
-substitutes one polynomial into another.
+`_sweep`, run with one check function per property.  The three shift
+suites build no polynomial: each reads the degree scalars of
+`GschurContext.shift_scalars`, the map h_i^{(r)} = sum_d s_d h_d that the
+Jacobi-Trudi entries are written from, so they run at any variable count.
+The Laurent check compares the coefficients of phi_i(x + 1/x) with no
+substitution of one polynomial into another.
 
 The suites take their tables as an explicit list and draw nothing
 themselves, apart from `suite_stable`'s polynomial table.  `run_property`
@@ -23,9 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, starmap
 from math import comb
-from operator import add, lt
 
 from . import presets as presets_mod
 from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
@@ -45,20 +45,16 @@ from .stable import (
 
 _F = Fraction
 
-# The shift suites' cost grows about 8x per variable: on one table `lemma`
-# took 2.3 s at 6 variables and 17 s at 7 (2 vCPUs, Python 3.11).
-SHIFT_VAR_CAP = 6
-
-# Per property: the options it reads, and whether SHIFT_VAR_CAP caps its --max-vars.
+# Per property: the options it reads.
 _PROPERTIES = {
-    "jt": (("max_weight", "max_vars"), False),
-    "giambelli": (("max_weight", "max_vars"), False),
-    "lemma": (("max_vars",), True),
-    "triangularity": (("max_weight", "max_vars"), False),
-    "extension": (("max_vars",), True),
-    "fh": (("max_weight", "max_vars"), False),
-    "alternation": (("max_vars",), True),
-    "stable": ((), False),
+    "jt": ("max_weight", "max_vars"),
+    "giambelli": ("max_weight", "max_vars"),
+    "lemma": ("max_vars",),
+    "triangularity": ("max_weight", "max_vars"),
+    "extension": ("max_vars",),
+    "fh": ("max_weight", "max_vars"),
+    "alternation": ("max_vars",),
+    "stable": (),
 }
 PROPERTY_NAMES = tuple(_PROPERTIES)
 
@@ -154,51 +150,62 @@ _ROUTE_CHECKS = {
 }
 
 
-def _residual_vanishes(ctx, case):
-    residual = ctx.lemma_residual(case["i"], case["r"])
-    return None if residual.is_zero else {"residual": poly_to_json_terms(residual)}
+def _scalars_json(pair) -> dict:
+    nums, den = pair
+    return {d: str(Fraction(c, den)) for d, c in sorted(nums.items())}
+
+
+def _same_ratios(lhs, rhs) -> bool:
+    """Whether two ({key: numerator}, den) maps hold equal fractions at every key."""
+    (lnums, lden), (rnums, rden) = lhs, rhs
+    return lnums.keys() == rnums.keys() and all(
+        c * rden == rnums[k] * lden for k, c in lnums.items()
+    )
+
+
+def _splits_variables(ctx, case):
+    """The variable-splitting lemma on degree scalars s_d(i, r, n).
+
+    With h_d(x_1..x_n) = x_1 h_{d-1}(x_1..x_n) + h_d(x_2..x_n) for d >= 1,
+    and those pieces linearly independent for n >= 2, the residual
+    h_i^{(r)} - x_1 h_i^{(r-1)} - h_{i+1}^{(r-1)}(x_2..x_n) vanishes iff
+    s_d(i, r, n) = s_d(i+1, r-1, n-1) for every d (equal pairs) and
+    s_d(i, r, n) = s_{d-1}(i, r-1, n) for every d >= 1.
+    """
+    i, r = case["i"], case["r"]
+    head = ctx.shift_scalars(i, r)
+    tail = ctx._sub.shift_scalars(i + 1, r - 1)
+    nums, den = ctx.shift_scalars(i, r - 1)
+    raised = {d: c for d, c in head[0].items() if d}, head[1]
+    if head == tail and _same_ratios(raised, ({d + 1: c for d, c in nums.items()}, den)):
+        return None
+    maps = {"scalars": head, "prev": (nums, den), "tail": tail}
+    return {name: _scalars_json(pair) for name, pair in maps.items()}
 
 
 def _ignores_extension(pair, case):
-    zero, custom = pair
-    i, r = case["i"], case["r"]
-    return _mismatch(zero.h_shift(i, r), custom.h_shift(i, r))
-
-
-def alternant_part(poly: MultiPoly) -> MultiPoly:
-    """The terms with strictly decreasing exponents of the alternation
-    sum_w sgn(w) w(poly) over the permutations w of the variables.
-
-    An alternating polynomial is sum_e c_e a_e over the alternants a_e with
-    strictly decreasing e, and x^e occurs in a_e only, so two alternations
-    agree exactly when these parts do.  A term with a repeated exponent
-    cancels; any other sorts onto its decreasing rearrangement, with sign
-    (-1)^(number of inversions).  The integer numerators are summed over
-    the polynomial's denominator, with no `Fraction` per term.
-    """
-    terms: dict = {}
-    for e, c in poly._num.items():
-        if len(set(e)) == len(e):
-            key = tuple(sorted(e, reverse=True))
-            flips = sum(starmap(lt, combinations(e, 2)))
-            terms[key] = terms.get(key, 0) + (-c if flips % 2 else c)
-    nonzero = {e: c for e, c in terms.items() if c}
-    return MultiPoly._make(poly.arity, nonzero, poly._den)
-
-
-def _times_monomial(poly: MultiPoly, shift: tuple) -> MultiPoly:
-    """poly * x^shift, written as an exponent shift with no product."""
-    num = {tuple(map(add, e, shift)): c for e, c in poly._num.items()}
-    return MultiPoly._make(poly.arity, num, poly._den)
+    zero, custom = (ctx.shift_scalars(case["i"], case["r"]) for ctx in pair)
+    if zero == custom:
+        return None
+    return {"lhs": _scalars_json(zero), "rhs": _scalars_json(custom)}
 
 
 def _bracket_identity(ctx, case):
+    """Alternating h_i^{(r)} x^delta against phi_{i+n-1}(x_1) x^{(r, n-2, .., 0)}.
+
+    The alternation of h_d x^delta is h_d a_delta = a_{(d+n-1, n-2, .., 0)},
+    and that of x_1^{m+r} x^{(0, n-2, .., 0)} is a_{(m+r, n-2, .., 0)} when
+    m + r >= n - 1 and zero otherwise (a repeated exponent).  So the two
+    sides agree iff s_d(i, r, n) = [z^{d+n-1-r}] phi_{i+n-1} for every d >= 0.
+    """
     n, i, r = ctx.n, case["i"], case["r"]
-    delta = tuple(range(n - 1, -1, -1))
-    return _mismatch(
-        alternant_part(_times_monomial(ctx.h_shift(i, r), delta)),
-        alternant_part(_times_monomial(ctx.phi_at_var(i + n - 1, 0), (r,) + delta[1:])),
-    )
+    phi = ctx.seq.phis.phi(i + n - 1)
+    low = n - 1 - r
+    coeffs = {m - low: c for (m,), c in phi._num.items() if m >= low}, phi._den
+    scalars = ctx.shift_scalars(i, r)
+    if _same_ratios(scalars, coeffs):
+        return None
+    return {"lhs": _scalars_json(scalars), "rhs": _scalars_json(coeffs)}
 
 
 def suite_routes(seqs, max_weight, max_vars, names) -> dict[str, SuiteReport]:
@@ -220,7 +227,7 @@ def suite_routes(seqs, max_weight, max_vars, names) -> dict[str, SuiteReport]:
 def suite_lemma(seqs, max_vars) -> SuiteReport:
     """Vanishing of the variable-splitting residual within its bound."""
     return _sweep(
-        {"lemma": _residual_vanishes},
+        {"lemma": _splits_variables},
         seqs,
         range(2, max_vars + 1),
         lambda n: _shift_cases(n, 3 - 2 * n, 1),
@@ -308,9 +315,7 @@ def suite_fh(max_weight, max_vars) -> SuiteReport:
 
 def suite_alternation(seqs, max_vars) -> SuiteReport:
     """Bracket identity tying shifted families to a single phi factor, over
-    n = 1..max_vars.  Both sides are compared by their `alternant_part`, so
-    the check costs what the shifted families it sweeps cost, and
-    `run_property` caps max_vars at SHIFT_VAR_CAP as for `lemma`."""
+    n = 1..max_vars, on the degree scalars of the shifted families."""
     return _sweep(
         {"alternation": _bracket_identity},
         seqs,
@@ -401,12 +406,12 @@ def run_property(
 
     `max_weight` and `max_vars` default to 5 and 3 for the properties that
     read them.  Raises ValueError, before any case runs, for an option the
-    property does not read, a `max_vars` above its cap, and a configuration
-    that is out of range or leaves the suite with nothing to check.
+    property does not read and for a configuration that is out of range or
+    leaves the suite with nothing to check.
     """
     if name not in _PROPERTIES:
         raise ValueError(f"unknown property {name!r}; pick from {PROPERTY_NAMES}")
-    reads, shifts = _PROPERTIES[name]
+    reads = _PROPERTIES[name]
     given = {"max_weight": max_weight, "max_vars": max_vars}
     ignored = [opt for opt, v in given.items() if v is not None and opt not in reads]
     if ignored:
@@ -416,11 +421,6 @@ def run_property(
     max_vars = 3 if max_vars is None else max_vars
     if trials < 1 or max_vars < 1 or max_weight < 0:
         raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
-    if shifts and max_vars > SHIFT_VAR_CAP:
-        raise ValueError(
-            f"property {name} sweeps shifted families, whose cost grows about 8x per variable,"
-            f" so it is capped at {SHIFT_VAR_CAP} variables; lower --max-vars (got {max_vars})"
-        )
     rng = random.Random(seed)
     seqs = [] if name == "fh" else [random_coeffseq(rng) for _ in range(trials)]
     if name in _ROUTE_CHECKS:

@@ -7,7 +7,8 @@ algorithm over `Fraction` coefficient lists and evaluated by Horner's rule
 over `Fraction`, Schur polynomials by listing semistandard
 tableaux, super complete homogeneous functions by Newton's identities,
 Schur-basis minors by the Leibniz sum over a `Fraction` phi table, shift
-scalars by their recursion on `Fraction` maps.  Slow, but with no shared
+scalars by their recursion on `Fraction` maps (and a `Fraction` map put
+back in the package's reduced integer form).  Slow, but with no shared
 code paths with the package internals beyond the MultiPoly container and
 its `+`/`-`.
 
@@ -194,6 +195,17 @@ def fraction_shift_coefficients(a_of, b_of, offset, i, r, memo) -> dict:
         value = {j: c for j, c in value.items() if c}
     memo[key] = value
     return value
+
+
+def scalar_pair(fracs) -> tuple:
+    """A {key: Fraction} map as `GschurContext.shift_scalars` returns one:
+    nonzero integer numerators over the lcm of the reduced denominators,
+    over which their gcd with it is 1."""
+    fracs = {k: Fraction(f) for k, f in fracs.items() if f}
+    den = 1
+    for f in fracs.values():
+        den = den * f.denominator // gcd(den, f.denominator)
+    return {k: f.numerator * (den // f.denominator) for k, f in fracs.items()}, den
 
 
 def newton_complete_homogeneous(n, m, upto):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,9 @@ from gschur.coeffseq import random_coeffseq
 from gschur.engine import GschurContext
 from gschur.exactalg import MultiPoly, format_poly_text
 from gschur.presets import PRESETS
-from gschur.verify import _PROPERTIES, SHIFT_VAR_CAP, SuiteReport, run_property
+from gschur.verify import _PROPERTIES, SuiteReport, run_property
 
-from oracles import coeffseq_to_json
+from oracles import coeffseq_to_json, scalar_pair
 
 
 def run(capsys, *argv):
@@ -228,8 +229,14 @@ CLI_WORKLOAD_VERIFY = [
 
 @pytest.mark.parametrize(
     "prop, max_weight, max_vars, checks",
-    # not a workload line: the alternation at four variables
-    CLI_WORKLOAD_VERIFY + [("alternation", 5, 4, 120)],
+    # not workload lines: the alternation at four variables, and the shift
+    # suites at ten, which they reach on degree scalars with no variable cap
+    CLI_WORKLOAD_VERIFY + [
+        ("alternation", 5, 4, 120),
+        ("lemma", 5, 10, 1200),
+        ("extension", 5, 10, 1365),
+        ("alternation", 5, 10, 600),
+    ],
 )
 def test_verify_check_counts_are_pinned(prop, max_weight, max_vars, checks):
     report = run_property(
@@ -291,15 +298,6 @@ def test_verify_bialternant_properties_run_above_nine_variables(prop):
     assert report.failures == []
 
 
-@pytest.mark.parametrize("prop", ["lemma", "extension", "alternation"])
-def test_verify_refuses_max_vars_above_the_shift_cap_before_any_work(prop):
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="--max-vars") as err:
-        run_property(prop, trials=1, seed=0, max_vars=SHIFT_VAR_CAP + 1)
-    assert time.perf_counter() - start < 0.5
-    assert f"capped at {SHIFT_VAR_CAP} variables" in str(err.value)
-
-
 @pytest.mark.parametrize("prop, option", [
     ("lemma", "max_weight"),
     ("extension", "max_weight"),
@@ -321,13 +319,19 @@ def _plus_one(original):
     return wrong
 
 
-def _plus_negative_a(original):
-    """Make h_shift depend on the negative-index extension, via a(-1)."""
+def _degree_zero_plus(value_of):
+    """Add value_of(ctx) to the degree-0 shift scalar of every map."""
 
-    def wrong(ctx, i, r):
-        return original(ctx, i, r) + MultiPoly.constant(ctx.n, ctx.seq.a(-1))
+    def corrupt(original):
+        def wrong(ctx, i, r):
+            nums, den = original(ctx, i, r)
+            fracs = {d: Fraction(c, den) for d, c in nums.items()}
+            fracs[0] = fracs.get(0, 0) + value_of(ctx)
+            return scalar_pair(fracs)
 
-    return wrong
+        return wrong
+
+    return corrupt
 
 
 def _leading_two(original):
@@ -341,10 +345,11 @@ BROKEN_QUANTITIES = [
     ("jt", GschurContext, "jacobi_trudi", _plus_one),
     ("giambelli", GschurContext, "giambelli", _plus_one),
     ("triangularity", GschurContext, "monomial_expansion", _leading_two),
-    ("lemma", GschurContext, "lemma_residual", _plus_one),
-    ("extension", GschurContext, "h_shift", _plus_negative_a),
+    ("lemma", GschurContext, "shift_scalars", _degree_zero_plus(lambda ctx: 1)),
+    # depends on the negative-index extension, via a(-1)
+    ("extension", GschurContext, "shift_scalars", _degree_zero_plus(lambda ctx: ctx.seq.a(-1))),
     ("fh", verify, "fh_character_det", _plus_one),
-    ("alternation", GschurContext, "phi_at_var", _plus_one),
+    ("alternation", GschurContext, "shift_scalars", _degree_zero_plus(lambda ctx: 1)),
     ("stable", verify, "realize_expansion", _plus_one),
 ]
 
@@ -555,8 +560,6 @@ EXIT_CODE_CASES = [
                                        "--lambda", "2,1", "--basis", "schur"], None, 2),
     ("negative-trials", ["verify", "--property", "jt", "--trials", "-1"], None, 2),
     ("zero-max-vars", ["verify", "--property", "jt", "--max-vars", "0"], None, 2),
-    ("verify-above-shift-cap", ["verify", "--property", "lemma", "--max-vars",
-                                "10"], None, 2),
     ("verify-ignored-option", ["verify", "--property", "stable", "--max-weight",
                                "4"], None, 2),
     ("no-checks", ["verify", "--property", "lemma", "--max-vars", "1"], None, 2),

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gschur import engine, presets
+from gschur import engine, presets, verify
 from gschur.coeffseq import CoeffSeq, PoleError, random_coeffseq
 from gschur.engine import (
     GschurContext,
@@ -19,7 +19,7 @@ from gschur.engine import (
 from gschur.exactalg import MultiPoly
 from gschur.partitions import compositions, partitions_up_to
 from gschur.presets import bc_jacobi, schur, so_even, so_odd, sp
-from gschur.verify import alternant_part
+from gschur.stable import jt_infinite_check
 
 from oracles import (
     alternation,
@@ -28,6 +28,7 @@ from oracles import (
     fraction_product,
     fraction_shift_coefficients,
     leibniz_det,
+    scalar_pair,
     schur_by_tableaux,
     vandermonde,
 )
@@ -490,34 +491,109 @@ def test_monomial_expansion_checks_both_generators(planted):
         ctx.monomial_expansion((2, 1))
 
 
-def test_alternant_part_of_symmetric_times_delta():
-    # alternating a symmetric function times the staircase monomial gives
-    # the function times the Vandermonde determinant
-    ctx = GschurContext(3, seeded_seq(14))
-    sym = ctx.bialternant((1, 1))
-    staircase = MultiPoly.monomial(3, (2, 1, 0), 1)
-    alternant = fraction_product(sym, vandermonde(3))
-    expected = {e: c for e, c in alternant.items() if e[0] > e[1] > e[2]}
-    assert alternant_part(sym * staircase) == MultiPoly(3, expected)
+def _plant(ctx, key, degree, delta):
+    """Memoise a wrong shift_scalars map, delta added at degree, before
+    h_shift or a check reads it."""
+    nums, den = ctx.shift_scalars(*key)
+    fracs = {d: F(c, den) for d, c in nums.items()}
+    fracs[degree] = fracs.get(degree, 0) + delta
+    ctx._scalar_memo[key] = scalar_pair(fracs)
 
 
-def test_alternant_part_kills_repeated_exponents():
-    assert alternant_part(MultiPoly.monomial(2, (1, 1), 1)).is_zero
-    assert alternant_part(MultiPoly.monomial(3, (0, 2, 0), 5)).is_zero
+shift_tables = st.one_of(
+    st.integers(0, 999).map(seeded_seq),
+    st.sampled_from([schur(), sp(), so_odd(), so_even()]),
+)
+deltas = st.fractions(-3, 3, max_denominator=3).filter(bool)
 
 
+@st.composite
+def lemma_cases(draw):
+    n = draw(st.integers(2, 4))
+    i = draw(st.integers(3 - 2 * n, 4))
+    return n, i, draw(st.integers(1, i + 2 * n - 2))
+
+
+@given(shift_tables, lemma_cases(), st.sampled_from([None, "head", "prev", "tail", "table"]),
+       st.integers(0, 4), deltas, st.integers(0, 999))
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.dictionaries(
-    st.tuples(*[st.integers(0, 4)] * n),
-    st.fractions(min_value=-9, max_value=9, max_denominator=6),
-    max_size=6,
-).map(lambda terms: MultiPoly(n, terms))))
-def test_alternant_part_is_the_decreasing_part_of_the_alternation(poly):
-    decreasing = {
-        e: c for e, c in alternation(poly).items()
-        if all(x > y for x, y in zip(e, e[1:]))
-    }
-    assert alternant_part(poly) == MultiPoly(poly.arity, decreasing)
+def test_lemma_check_agrees_with_the_residual(seq, case, plant, dd, delta, other):
+    n, i, r = case
+    ctx = GschurContext(n, seq)
+    if plant == "table":
+        ctx._sub = GschurContext(n - 1, seeded_seq(other))
+    elif plant is not None:
+        owner, key = {"head": (ctx, (i, r)), "prev": (ctx, (i, r - 1)),
+                      "tail": (ctx._sub, (i + 1, r - 1))}[plant]
+        _plant(owner, key, max(0, i + r) // 2 + dd, delta)
+    holds = verify._splits_variables(ctx, {"i": i, "r": r}) is None
+    assert holds == ctx.lemma_residual(i, r).is_zero
+    if plant != "table":
+        assert holds == (plant is None)
+
+
+@given(shift_tables, st.integers(1, 4), st.data(),
+       st.sampled_from([None, "scalars", "table"]), st.integers(0, 4), deltas)
+@settings(max_examples=60, deadline=None)
+def test_extension_check_agrees_with_h_shift(seq, n, data, plant, dd, delta):
+    i = data.draw(st.integers(2 - 2 * n, 5))
+    r = data.draw(st.integers(0, i + 2 * n - 2))
+    other = seeded_seq(data.draw(st.integers(0, 999))) if plant == "table" else seq
+    pair = tuple(GschurContext(n, s) for s in (
+        seq, other.with_negative(verify.CUSTOM_NEGATIVE_A, verify.CUSTOM_NEGATIVE_B)))
+    if plant == "scalars":
+        _plant(pair[1], (i, r), max(0, i + r) // 2 + dd, delta)
+    holds = verify._ignores_extension(pair, {"i": i, "r": r}) is None
+    assert holds == (pair[0].h_shift(i, r) == pair[1].h_shift(i, r))
+    if plant != "table":
+        assert holds == (plant is None)
+
+
+@given(shift_tables, st.integers(1, 4), st.data(), st.booleans(), st.integers(0, 4), deltas)
+@settings(max_examples=40, deadline=None)
+def test_alternation_check_agrees_with_the_permutation_sum(seq, n, data, plant, dd, delta):
+    i = data.draw(st.integers(0, 4))
+    r = data.draw(st.integers(0, i + 2 * n - 2))
+    ctx = GschurContext(n, seq)
+    if plant:
+        _plant(ctx, (i, r), (i + r) // 2 + dd, delta)
+    holds = verify._bracket_identity(ctx, {"i": i, "r": r}) is None
+    delta_n = tuple(range(n - 1, -1, -1))
+    phi = ctx.seq.phis.phi(i + n - 1)
+    lhs = ctx.h_shift(i, r) * MultiPoly.monomial(n, delta_n)
+    rhs = MultiPoly(n, {(m + r,) + delta_n[1:]: c for (m,), c in phi.items()})
+    assert holds == (alternation(lhs) == alternation(rhs))
+    assert holds != plant
+
+
+def test_shift_scalars_are_reduced_and_write_h_shift():
+    ctx = GschurContext(3, seeded_seq(6))
+    for i in range(-3, 5):
+        for r in range(0, i + 5):
+            nums, den = ctx.shift_scalars(i, r)
+            assert den > 0 and all(nums.values()) and gcd(den, *nums.values()) == 1
+            written = {e: F(nums[sum(e)], den) for e, _ in ctx.h_shift(i, r).items()}
+            assert ctx.h_shift(i, r) == MultiPoly(3, written)
+            assert set(nums) == {sum(e) for e in written}
+
+
+def _mixed(bad):
+    """A closed form that is an int at the integers and `bad` elsewhere."""
+    return lambda x: x if x.denominator == 1 else bad
+
+
+@pytest.mark.parametrize("bad", [True, 0.5], ids=repr)
+def test_shift_coefficients_refuse_a_bool_or_float_coefficient(bad):
+    seq = CoeffSeq.from_functions(lambda x: bad, lambda x: F(1))
+    with pytest.raises(TypeError, match="expected an int or Fraction"):
+        shift_coefficients(seq.a_at, seq.b_at, F(1, 3), 1, 2, {})
+    with pytest.raises(TypeError, match="expected an int or Fraction"):
+        GschurContext(2, seq).h_shift(1, 2)
+    # phi reads a and b at the integers only, so the fit goes through and
+    # the entries at d - 1 + i are where the check must fire
+    mixed = CoeffSeq.from_functions(_mixed(bad), lambda x: F(1))
+    with pytest.raises(TypeError, match="expected an int or Fraction"):
+        jt_infinite_check((2, 1), mixed, F(1, 3), 2)
 
 
 def test_lemma_residual_vanishes_in_range():
