@@ -151,7 +151,7 @@ def _divided_difference(num: dict[tuple, int], i: int) -> dict[tuple, int]:
 @cache
 def _support(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The exponent tuples of h_d(x_1..x_n): `compositions(n, d)`, built once
-    per process and shared by every context and sub-context."""
+    per process and shared by every context and the super h_d of `stable`."""
     return tuple(compositions(n, d))
 
 

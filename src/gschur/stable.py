@@ -64,11 +64,9 @@ from math import lcm, prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, _to_fraction
-from .engine import first_column_det, shift_coefficients
+from .engine import _support, first_column_det, shift_coefficients
 from .exactalg import MultiPoly, format_poly_text
-from .partitions import (
-    Partition, check_partition, compositions, contains, pad, partitions_up_to
-)
+from .partitions import Partition, check_partition, contains, pad, partitions_up_to
 
 _F = Fraction
 
@@ -192,7 +190,7 @@ def super_complete_homogeneous(n: int, m: int, upto: int) -> list[MultiPoly]:
         terms = {}
         for beta in product((0, 1), repeat=m):
             k = sum(beta)
-            for alpha in compositions(n, d - k):
+            for alpha in _support(n, d - k):
                 terms[alpha + beta] = (-1) ** k
         hs.append(MultiPoly._make(n + m, terms))
     return hs

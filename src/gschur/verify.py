@@ -1,23 +1,24 @@
 """Verification suites behind `gschur verify` and the acceptance gate.
 
-Each suite sweeps an identity over the coefficient tables it is given (or
-over the fixed classical presets) and reports every counterexample it finds,
-with enough context to replay the failure: the trial number (the table's
-position in the input list), the table, the partition or shift indices and
-variable count, and both mismatched values.  The table-driven suites (the
-three routes, the lemma, the extension and the alternation) are one driver,
-`_sweep`, run with one check function per property.  The three shift
-suites build no polynomial: each reads the degree scalars of
-`GschurContext.shift_scalars`, the map h_i^{(r)} = sum_d s_d h_d that the
-Jacobi-Trudi entries are written from, so they run at any variable count.
-The Laurent check compares the coefficients of phi_i(x + 1/x) with no
-substitution of one polynomial into another.
+`_PROPERTIES` is the one table of the properties.  A table-driven row (the
+three routes, the lemma, the extension, the alternation) gives its check,
+first variable count, cases, contexts, reach into a table and the options
+it reads, and `sweep` runs any rows that share a sweep shape in one pass.
+A failure names the trial (the table's position in the input list), the
+table, the partition or shift indices, the variable count and both
+mismatched values.  The shift suites build no polynomial: they read the
+degree scalars of `GschurContext.shift_scalars`, the map
+h_i^{(r)} = sum_d s_d h_d behind the Jacobi-Trudi entries, so they run at
+any variable count.  `fh` and `stable` keep their own runners: `suite_fh`
+sweeps the classical presets (its Laurent check reads the coefficients of
+phi_i(x + 1/x), substituting no polynomial into another), and
+`suite_stable` loops `spot_check` over the any-d layer's `SPOT_CHECKS`.
 
-The suites take their tables as an explicit list and draw nothing
-themselves, apart from `suite_stable`'s polynomial table.  `run_property`
-draws that list from one `random.Random(seed)`, one table per trial in trial
-order, so identical configurations produce identical reports; the
-acceptance gate passes its own seeded tables to the same suites.
+The suites draw nothing, apart from `suite_stable`'s polynomial table.
+`run_property` draws one table per trial from one `random.Random(seed)`,
+each long enough for every coefficient its configuration reads, so equal
+configurations give equal reports; the acceptance gate passes its own
+tables to `sweep` and its own cases to `spot_check`.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import Callable, NamedTuple
 
 from . import presets as presets_mod
 from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
 from .engine import GschurContext
-from .exactalg import MultiPoly, poly_to_json_terms
+from .exactalg import poly_to_json_terms
 from .partitions import dominated_partial_sums, partitions_up_to
-from .presets import boundary_insensitivity, fh_character_det
+from .presets import boundary_insensitivity, factorial, fh_character_det, schur
 from .stable import (
     SuperAlphabet,
     gschur_function,
@@ -44,19 +46,6 @@ from .stable import (
 )
 
 _F = Fraction
-
-# Per property: the options it reads.
-_PROPERTIES = {
-    "jt": ("max_weight", "max_vars"),
-    "giambelli": ("max_weight", "max_vars"),
-    "lemma": ("max_vars",),
-    "triangularity": ("max_weight", "max_vars"),
-    "extension": ("max_vars",),
-    "fh": ("max_weight", "max_vars"),
-    "alternation": ("max_vars",),
-    "stable": (),
-}
-PROPERTY_NAMES = tuple(_PROPERTIES)
 
 
 @dataclass
@@ -73,63 +62,20 @@ class SuiteReport:
 
 
 def _seq_info(seq: CoeffSeq, upto: int = 24) -> dict:
-    if seq.name:
-        return {"preset": seq.name}
-    return seq.table_dump(upto)
-
-
-def _failure(name, trial, n, case: dict, seq, **values) -> dict:
-    record = {"property": name, "trial": trial, "n": n, **case}
-    return {**record, "seq": _seq_info(seq), **values}
+    return {"preset": seq.name} if seq.name else seq.table_dump(upto)
 
 
 def _lambda_cases(n: int, max_weight: int):
     """Cases {"lambda": [...]} for the partitions of weight <= max_weight in n rows."""
-    for lam in partitions_up_to(max_weight, n):
-        yield {"lambda": list(lam)}
-
-
-def _shift_cases(n: int, first_i: int, first_r: int, last_i: int = 5):
-    """Cases {"i": i, "r": r}, first_i <= i <= last_i and first_r <= r < i + 2n - 1."""
-    for i in range(first_i, last_i + 1):
-        for r in range(first_r, i + 2 * n - 1):
-            yield {"i": i, "r": r}
-
-
-def _sweep(checks, tables, ns, cases, contexts=GschurContext) -> dict[str, SuiteReport]:
-    """Run every named check on every case of every (table, n).
-
-    A check (ctx, case) returns None on success and the mismatched values
-    otherwise.  `cases(n)` yields the case dicts; `contexts(n, table)` builds
-    one ctx per (table, n), shared by all checks.  A failure names the table,
-    or the first member of a pair of tables.  Returns one report per name.
-    """
-    reports = {name: SuiteReport(name) for name in checks}
-    for trial, table in enumerate(tables):
-        seq = table if isinstance(table, CoeffSeq) else table[0]
-        for n in ns:
-            ctx = contexts(n, table)
-            for case in cases(n):
-                for name, check in checks.items():
-                    reports[name].checks += 1
-                    values = check(ctx, case)
-                    if values is not None:
-                        reports[name].failures.append(
-                            _failure(name, trial, n, case, seq, **values)
-                        )
-    return reports
-
-
-def _mismatch(lhs: MultiPoly, rhs: MultiPoly):
-    if lhs == rhs:
-        return None
-    return {"lhs": poly_to_json_terms(lhs), "rhs": poly_to_json_terms(rhs)}
+    return ({"lambda": list(lam)} for lam in partitions_up_to(max_weight, n))
 
 
 def _agrees_with_bialternant(route):
     def check(ctx, case):
         lam = tuple(case["lambda"])
-        return _mismatch(route(ctx, lam), ctx.bialternant(lam))
+        lhs, rhs = route(ctx, lam), ctx.bialternant(lam)
+        if lhs != rhs:
+            return {"lhs": poly_to_json_terms(lhs), "rhs": poly_to_json_terms(rhs)}
 
     return check
 
@@ -141,13 +87,6 @@ def _unitriangular(ctx, case):
     if expansion.get(lam) == 1 and not bad:
         return None
     return {"leading": str(expansion.get(lam)), "outside": [list(mu) for mu in bad]}
-
-
-_ROUTE_CHECKS = {
-    "jt": _agrees_with_bialternant(lambda ctx, lam: ctx.jacobi_trudi(lam)),
-    "giambelli": _agrees_with_bialternant(lambda ctx, lam: ctx.giambelli(lam)),
-    "triangularity": _unitriangular,
-}
 
 
 def _scalars_json(pair) -> dict:
@@ -208,49 +147,99 @@ def _bracket_identity(ctx, case):
     return {"lhs": _scalars_json(scalars), "rhs": _scalars_json(coeffs)}
 
 
-def suite_routes(seqs, max_weight, max_vars, names) -> dict[str, SuiteReport]:
-    """One sweep over every table, n <= max_vars and |lambda| <= max_weight.
-
-    The named checks share each context's bialternant memo: "jt"
-    (Jacobi-Trudi determinant vs the defining bialternant), "giambelli" (hook
-    determinant vs the bialternant) and "triangularity" (the monomial
-    expansion is unitriangular for the partial-sum preorder).
-    """
-    return _sweep(
-        {name: _ROUTE_CHECKS[name] for name in names},
-        seqs,
-        range(1, max_vars + 1),
-        lambda n: _lambda_cases(n, max_weight),
-    )
-
-
-def suite_lemma(seqs, max_vars) -> SuiteReport:
-    """Vanishing of the variable-splitting residual within its bound."""
-    return _sweep(
-        {"lemma": _splits_variables},
-        seqs,
-        range(2, max_vars + 1),
-        lambda n: _shift_cases(n, 3 - 2 * n, 1),
-    )["lemma"]
-
-
 CUSTOM_NEGATIVE_A = {-1: _F(1, 2), -2: _F(-3), -3: _F(2, 3), -4: _F(-5, 4)}
 CUSTOM_NEGATIVE_B = {-1: _F(-2), -2: _F(5, 2), -3: _F(1), -4: _F(7, 3)}
 
 
-def suite_extension(pairs, max_vars) -> SuiteReport:
-    """Shifted families within the bound ignore the negative-index extension.
+class _Property(NamedTuple):
+    """A row of `_PROPERTIES`: `check(ctx, case)` on each case of
+    `cases(n, max_weight)`, first_n <= n <= max_vars, with one context
+    `contexts(n, table)` per (table, n); `table(seq)` is what a drawn
+    sequence becomes and `reach(max_vars, max_weight)` the highest index of
+    a and b read.  A row with no check has its own runner."""
 
-    `pairs` holds (base, other) tables that differ only at negative indices,
-    such as `(seq, seq.with_negative(CUSTOM_NEGATIVE_A, CUSTOM_NEGATIVE_B))`.
-    """
-    return _sweep(
-        {"extension": _ignores_extension},
-        pairs,
-        range(1, max_vars + 1),
-        lambda n: _shift_cases(n, 2 - 2 * n, 0),
+    reads: tuple[str, ...]
+    check: Callable | None = None
+    first_n: int = 1
+    cases: Callable | None = None
+    contexts: Callable = GschurContext
+    table: Callable = lambda seq: seq
+    reach: Callable = lambda max_vars, max_weight: 0
+
+
+def _route(check) -> _Property:
+    """A route row over the partitions of weight <= max_weight; S_lam reads
+    phi_{lam_1 + n - 1}, that is a and b up to lam_1 + n - 2."""
+    return _Property(
+        ("max_weight", "max_vars"), check, 1, _lambda_cases,
+        reach=lambda max_vars, max_weight: max_weight + max_vars - 2,
+    )
+
+
+def _shifts(check, first_n, first_i, first_r, last_i=5, **row) -> _Property:
+    """A shift row over the cases {"i": i, "r": r} with first_i(n) <= i <=
+    last_i and first_r <= r < i + 2n - 1.  The last, h_i^{(r)} at i = last_i
+    and r = i + 2n - 2, reads phi_{i+r+n-1}: a and b up to 2 last_i + 3n - 4."""
+
+    def cases(n, _):
+        for i in range(first_i(n), last_i + 1):
+            for r in range(first_r, i + 2 * n - 1):
+                yield {"i": i, "r": r}
+
+    return _Property(
+        ("max_vars",), check, first_n, cases,
+        reach=lambda max_vars, _: 2 * last_i + 3 * max_vars - 4, **row,
+    )
+
+
+# The Jacobi-Trudi and hook (Giambelli) determinants against the bialternant,
+# the unitriangular monomial expansion, and the shift identities; the extension
+# reads (base, other) pairs of tables that differ only at negative indices.
+_PROPERTIES = {
+    "jt": _route(_agrees_with_bialternant(lambda ctx, lam: ctx.jacobi_trudi(lam))),
+    "giambelli": _route(_agrees_with_bialternant(lambda ctx, lam: ctx.giambelli(lam))),
+    "lemma": _shifts(_splits_variables, 2, lambda n: 3 - 2 * n, 1),
+    "triangularity": _route(_unitriangular),
+    "extension": _shifts(
+        _ignores_extension, 1, lambda n: 2 - 2 * n, 0,
         contexts=lambda n, pair: tuple(GschurContext(n, seq) for seq in pair),
-    )["extension"]
+        table=lambda seq: (seq, seq.with_negative(CUSTOM_NEGATIVE_A, CUSTOM_NEGATIVE_B)),
+    ),
+    "fh": _Property(("max_weight", "max_vars")),
+    "alternation": _shifts(_bracket_identity, 1, lambda n: 0, 0, last_i=4),
+    "stable": _Property(()),
+}
+PROPERTY_NAMES = tuple(_PROPERTIES)
+
+
+def sweep(names, tables, max_vars, max_weight=0) -> dict[str, SuiteReport]:
+    """Run the named table-driven properties over `tables` in one pass.
+
+    The rows must share a sweep shape (first n, cases, contexts), as the
+    routes do, so one context per (table, n), and its bialternant memo,
+    serves every check.  A check returns None or the mismatched values.
+    `tables` holds what the contexts read: sequences, or (base, other)
+    pairs for the extension, whose failures name the base.
+    """
+    rows = [_PROPERTIES[name] for name in names]
+    shapes = {(row.first_n, row.cases, row.contexts) for row in rows}
+    if len(shapes) != 1 or not all(row.check for row in rows):
+        raise ValueError(f"properties {list(names)} share no table-driven sweep")
+    ((first_n, cases, contexts),) = shapes
+    reports = {name: SuiteReport(name) for name in names}
+    for trial, table in enumerate(tables):
+        seq = table if isinstance(table, CoeffSeq) else table[0]
+        for n in range(first_n, max_vars + 1):
+            ctx = contexts(n, table)
+            for case in cases(n, max_weight):
+                for name, row in zip(names, rows):
+                    reports[name].checks += 1
+                    values = row.check(ctx, case)
+                    if values is not None:
+                        record = {"property": name, "trial": trial, "n": n, **case}
+                        record.update(seq=_seq_info(seq), **values)
+                        reports[name].failures.append(record)
+    return reports
 
 
 # -- classical presets ------------------------------------------------------
@@ -313,87 +302,78 @@ def suite_fh(max_weight, max_vars) -> SuiteReport:
     return report
 
 
-def suite_alternation(seqs, max_vars) -> SuiteReport:
-    """Bracket identity tying shifted families to a single phi factor, over
-    n = 1..max_vars, on the degree scalars of the shifted families."""
-    return _sweep(
-        {"alternation": _bracket_identity},
-        seqs,
-        range(1, max_vars + 1),
-        lambda n: _shift_cases(n, 0, 0, last_i=4),
-    )["alternation"]
+# -- the any-d layer ----------------------------------------------------------
+
+
+def _factorial_closed_form(seq) -> bool:
+    """The factorial sequence a(i) = i has S_(1) = s_1 - d(d - 1)/2 at every d."""
+    family = interpolate_c_family((1,), seq)
+    const = family.get(())
+    return family.get((1,)) == 1 and const is not None and all(
+        const(_F(d)) == -_F(d * (d - 1), 2) for d in range(1, 9)
+    )
+
+
+def _realises(lam, seq, n) -> bool:
+    """The any-d object at d = n, realised on n variables, is the bialternant."""
+    expansion = gschur_function(lam, seq, n)
+    return realize_expansion(expansion, n) == GschurContext(n, seq).bialternant(lam)
+
+
+def _held_out_agrees(lam, seq, n) -> bool:
+    """The interpolated family at a count n outside its sample window equals
+    the direct expansion there, zeros dropped on both sides."""
+    direct = {mu: c for mu, c in schur_expand_at(lam, seq, n).items() if c}
+    through = {mu: func(n) for mu, func in interpolate_c_family(lam, seq).items()}
+    return direct == {mu: c for mu, c in through.items() if c}
+
+
+def _super_cancels(lam, seq) -> bool:
+    """The realisation on 2 x and 2 y variables does not change along
+    x_1 = y_1 = t (compared at t = 0, 1, -2)."""
+    poly = super_schur(lam, seq, SuperAlphabet(2, 2))
+    slices = [poly.bind(0, _F(t)).bind(2, _F(t)) for t in (0, 1, -2)]
+    return slices[0] == slices[1] == slices[2]
+
+
+# Each check takes keyword arguments and says whether its identity holds.
+SPOT_CHECKS = {
+    "factorial-closed-form": _factorial_closed_form,
+    "realisation": _realises,
+    "held-out": _held_out_agrees,
+    "jt-infinite": jt_infinite_check,
+    "super-cancellation": _super_cancels,
+}
+
+
+def spot_check(report: SuiteReport, kind: str, cases) -> None:
+    """Run `SPOT_CHECKS[kind](**case)` on every case, counting each in
+    `report` and recording each failing case with its arguments."""
+    for case in cases:
+        report.checks += 1
+        if not SPOT_CHECKS[kind](**case):
+            args = {
+                key: _seq_info(v) if isinstance(v, CoeffSeq)
+                else str(v) if isinstance(v, Fraction) else v
+                for key, v in case.items()
+            }
+            report.failures.append({"property": report.name, "kind": kind, **args})
 
 
 def suite_stable(seqs, seed) -> SuiteReport:
-    """Spot checks of the any-d layer: a known closed form, interpolation at
-    held-out counts, realisation, the parameterised determinant, and super
-    cancellation.  Realisation runs on each of `seqs`; the polynomial table
-    for the rest is drawn from `random.Random(seed + 1)`."""
+    """The any-d layer's spot checks on (2, 1): realisation on each of
+    `seqs`, the rest on presets and on a polynomial table drawn from
+    `random.Random(seed + 1)`, the generic case where rationality holds."""
     report = SuiteReport("stable")
-
-    # Known closed form: factorial sequence with a(i) = i.
-    fact = presets_mod.factorial(lambda x: x)
-    family = interpolate_c_family((1,), fact)
-    report.checks += 1
-    empty = family.get(())
-    one = family.get((1,))
-    closed_ok = (
-        one == 1
-        and empty is not None
-        and all(empty(Fraction(d)) == -Fraction(d * (d - 1), 2) for d in range(1, 9))
-    )
-    if not closed_ok:
-        report.failures.append(
-            {
-                "property": "stable",
-                "kind": "factorial-closed-form",
-                "family": {str(list(mu)): repr(fn) for mu, fn in family.items()},
-            }
-        )
-
-    # Realisation at an integer count.
-    for trial, seq in enumerate(seqs):
-        lam = (2, 1)
-        coeffs = gschur_function(lam, seq, 3)
-        ctx = GschurContext(3, seq)
-        report.checks += 1
-        if realize_expansion(coeffs, 3) != ctx.bialternant(lam):
-            report.failures.append(
-                {
-                    "property": "stable",
-                    "kind": "realisation",
-                    "trial": trial,
-                    "seq": _seq_info(seq),
-                }
-            )
-
-    # Interpolation vs direct expansion at held-out counts, for a seeded
-    # polynomial sequence (the generic case where rationality really holds).
-    poly_seq = random_polynomial_coeffseq(random.Random(seed + 1))
-    lam = (2, 1)
-    family = interpolate_c_family(lam, poly_seq)
-    held_out = [14, 17]
-    for n in held_out:
-        direct = schur_expand_at(lam, poly_seq, n)
-        report.checks += 1
-        bad = any(
-            family[mu](Fraction(n)) != direct.get(mu, Fraction(0)) for mu in family
-        )
-        if bad:
-            report.failures.append({"property": "stable", "kind": "held-out", "n": n})
-
-    # Parameterised determinant at a non-integer d for a closed form.
-    report.checks += 1
-    if not jt_infinite_check((2, 1), presets_mod.schur(), Fraction(7, 3), 3):
-        report.failures.append({"property": "stable", "kind": "jt-infinite"})
-
-    # Super cancellation for the classical and a seeded polynomial sequence.
-    for seq in (presets_mod.schur(), poly_seq):
-        report.checks += 1
-        poly = super_schur((2, 1), seq, SuperAlphabet(2, 2))
-        slices = [poly.bind(0, Fraction(t)).bind(2, Fraction(t)) for t in (0, 1, -2)]
-        if not (slices[0] == slices[1] == slices[2]):
-            report.failures.append({"property": "stable", "kind": "super-cancellation"})
+    lam, classical = (2, 1), schur()
+    poly = random_polynomial_coeffseq(random.Random(seed + 1))
+    spot_check(report, "factorial-closed-form", [{"seq": factorial(lambda x: x)}])
+    spot_check(report, "realisation", [{"lam": lam, "seq": s, "n": 3} for s in seqs])
+    spot_check(report, "held-out", [{"lam": lam, "seq": poly, "n": n} for n in (14, 17)])
+    spot_check(report, "jt-infinite",
+               [{"lam": lam, "seq": classical, "d_value": _F(7, 3), "n_eval": 3}])
+    spot_check(report, "super-cancellation",
+               [{"lam": lam, "seq": s} for s in (classical, poly)])
     return report
 
 
@@ -401,9 +381,13 @@ def run_property(
     name: str, *, trials: int, seed: int, max_weight: int | None = None,
     max_vars: int | None = None,
 ) -> SuiteReport:
-    """Run one named suite on `trials` tables drawn from `random.Random(seed)`;
-    `fh` sweeps the classical presets, so it draws none.
+    """Run one named property on `trials` tables drawn from
+    `random.Random(seed)`; `fh` sweeps the classical presets, so it draws
+    none.
 
+    A table-driven property runs through `sweep` on tables of length 64, or
+    longer where the configuration reads further (the row's `reach`), so
+    the draws of every configuration that 64 serves are unchanged.
     `max_weight` and `max_vars` default to 5 and 3 for the properties that
     read them.  Raises ValueError, before any case runs, for an option the
     property does not read and for a configuration that is out of range or
@@ -411,9 +395,9 @@ def run_property(
     """
     if name not in _PROPERTIES:
         raise ValueError(f"unknown property {name!r}; pick from {PROPERTY_NAMES}")
-    reads = _PROPERTIES[name]
+    row = _PROPERTIES[name]
     given = {"max_weight": max_weight, "max_vars": max_vars}
-    ignored = [opt for opt, v in given.items() if v is not None and opt not in reads]
+    ignored = [opt for opt, v in given.items() if v is not None and opt not in row.reads]
     if ignored:
         flags = " or ".join("--" + opt.replace("_", "-") for opt in ignored)
         raise ValueError(f"property {name} does not read {flags}")
@@ -421,23 +405,16 @@ def run_property(
     max_vars = 3 if max_vars is None else max_vars
     if trials < 1 or max_vars < 1 or max_weight < 0:
         raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
-    rng = random.Random(seed)
-    seqs = [] if name == "fh" else [random_coeffseq(rng) for _ in range(trials)]
-    if name in _ROUTE_CHECKS:
-        report = suite_routes(seqs, max_weight, max_vars, [name])[name]
-    elif name == "lemma":
-        report = suite_lemma(seqs, max_vars)
-    elif name == "extension":
-        pairs = [
-            (s, s.with_negative(CUSTOM_NEGATIVE_A, CUSTOM_NEGATIVE_B)) for s in seqs
-        ]
-        report = suite_extension(pairs, max_vars)
-    elif name == "fh":
+    if name == "fh":
         report = suite_fh(max_weight, max_vars)
-    elif name == "alternation":
-        report = suite_alternation(seqs, max_vars)
     else:
-        report = suite_stable(seqs, seed)
+        rng = random.Random(seed)
+        length = max(64, row.reach(max_vars, max_weight) + 1)
+        tables = [row.table(random_coeffseq(rng, length)) for _ in range(trials)]
+        if row.check:
+            report = sweep([name], tables, max_vars, max_weight)[name]
+        else:
+            report = suite_stable(tables, seed)
     if report.checks == 0:
         raise ValueError(f"property {name}: this configuration performs no checks")
     return report

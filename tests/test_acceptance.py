@@ -19,16 +19,8 @@ from gschur.coeffseq import (
 from gschur.engine import GschurContext
 from gschur.partitions import partitions_of, partitions_up_to
 from gschur.presets import bc_jacobi, schur
-from gschur.stable import (
-    SuperAlphabet,
-    gschur_function,
-    interpolate_c_family,
-    jt_infinite_check,
-    realize_expansion,
-    schur_expand_at,
-    super_schur,
-)
-from gschur.verify import suite_extension, suite_fh, suite_lemma, suite_routes
+from gschur.stable import SuperAlphabet, super_schur
+from gschur.verify import SuiteReport, spot_check, suite_fh, sweep
 
 from oracles import index_set_identity, kostka, schur_by_tableaux
 
@@ -64,11 +56,11 @@ def _checked(report, expected_checks: int) -> list:
 def route_sweep():
     """Every route evaluated over 20 random tables, shared by three tests."""
     started = time.perf_counter()
-    reports = suite_routes(
-        _tables(SWEEP_SEEDS),
-        SWEEP_WEIGHT,
-        max(SWEEP_VARS),
+    reports = sweep(
         ["jt", "giambelli", "triangularity"],
+        _tables(SWEEP_SEEDS),
+        max(SWEEP_VARS),
+        SWEEP_WEIGHT,
     )
     return reports, time.perf_counter() - started
 
@@ -88,7 +80,7 @@ def test_hook_determinant_agrees_on_random_tables(route_sweep):
 
 
 def test_shift_recursion_residual_vanishes():
-    failures = _checked(suite_lemma(_tables(10), max(SWEEP_VARS)), 1390)
+    failures = _checked(sweep(["lemma"], _tables(10), max(SWEEP_VARS))["lemma"], 1390)
     _finish(3, "alternation residual of the shift recursion is zero", failures)
 
 
@@ -96,7 +88,7 @@ def test_shift_entries_ignore_negative_extension():
     pairs = [
         (base, base.with_negative(NEGATIVE_A, NEGATIVE_B)) for base in _tables(5)
     ]
-    failures = _checked(suite_extension(pairs, max(SWEEP_VARS)), 950)
+    failures = _checked(sweep(["extension"], pairs, max(SWEEP_VARS))["extension"], 950)
     _finish(4, "in-range shifted entries ignore negative-index values", failures)
 
 
@@ -170,44 +162,40 @@ def test_jacobi_pair_poles_and_pole_free_agreement():
 
 
 def test_parameter_layer_interpolation_and_determinant():
-    failures = []
-    lam = (2, 1)
+    report = SuiteReport("criterion 9")
     poly_seq = random_polynomial_coeffseq(random.Random(101))
-    family = interpolate_c_family(lam, poly_seq)
-    for n in (14, 17):  # far outside the interpolation sample window
-        direct = {mu: c for mu, c in schur_expand_at(lam, poly_seq, n).items() if c}
-        through = {mu: func(n) for mu, func in family.items() if func(n)}
-        if direct != through:
-            failures.append({"n": n, "kind": "held-out"})
+    # far outside the interpolation sample window
+    spot_check(report, "held-out", [
+        {"lam": (2, 1), "seq": poly_seq, "n": n} for n in (14, 17)
+    ])
     table = random_coeffseq(random.Random(5))
-    for n in (2, 3):
-        ctx = GschurContext(n, table)
-        for mu in partitions_up_to(4, n):
-            realized = realize_expansion(gschur_function(mu, table, n), n)
-            if realized != ctx.bialternant(mu):
-                failures.append({"n": n, "lambda": mu, "kind": "realisation"})
+    spot_check(report, "realisation", [
+        {"lam": mu, "seq": table, "n": n} for n in (2, 3) for mu in partitions_up_to(4, n)
+    ])
     seq_bc = bc_jacobi(1, -3)
-    for d in (F(1, 3), F(4, 3), F(7, 5)):
-        for mu in partitions_up_to(4, 4):
-            # Fewer than l(mu) variables cannot see every coefficient.
-            if not jt_infinite_check(mu, seq_bc, d, max(3, len(mu))):
-                failures.append({"d": str(d), "lambda": mu, "kind": "determinant"})
+    # Fewer than l(mu) variables cannot see every coefficient.
+    spot_check(report, "jt-infinite", [
+        {"lam": mu, "seq": seq_bc, "d_value": d, "n_eval": max(3, len(mu))}
+        for d in (F(1, 3), F(4, 3), F(7, 5))
+        for mu in partitions_up_to(4, 4)
+    ])
+    failures = _checked(report, 2 + 20 + 36)
     _finish(9, "parameter coefficients: held-out integers, realisation, determinant", failures)
 
 
 def test_super_realisation_even_case_and_cancellation():
-    failures = []
+    report = SuiteReport("criterion 10")
     table = random_coeffseq(random.Random(6))
     ctx = GschurContext(2, table)
     for lam in partitions_up_to(4, 2):
         if super_schur(lam, table, SuperAlphabet(2, 0)) != ctx.bialternant(lam):
-            failures.append({"lambda": lam, "kind": "purely-even"})
-    for seq in (schur(), random_polynomial_coeffseq(random.Random(202))):
-        for lam in partitions_up_to(4, 4):
-            poly = super_schur(lam, seq, SuperAlphabet(2, 2))
-            slices = [poly.bind(0, F(t)).bind(2, F(t)) for t in (0, 1, -2)]
-            if not (slices[0] == slices[1] == slices[2]):
-                failures.append({"seq": seq.name, "lambda": lam, "kind": "cancellation"})
+            report.failures.append({"lambda": lam, "kind": "purely-even"})
+    spot_check(report, "super-cancellation", [
+        {"lam": lam, "seq": seq}
+        for seq in (schur(), random_polynomial_coeffseq(random.Random(202)))
+        for lam in partitions_up_to(4, 4)
+    ])
+    failures = _checked(report, 2 * 12)
     _finish(10, "two-alphabet realisation: even case equality, cancellation", failures)
 
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gschur
-from gschur import cli, verify
-from gschur.coeffseq import random_coeffseq
+from gschur import cli, stable, verify
+from gschur.coeffseq import random_coeffseq, random_polynomial_coeffseq
 from gschur.engine import GschurContext
 from gschur.exactalg import MultiPoly, format_poly_text
 from gschur.presets import PRESETS
@@ -229,13 +229,18 @@ CLI_WORKLOAD_VERIFY = [
 
 @pytest.mark.parametrize(
     "prop, max_weight, max_vars, checks",
-    # not workload lines: the alternation at four variables, and the shift
-    # suites at ten, which they reach on degree scalars with no variable cap
+    # not workload lines: the alternation at four variables, the shift suites
+    # at ten and twenty, which they reach on degree scalars with no variable
+    # cap, and a route at weight 70; the last two draw tables longer than 64
     CLI_WORKLOAD_VERIFY + [
         ("alternation", 5, 4, 120),
         ("lemma", 5, 10, 1200),
         ("extension", 5, 10, 1365),
         ("alternation", 5, 10, 600),
+        ("lemma", 5, 20, 7315),
+        ("extension", 5, 20, 7830),
+        ("alternation", 5, 20, 2200),
+        ("jt", 70, 1, 71),
     ],
 )
 def test_verify_check_counts_are_pinned(prop, max_weight, max_vars, checks):
@@ -311,6 +316,12 @@ def test_verify_refuses_an_option_the_property_ignores(prop, option):
         run_property(prop, trials=1, seed=0, **{option: 2})
 
 
+@pytest.mark.parametrize("names", [["jt", "lemma"], ["lemma", "alternation"], ["fh"], []])
+def test_sweep_refuses_properties_that_share_no_sweep(names):
+    with pytest.raises(ValueError, match="share no table-driven sweep$"):
+        verify.sweep(names, [random_coeffseq(random.Random(0))], 2)
+
+
 def _plus_one(original):
     def wrong(*args):
         value = original(*args)
@@ -366,6 +377,29 @@ def test_verify_suites_detect_a_wrong_quantity(monkeypatch, prop, owner, attr, c
     if prop != "fh":  # the presets are not drawn
         first_draw = random_coeffseq(random.Random(3))
         assert report.failures[0]["seq"] == first_draw.table_dump(24)
+
+
+def test_a_broken_spot_check_fails_in_the_suite_and_in_the_gate(monkeypatch):
+    # The held-out check of the stable suite and of acceptance criterion 9 is
+    # one function; a direct expansion with a coefficient the interpolated
+    # family lacks (s_3 lies outside (2, 1)) must fail it in both.
+    def extra_term(lam, seq, n):
+        return {**stable.schur_expand_at(lam, seq, n), (3,): Fraction(1)}
+
+    monkeypatch.setattr(verify, "schur_expand_at", extra_term)
+    report = run_property("stable", trials=1, seed=3)
+    assert [(f["kind"], f["n"]) for f in report.failures] == [
+        ("held-out", 14), ("held-out", 17)
+    ]
+    gate = SuiteReport("criterion 9")
+    poly_seq = random_polynomial_coeffseq(random.Random(101))
+    verify.spot_check(gate, "held-out", [
+        {"lam": (2, 1), "seq": poly_seq, "n": n} for n in (14, 17)
+    ])
+    assert gate.checks == 2
+    assert [(f["kind"], f["n"]) for f in gate.failures] == [
+        ("held-out", 14), ("held-out", 17)
+    ]
 
 
 def test_super_output_uses_two_families(capsys):
