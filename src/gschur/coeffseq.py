@@ -15,7 +15,7 @@ Each sequence owns one memoised family, `seq.phis`, built with it; every
 route of the package (bialternant rows, one-row polynomials, the stable
 layer's scalar minors) reads phi_i from there, so each coefficient a(j),
 b(j) that the family needs is evaluated once per sequence.  The family is
-extended on integer coefficient lists over one denominator per row, with
+extended on integer coefficient maps over one denominator per row, with
 no polynomial products or sums.  Next to it, `seq.families` memoises the
 stable layer's successful interpolations.
 """
@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import MultiPoly, _coerce_scalar
+from .exactalg import MultiPoly, _coerce_scalar, _scaled_sum
 
 _ZERO = Fraction(0)
 
@@ -201,22 +200,19 @@ class UniPolySeq:
     phi_{-1} = 0 and phi_0 = 1 seed the recurrence; phi_i for i >= 1 is monic
     of degree i.  All values are univariate MultiPoly instances.  Every
     `CoeffSeq` builds one of these as `seq.phis`; the package reads phi only
-    from there.  The recurrence runs on integer coefficient lists over one
-    denominator per row, reading a(j) before b(j); no polynomial arithmetic
-    is involved.  Only computed rows are memoised, so a PoleError or
-    IndexError met while extending the family is raised again on every call
-    that needs the missing row.
+    from there.  Each step of the recurrence is one `exactalg._scaled_sum`
+    of integer coefficient maps over one denominator per row, reading a(j)
+    before b(j); no polynomial arithmetic is involved.  Only computed rows
+    are memoised, so a PoleError or IndexError met while extending the
+    family is raised again on every call that needs the missing row.
     """
 
     def __init__(self, seq: CoeffSeq):
         self.seq = seq
-        self._memo: dict[int, MultiPoly] = {
-            -1: MultiPoly.zero(1),
-            0: MultiPoly.one(1),
-        }
-        # Numerators (index = power of z) and denominator of the two highest
+        self._memo: dict[int, MultiPoly] = {-1: MultiPoly.zero(1), 0: MultiPoly.one(1)}
+        # Numerators {power of z: n} and denominator of the two highest
         # stored rows, lower first: the state that extends the family.
-        self._last = (([], 1), ([1], 1))
+        self._last = (({}, 1), ({0: 1}, 1))
 
     def phi(self, i: int) -> MultiPoly:
         if i < -1:
@@ -228,23 +224,13 @@ class UniPolySeq:
         for j in range(len(self._memo) - 2, i):
             a = _coerce_scalar(self.seq.a(j))
             b = _coerce_scalar(self.seq.b(j))
-            pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-            # (z - pa/qa) p1/d1 - (pb/qb) p2/d2 over den = lcm(qa d1, qb d2).
-            den = lcm(qa * d1, qb * d2)
-            s1 = den // d1
-            sa, sb = pa * (s1 // qa), pb * (den // (qb * d2))
-            nxt = [0, *(c * s1 for c in p1)]
-            for m, c in enumerate(p1):
-                nxt[m] -= sa * c
-            for m, c in enumerate(p2):
-                nxt[m] -= sb * c
-            g = gcd(den, *nxt)
-            if g != 1:
-                nxt = [c // g for c in nxt]
-                den //= g
-            self._memo[j + 1] = MultiPoly._make(
-                1, {(m,): c for m, c in enumerate(nxt) if c}, den
-            )
+            # (z - a) p1/d1 - b p2/d2, low powers first to keep the terms ordered
+            nxt, den = _scaled_sum((
+                (-b.numerator, p2, b.denominator * d2),
+                (-a.numerator, p1, a.denominator * d1),
+                (1, {m + 1: c for m, c in p1.items()}, d1),
+            ))
+            self._memo[j + 1] = MultiPoly._make(1, {(m,): c for m, c in nxt.items()}, den)
             (p2, d2), (p1, d1) = self._last = ((p1, d1), (nxt, den))
         return self._memo[i]
 

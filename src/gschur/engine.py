@@ -22,10 +22,10 @@ polynomial is a scalar combination h_i^{(r)} = sum_j c_j S_(j) whose c_j
 depend only on a, b and the offset; `shift_coefficients` computes those
 scalars, and `shift_scalars` folds them into one scalar per degree d,
 h_i^{(r)} = sum_d s_d h_d(x_1..x_n), both as integer numerators over one
-denominator.  `h_shift` writes its polynomial from that map alone, and
-`gschur verify` checks the shift identities on the same map.
-The stable layer reads the same phi coefficients as scalar minors and builds
-no one-row polynomials.
+denominator, summed by `exactalg._scaled_sum`.  `h_shift` writes its
+polynomial from that map alone by `_from_degrees`, which also writes the
+stable layer's parameterised Jacobi-Trudi entries, and `gschur verify`
+checks the shift identities on the same map.
 
 The sequence memoises its own phi family (`seq.phis`), so every context
 over one sequence shares it; contexts memoise shift and degree scalars,
@@ -39,12 +39,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
-from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable
 
 from .coeffseq import CoeffSeq
-from .exactalg import MultiPoly, _coerce_scalar, determinant, grlex_key
+from .exactalg import MultiPoly, _coerce_scalar, _scaled_sum, determinant, grlex_key
 from .partitions import (
     Partition,
     check_partition,
@@ -71,16 +70,15 @@ def shift_coefficients(
 
     with f^{(0)} = f and f_j = 0 for j < 0.  The recursion is linear in the
     base, so it runs on the scalars, kept as `MultiPoly` keeps its terms:
-    nonzero integer numerators {j: n_j} over one den > 0 with
-    gcd(den, *n_j) = 1, so equal maps are equal pairs and the empty map is
-    ({}, 1).  Each step sums its three terms over the lcm of their
-    denominators.  `offset` is the variable count in the finite case and may
-    be a rational parameter in the stable case; `a_of` / `b_of` just have to
-    accept whatever `i + offset - 1` evaluates to.  Entries with i + r < 0
-    are empty and read no coefficients; every other entry with r >= 1 reads
-    a and b at i + offset - 1, each an int or a `Fraction` (a bool, a float
-    or anything else raises TypeError).  `memo` is keyed by (i, r); its
-    pairs must not be mutated.
+    nonzero integer numerators {j: n_j} over one den > 0, content-reduced,
+    so equal maps are equal pairs and the empty map is ({}, 1).  Each step
+    is one `_scaled_sum` of its three terms.  `offset` is the variable count
+    in the finite case and may be a rational parameter in the stable case;
+    `a_of` / `b_of` just have to accept whatever `i + offset - 1` evaluates
+    to.  Entries with i + r < 0 are empty and read no coefficients; every
+    other entry with r >= 1 reads a and b at i + offset - 1, each an int or
+    a `Fraction` (a bool, a float or anything else raises TypeError).
+    `memo` is keyed by (i, r); its pairs must not be mutated.
     """
     if r < 0:
         raise ValueError("shift order must be nonnegative")
@@ -99,21 +97,10 @@ def shift_coefficients(
         same = shift_coefficients(a_of, b_of, offset, i, r - 1, memo)
         b = _coerce_scalar(b_of(arg))
         lower = shift_coefficients(a_of, b_of, offset, i - 1, r - 1, memo)
-        # (scale numerator, scale denominator * part denominator, numerators)
-        parts = [
-            (s.numerator, s.denominator * d, nums)
+        value = _scaled_sum(
+            (s.numerator, nums, s.denominator * d)
             for s, (nums, d) in ((1, up), (a, same), (b, lower))
-            if s and nums
-        ]
-        den = lcm(*(d for _, d, _ in parts))
-        out: dict[int, int] = {}
-        for s, d, nums in parts:
-            s *= den // d
-            for j, c in nums.items():
-                out[j] = out.get(j, 0) + s * c
-        out = {j: c for j, c in out.items() if c}
-        g = gcd(den, *out.values())
-        value = ({j: c // g for j, c in out.items()}, den // g) if g != 1 else (out, den)
+        )
     memo[key] = value
     return value
 
@@ -126,10 +113,9 @@ def first_column_det(
     `indices` are the first-column subscripts i_j (lam_j - j for a
     partition lam); the empty determinant is 1.
     """
-    size = len(indices)
-    if size == 0:
+    if not indices:
         return MultiPoly.one(arity)
-    return determinant([[entry(i, c) for c in range(size)] for i in indices])
+    return determinant([[entry(i, c) for c in range(len(indices))] for i in indices])
 
 
 def _divided_difference(num: dict[tuple, int], i: int) -> dict[tuple, int]:
@@ -153,6 +139,15 @@ def _support(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The exponent tuples of h_d(x_1..x_n): `compositions(n, d)`, built once
     per process and shared by every context and the super h_d of `stable`."""
     return tuple(compositions(n, d))
+
+
+def _from_degrees(n: int, nums: dict[int, int], den: int) -> MultiPoly:
+    """sum_d (nums[d] / den) h_d(x_1..x_n), each numerator written once onto
+    degree d's exponent tuples (`_support`; the h_d have disjoint supports)."""
+    terms = {}
+    for degree, c in nums.items():
+        terms.update(dict.fromkeys(_support(n, degree), c))
+    return MultiPoly._make(n, terms, den)
 
 
 def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
@@ -180,6 +175,7 @@ class GschurContext:
         self._bialternant: dict[Partition, MultiPoly] = {}
         self._shift_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
         self._scalar_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
+        self._tails: dict[int, tuple[dict[int, int], int]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
         self._jt_memo: dict[Partition, MultiPoly] = {}
 
@@ -237,10 +233,10 @@ class GschurContext:
 
         With c_j = n_j / den from `shift_coefficients` (arguments offset by
         n - 1) and S_(j) = sum_m [z^m] phi_{j+n-1} h_{m-n+1},
-        s_d = sum_j n_j [z^{d+n-1}] phi_{j+n-1} / den, folded in integers.
-        Returned as ({d: n_d}, den), reduced like the `shift_coefficients`
-        map, so equal maps are equal pairs; memoised per (i, r), not to be
-        mutated.  Empty for i + r < 0, whatever the negative extension.
+        s_d = sum_j n_j [z^{d+n-1}] phi_{j+n-1} / den, one `_scaled_sum`.
+        Returned as ({d: n_d}, den), reduced, so equal maps are equal pairs;
+        memoised per (i, r), with the phi tails per j, not to be mutated.
+        Empty for i + r < 0, whatever the negative extension.
         """
         key = (i, r)
         got = self._scalar_memo.get(key)
@@ -248,33 +244,22 @@ class GschurContext:
             return got
         n = self.n
         nums, den = shift_coefficients(self.seq.a, self.seq.b, n, i, r, self._shift_memo)
-        parts = [(c, self.seq.phis.phi(j + n - 1)) for j, c in nums.items()]
-        phi_den = lcm(*(phi._den for _, phi in parts))
-        by_degree: dict[int, int] = {}
-        for c, phi in parts:
-            scale = c * (phi_den // phi._den)
-            for (m,), p in phi._num.items():
-                if m >= n - 1:
-                    by_degree[m - n + 1] = by_degree.get(m - n + 1, 0) + scale * p
-        den *= phi_den
-        g = gcd(den, *by_degree.values())
-        got = self._scalar_memo[key] = {d: c // g for d, c in by_degree.items() if c}, den // g
+        parts, tails = [], self._tails
+        for j, c in nums.items():
+            if j not in tails:
+                phi = self.seq.phis.phi(j + n - 1)
+                tails[j] = {m - n + 1: p for (m,), p in phi._num.items() if m >= n - 1}, phi._den
+            parts.append((c, tails[j][0], den * tails[j][1]))
+        got = self._scalar_memo[key] = _scaled_sum(parts)
         return got
 
     def h_shift(self, i: int, r: int) -> MultiPoly:
         """The r-times shifted one-row family h_i^{(r)}, written from
-        `shift_scalars` alone: each s_d goes once onto the exponent tuples of
-        degree d (`_support`, built once per (n, d) and shared process-wide),
-        since the h_d of different degrees have disjoint supports."""
+        `shift_scalars` alone by `_from_degrees`."""
         key = (i, r)
         got = self._h_shift_memo.get(key)
-        if got is not None:
-            return got
-        nums, den = self.shift_scalars(i, r)
-        terms = {}
-        for degree, c in nums.items():
-            terms.update(dict.fromkeys(_support(self.n, degree), c))
-        got = self._h_shift_memo[key] = MultiPoly._make(self.n, terms, den)
+        if got is None:
+            got = self._h_shift_memo[key] = _from_degrees(self.n, *self.shift_scalars(i, r))
         return got
 
     def jacobi_trudi(self, lam) -> MultiPoly:

@@ -14,13 +14,16 @@ output of the library deterministic.
 All arithmetic runs in Python integers: sums and differences rescale to the
 lcm of the two denominators, and the costly loops (products and the cofactor
 sums of `determinant`) also pack each exponent tuple into one integer
-ordered as graded lex.  `exact_divide` is uncalled in the package and kept
-because the benchmark's tracer looks it up by name.  Coefficients become
-reduced `Fraction`s only in `items()`, `coefficient()` and `leading_term()`.
-Output (JSON, text, LaTeX) is written from the numerators by `_terms`, which
-reduces each distinct numerator against the denominator once: a shifted
-one-row family repeats one numerator per degree on every monomial of that
-degree, so the output holds far fewer distinct coefficients than terms.
+ordered as graded lex.  The package's other exact maps in this format (shift
+and degree scalars, the phi recurrence, the parameterised Jacobi-Trudi
+entries) are summed by one kernel, `_scaled_sum`.  `exact_divide` is
+uncalled in the package and kept because the benchmark's tracer looks it up
+by name.  Coefficients become reduced `Fraction`s only in `items()`,
+`coefficient()` and `leading_term()`.  Output (JSON, text, LaTeX) is
+written from the numerators by `_terms`, which reduces each distinct
+numerator against the denominator once: a shifted one-row family repeats one
+numerator per degree on every monomial of that degree, so the output holds
+far fewer distinct coefficients than terms.
 
 Polynomials are immutable by convention: no method mutates `self`, and all
 arithmetic returns fresh objects, so values can be shared freely between
@@ -52,6 +55,26 @@ def _coerce_scalar(value: Scalar) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _scaled_sum(parts: Iterable[tuple[int, dict, int]]) -> tuple[dict, int]:
+    """sum s * nums / den over (s, nums, den) triples (s an int, den > 0) over
+    the lcm of the dens, reduced as a polynomial is: equal sums are equal
+    pairs, the empty sum is ({}, 1)."""
+    den, live = 1, []
+    for part in parts:
+        if part[0] and part[1]:
+            live.append(part)
+            den = lcm(den, part[2])
+    out: dict = {}
+    get = out.get
+    for s, nums, d in live:
+        s *= den // d
+        for k, c in nums.items():
+            out[k] = get(k, 0) + s * c
+    out = {k: c for k, c in out.items() if c}
+    g = gcd(den, *out.values())
+    return ({k: c // g for k, c in out.items()}, den // g) if g != 1 else (out, den)
 
 
 def grlex_key(exponents: Exponent) -> tuple[int, Exponent]:

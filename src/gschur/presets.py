@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from .coeffseq import CoeffSeq, PoleError
-from .engine import GschurContext, shift_coefficients
-from .exactalg import MultiPoly, determinant
+from .coeffseq import CoeffSeq, PoleError, _to_fraction
+from .engine import GschurContext, first_column_det, shift_coefficients
+from .exactalg import MultiPoly
 from .partitions import check_partition
 
 CLASSICAL_PRESETS = ("so_odd", "so_even", "sp")
@@ -68,12 +68,13 @@ def sp() -> CoeffSeq:
 def factorial(a_values) -> CoeffSeq:
     """b = 0 with a prescribed a-table, so phi_i = (z - a(0))...(z - a(i-1)).
 
-    Accepts either a finite table of rationals or a callable closed form.
+    Accepts either a callable closed form or a finite table of exact
+    rationals, read as `CoeffSeq.from_tables` reads one: ints, Fractions or
+    strings, with a float or bool raising TypeError.
     """
     if callable(a_values):
         return CoeffSeq.from_functions(a_values, lambda x: _F(0), name="factorial")
-    table = [Fraction(v) for v in a_values]
-    return CoeffSeq.from_tables(table, [0] * len(table), name="factorial")
+    return CoeffSeq.from_tables(a_values, [0] * len(a_values), name="factorial")
 
 
 def bc_jacobi(p, q, probe_upto: int = 8) -> CoeffSeq:
@@ -87,10 +88,10 @@ def bc_jacobi(p, q, probe_upto: int = 8) -> CoeffSeq:
     Both formulas can vanish in the denominator at small indices, depending
     on p and q.  Construction eagerly probes indices 0..probe_upto and fails
     fast with a PoleError naming the first singular index; pass probe_upto=-1
-    to defer every failure to first use (0 still probes index 0).
+    to defer every failure to first use (0 still probes index 0).  p and q
+    are read as table entries are, so a float or bool raises TypeError.
     """
-    p = Fraction(p)
-    q = Fraction(q)
+    p, q = _to_fraction(p), _to_fraction(q)
 
     def a(x: Fraction) -> Fraction:
         d1 = 2 * x - p - 2 * q - 1
@@ -144,8 +145,8 @@ def make(name: str, **params) -> CoeffSeq:
 def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
     """Compact character determinant for the orthogonal/symplectic presets.
 
-    Row i has first entry h_{lam_i - i + 1} and later entries
-    h_{lam_i - i + j} + h_{lam_i - i + 2 - j} for columns j >= 2 (1-based).
+    A `first_column_det` over the indices i = lam_j - j (0-based): column
+    c = 0 holds h_i and every later column c holds h_{i+c} + h_{i-c}.
     The column operations that produce this shape from the Jacobi-Trudi
     determinant use b = 1 and a = 0 beyond the boundary, so the construction
     is only claimed, and only allowed, for those presets.
@@ -156,17 +157,11 @@ def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
             f"{'/'.join(CLASSICAL_PRESETS)} presets"
         )
     lam = ctx.fit_partition(lam)
-    l = len(lam)
-    if l == 0:
-        return MultiPoly.one(ctx.n)
-    rows = []
-    for i0 in range(l):
-        m = lam[i0] - i0  # lam_i - i + 1 in 1-based labels
-        row = [ctx.h(m)]
-        for j in range(2, l + 1):
-            row.append(ctx.h(m + j - 1) + ctx.h(m + 1 - j))
-        rows.append(row)
-    return determinant(rows)
+
+    def entry(i: int, c: int) -> MultiPoly:
+        return ctx.h(i + c) + ctx.h(i - c) if c else ctx.h(i)
+
+    return first_column_det(entry, [part - j for j, part in enumerate(lam)], ctx.n)
 
 
 @cache
@@ -200,15 +195,10 @@ def boundary_insensitivity(lam, n: int) -> bool:
     lam = check_partition(lam)
     if len(lam) > n:
         raise ValueError(f"partition {lam} needs more than {n} variables")
-    l = len(lam)
-    if l <= 1:
-        return True
-
     variants = _boundary_variants(n)
-    for j in range(l):
-        i = lam[j] - j
-        for r in range(1, l):
-            seen = [shift_coefficients(a, b, n, i, r, memo) for a, b, memo in variants]
+    for j, part in enumerate(lam):
+        for r in range(1, len(lam)):
+            seen = [shift_coefficients(a, b, n, part - j, r, memo) for a, b, memo in variants]
             if any(v != seen[0] for v in seen[1:]):
                 return False
     return True

@@ -11,10 +11,11 @@ values (`gschur_function`).  On top of that sit the parameterised Jacobi-Trudi
 consistency check (`jt_infinite_check`, at non-integer d or integer
 d >= l(lam)) and the super-symmetric realisation (`super_schur`).
 
-A coefficient map becomes a polynomial in one place, `realize_expansion`:
-Jacobi-Trudi determinants over the complete homogeneous functions of n x and
-m y variables, written from their generating function, so no realisation
-goes through the bialternant it is compared against.
+A Schur-basis coefficient map becomes a polynomial in one place,
+`realize_expansion`: Jacobi-Trudi determinants over the complete homogeneous
+functions of n x and m y variables, written from their generating function,
+so no realisation goes through the bialternant it is compared against.  The
+one-row entries of `jt_infinite_check` are written by `engine._from_degrees`.
 
 The expensive step, expanding at a single integer count n, needs no
 polynomials in x at all.  Write C_{i,m} = [z^m] phi_i for the lower
@@ -64,8 +65,8 @@ from math import lcm, prod
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, _to_fraction
-from .engine import _support, first_column_det, shift_coefficients
-from .exactalg import MultiPoly, format_poly_text
+from .engine import _from_degrees, _support, first_column_det, shift_coefficients
+from .exactalg import MultiPoly, _scaled_sum, format_poly_text
 from .partitions import Partition, check_partition, contains, pad, partitions_up_to
 
 _F = Fraction
@@ -221,8 +222,7 @@ def realize_expansion(
 
     out = zero
     for mu, c in inside.items():
-        indices = [part - j for j, part in enumerate(mu)]
-        out = out + c * first_column_det(h_entry, indices, n + m)
+        out = out + c * first_column_det(h_entry, [p - j for j, p in enumerate(mu)], n + m)
     return out
 
 
@@ -494,12 +494,16 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     Entry (i, c) is sum_j c_j S_(j), the one-row any-d objects S_(j)
     combined with the `shift_coefficients` scalars whose coefficient
     arguments are offset by d - 1 (so the sequence must be closed form,
-    evaluable off the integers).  Both sides are compared after
-    truncation to n_eval variables, which is faithful because truncation is a
-    ring homomorphism; both sides lie in the span of the S_mu with l(mu) <=
-    l(lam) (products of l(lam) one-row objects on the left), where truncation
-    is injective exactly when n_eval >= l(lam), so a smaller n_eval raises
-    ValueError.  A float or bool d_value raises TypeError.
+    evaluable off the integers).  S_(j) at d is the degree map
+    sum_k [s_(k)] S_(j) h_k, so an entry is one `_scaled_sum` of degree maps,
+    written by `engine._from_degrees` as `h_shift` writes the finite ones;
+    only the right-hand side goes through `realize_expansion`.  Both sides
+    are compared after truncation to n_eval variables, which is faithful
+    because truncation is a ring homomorphism; both sides lie in the span
+    of the S_mu with l(mu) <= l(lam) (products of l(lam) one-row objects on
+    the left), where truncation is injective exactly when n_eval >= l(lam),
+    so a smaller n_eval raises ValueError.  A float or bool d_value raises
+    TypeError.
 
     An integer d < l(lam) raises ValueError before any fit: there the entries
     read boundary values such as a(0) and b(1), which no finite-count entry
@@ -515,23 +519,21 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     if d.denominator == 1 and d < l:
         raise ValueError(f"at an integer d the check needs d >= l(lambda) = {l}, got {d}")
     rhs = realize_expansion(gschur_function(lam, seq, d), n_eval)
-    if l == 0:
-        return rhs == MultiPoly.one(n_eval)
-    realized = []
-    for j in range(lam[0] + l):
-        coeffs = gschur_function((j,) if j else (), seq, d)
-        realized.append(realize_expansion(coeffs, n_eval))
+    one_rows = [
+        _scaled_sum(
+            (v.numerator, {sum(mu): 1}, v.denominator)
+            for mu, v in gschur_function((j,) if j else (), seq, d).items()
+        )
+        for j in range(max(lam, default=0) + l)
+    ]
     memo: dict = {}
 
     def entry(i: int, c: int) -> MultiPoly:
-        out = MultiPoly.zero(n_eval)
         nums, den = shift_coefficients(seq.a_at, seq.b_at, d, i, c, memo)
-        for j, coeff in nums.items():
-            out = out + Fraction(coeff, den) * realized[j]
-        return out
+        parts = [(s, one_rows[j][0], one_rows[j][1] * den) for j, s in nums.items()]
+        return _from_degrees(n_eval, *_scaled_sum(parts))
 
-    indices = [lam[j] - j for j in range(l)]
-    return first_column_det(entry, indices, n_eval) == rhs
+    return first_column_det(entry, [part - j for j, part in enumerate(lam)], n_eval) == rhs
 
 
 # -- super-symmetric realisation -------------------------------------------

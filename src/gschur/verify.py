@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 from . import presets as presets_mod
 from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
 from .engine import GschurContext
-from .exactalg import poly_to_json_terms
+from .exactalg import _scaled_sum, poly_to_json_terms
 from .partitions import dominated_partial_sums, partitions_up_to
 from .presets import boundary_insensitivity, factorial, fh_character_det, schur
 from .stable import (
@@ -94,14 +94,6 @@ def _scalars_json(pair) -> dict:
     return {d: str(Fraction(c, den)) for d, c in sorted(nums.items())}
 
 
-def _same_ratios(lhs, rhs) -> bool:
-    """Whether two ({key: numerator}, den) maps hold equal fractions at every key."""
-    (lnums, lden), (rnums, rden) = lhs, rhs
-    return lnums.keys() == rnums.keys() and all(
-        c * rden == rnums[k] * lden for k, c in lnums.items()
-    )
-
-
 def _splits_variables(ctx, case):
     """The variable-splitting lemma on degree scalars s_d(i, r, n).
 
@@ -109,14 +101,15 @@ def _splits_variables(ctx, case):
     and those pieces linearly independent for n >= 2, the residual
     h_i^{(r)} - x_1 h_i^{(r-1)} - h_{i+1}^{(r-1)}(x_2..x_n) vanishes iff
     s_d(i, r, n) = s_d(i+1, r-1, n-1) for every d (equal pairs) and
-    s_d(i, r, n) = s_{d-1}(i, r-1, n) for every d >= 1.
+    s_d(i, r, n) = s_{d-1}(i, r-1, n) for every d >= 1 (the first map with
+    s_0 dropped, reduced again).
     """
     i, r = case["i"], case["r"]
     head = ctx.shift_scalars(i, r)
     tail = ctx._sub.shift_scalars(i + 1, r - 1)
     nums, den = ctx.shift_scalars(i, r - 1)
-    raised = {d: c for d, c in head[0].items() if d}, head[1]
-    if head == tail and _same_ratios(raised, ({d + 1: c for d, c in nums.items()}, den)):
+    raised = _scaled_sum([(1, {d: c for d, c in head[0].items() if d}, head[1])])
+    if head == tail and raised == ({d + 1: c for d, c in nums.items()}, den):
         return None
     maps = {"scalars": head, "prev": (nums, den), "tail": tail}
     return {name: _scalars_json(pair) for name, pair in maps.items()}
@@ -135,14 +128,16 @@ def _bracket_identity(ctx, case):
     The alternation of h_d x^delta is h_d a_delta = a_{(d+n-1, n-2, .., 0)},
     and that of x_1^{m+r} x^{(0, n-2, .., 0)} is a_{(m+r, n-2, .., 0)} when
     m + r >= n - 1 and zero otherwise (a repeated exponent).  So the two
-    sides agree iff s_d(i, r, n) = [z^{d+n-1-r}] phi_{i+n-1} for every d >= 0.
+    sides agree iff the reduced pairs s_d(i, r, n) and [z^{d+n-1-r}] phi_{i+n-1},
+    d >= 0, are equal.
     """
     n, i, r = ctx.n, case["i"], case["r"]
     phi = ctx.seq.phis.phi(i + n - 1)
     low = n - 1 - r
-    coeffs = {m - low: c for (m,), c in phi._num.items() if m >= low}, phi._den
+    tail = {m - low: c for (m,), c in phi._num.items() if m >= low}
+    coeffs = _scaled_sum([(1, tail, phi._den)])
     scalars = ctx.shift_scalars(i, r)
-    if _same_ratios(scalars, coeffs):
+    if scalars == coeffs:
         return None
     return {"lhs": _scalars_json(scalars), "rhs": _scalars_json(coeffs)}
 

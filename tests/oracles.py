@@ -8,7 +8,8 @@ over `Fraction`, Schur polynomials by listing semistandard
 tableaux, super complete homogeneous functions by Newton's identities,
 Schur-basis minors by the Leibniz sum over a `Fraction` phi table, shift
 scalars by their recursion on `Fraction` maps (and a `Fraction` map put
-back in the package's reduced integer form).  Slow, but with no shared
+back in the package's reduced integer form), the parameterised Jacobi-Trudi
+entries as `Fraction` sums of realised one-row polynomials.  Slow, but with no shared
 code paths with the package internals beyond the MultiPoly container and
 its `+`/`-`.
 
@@ -232,6 +233,30 @@ def newton_complete_homogeneous(n, m, upto):
             acc = acc + fraction_product(ps[i], hs[k - i])
         hs.append(MultiPoly(arity, {e: c / k for e, c in acc.items()}))
     return hs
+
+
+def realized_jt_entries(seq, d, n_eval, one_rows):
+    """Entry (i, c) -> polynomial of `stable.jt_infinite_check`'s determinant,
+    built as the check first built it: each one-row map {mu: [s_mu] S_(j)}
+    (`one_rows[j]`, mu = () or (k,)) realised on n_eval variables with
+    s_(k) = h_k from `newton_complete_homogeneous`, then summed with the
+    `fraction_shift_coefficients` scalars at offset d as Fraction * MultiPoly."""
+    hs = newton_complete_homogeneous(n_eval, 0, len(one_rows))
+    realized = []
+    for row in one_rows:
+        poly = MultiPoly(n_eval)
+        for mu, c in row.items():
+            poly = poly + c * hs[sum(mu)]
+        realized.append(poly)
+    memo = {}
+
+    def entry(i, c):
+        out = MultiPoly(n_eval)
+        for j, coeff in fraction_shift_coefficients(seq.a_at, seq.b_at, d, i, c, memo).items():
+            out = out + coeff * realized[j]
+        return out
+
+    return entry
 
 
 def fraction_kernel_vector(rows):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gschur.exactalg import (
     DivisionNotExactError,
     MultiPoly,
+    _scaled_sum,
     _terms,
     determinant,
     exact_divide,
@@ -27,6 +28,7 @@ from oracles import (
     leibniz_det,
     per_term_json,
     per_term_text,
+    scalar_pair,
     vandermonde,
 )
 
@@ -507,3 +509,45 @@ def test_equal_polynomials_from_different_paths_are_identical(p, q):
         assert other == p
         assert poly_to_json_terms(other) == poly_to_json_terms(p)
         assert_canonical(other)
+
+
+# -- the scaled-sum kernel ---------------------------------------------------
+
+
+@st.composite
+def scaled_parts(draw):
+    """(s, nums, den) triples with mixed signs and denominators and zero
+    scales; with `cancel`, each part is followed by its negation over a
+    multiplied denominator, so the whole sum is zero."""
+    parts = draw(st.lists(st.tuples(
+        st.integers(-6, 6),
+        st.dictionaries(st.integers(0, 4), st.integers(-9, 9), max_size=4),
+        st.integers(1, 12),
+    ), max_size=4))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 5))
+        parts += [(-s * k, nums, den * k) for s, nums, den in parts]
+    return draw(st.permutations(parts))
+
+
+@given(scaled_parts())
+@settings(max_examples=200, deadline=None)
+def test_scaled_sum_is_the_reduced_fraction_sum(parts):
+    total = {}
+    for s, nums, den in parts:
+        for key, c in nums.items():
+            total[key] = total.get(key, 0) + Fraction(s * c, den)
+    got = _scaled_sum(parts)
+    assert got == scalar_pair(total)
+    nums, den = got
+    assert den > 0 and all(type(c) is int and c for c in nums.values())
+    assert gcd(den, *nums.values()) == 1
+
+
+def test_scaled_sum_pinned():
+    assert _scaled_sum([]) == ({}, 1)
+    assert _scaled_sum([(0, {0: 5}, 7), (3, {}, 2)]) == ({}, 1)
+    assert _scaled_sum([(2, {0: 3, 1: -1}, 4), (-1, {0: 3, 1: -1}, 2)]) == ({}, 1)
+    # 6/4 and 2/4 over the lcm 4 share the factor 2 with it.
+    assert _scaled_sum([(3, {0: 2, 1: 1}, 4), (-1, {1: 1}, 4)]) == ({0: 3, 1: 1}, 2)
+    assert _scaled_sum([(1, {2: 1}, 3), (1, {2: 1}, 6)]) == ({2: 1}, 2)

@@ -62,6 +62,23 @@ def test_factorial_table_form():
         seq.a(3)
 
 
+@pytest.mark.parametrize("value", [0.5, True, "1/2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda v: factorial([v]), lambda v: bc_jacobi(v, -3),
+     lambda v: bc_jacobi(1, v, probe_upto=-1)],
+    ids=["factorial", "bc_jacobi-p", "bc_jacobi-q"],
+)
+def test_presets_read_parameters_as_table_entries(build, value):
+    # A string reads as its Fraction; a float or bool is refused when the
+    # preset is built, with the value named.
+    if isinstance(value, str):
+        assert build(value).a(0) == build(F(value)).a(0)
+    else:
+        with pytest.raises(TypeError, match=f"cannot interpret {value!r}"):
+            build(value)
+
+
 def test_factorial_callable_form():
     seq = factorial(lambda x: x * x)
     assert seq.a(3) == 9

@@ -45,6 +45,7 @@ from oracles import (
     leibniz_det,
     minor_expansion,
     newton_complete_homogeneous,
+    realized_jt_entries,
     schur_by_tableaux,
 )
 
@@ -635,6 +636,38 @@ def test_jt_infinite_refuses_an_integer_d_below_the_length(build, d, lam):
     assert not seq.families  # refused before anything was fitted
     assert jt_infinite_check(lam, seq, len(lam), n_eval)
     assert jt_infinite_check(lam, seq, len(lam) + 1, n_eval)
+
+
+JT_ENTRY_SEQS = [bc_jacobi(1, -3), random_polynomial_coeffseq(random.Random(7))]
+
+
+@pytest.mark.parametrize("n_eval", [3, 4, 5])
+@pytest.mark.parametrize("d", [F(1, 3), F(7, 3)], ids=["1/3", "7/3"])
+@pytest.mark.parametrize("seq", JT_ENTRY_SEQS, ids=["bc_jacobi", "poly-table"])
+def test_jt_infinite_entries_equal_the_realised_one_row_sums(monkeypatch, seq, d, n_eval):
+    # The check writes each entry from a degree map; the oracle realises
+    # every one-row object as a polynomial first and sums Fraction * MultiPoly.
+    lam = (3, 2, 1)
+    seen = {}
+
+    def spy(entry, indices, arity):
+        seen["entry"] = entry
+        return first_column_det(entry, indices, arity)
+
+    monkeypatch.setattr(stable, "first_column_det", spy)
+    assert jt_infinite_check(lam, seq, d, n_eval)
+    top = lam[0] + len(lam)
+    one_rows = [gschur_function((j,) if j else (), seq, d) for j in range(top)]
+    oracle = realized_jt_entries(seq, d, n_eval, one_rows)
+    cases = [(i, c) for i in range(-len(lam), lam[0] + 1) for c in range(len(lam))
+             if i + c < top]
+    for i, c in cases:
+        assert seen["entry"](i, c) == oracle(i, c), (i, c)
+    assert any(not oracle(i, c).is_zero for i, c in cases if c)
+
+
+def test_jt_infinite_of_the_empty_partition_is_one():
+    assert jt_infinite_check((), bc_jacobi(1, -3), F(7, 3), 2)
 
 
 def test_jt_infinite_classical_off_integer():
