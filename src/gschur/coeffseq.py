@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import MultiPoly, _coerce_scalar, _scaled_sum
+from .exactalg import MultiPoly, _coerce_scalar, _eval_homogeneous, _scaled_sum
 
 _ZERO = Fraction(0)
 
@@ -306,12 +307,14 @@ def random_polynomial_coeffseq(rng, degree: int = 1) -> CoeffSeq:
             Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             for _ in range(degree + 1)
         )
+        # Integer numerators over one denominator, evaluated at x = s/t by
+        # homogeneous Horner: the value is their sum over den * t^degree.
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
 
-        def evaluate(x, coeffs=cs) -> Fraction:
-            total = Fraction(0)
-            for c in reversed(coeffs):
-                total = total * x + c
-            return total
+        def evaluate(x: Fraction) -> Fraction:
+            t = x.denominator
+            return Fraction(_eval_homogeneous(nums, x.numerator, t), den * t**degree)
 
         return evaluate
 

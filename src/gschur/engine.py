@@ -162,12 +162,18 @@ def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
     return MultiPoly._make(n, dict.fromkeys(set(permutations(pad(mu, n))), 1))
 
 
+def _check_int(name: str, value) -> None:
+    """A count or index must be an int; a bool or float raises TypeError
+    naming the argument."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 class GschurContext:
     """All determinantal routes for one (n, coefficient sequence) pair."""
 
     def __init__(self, n: int, seq: CoeffSeq):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"n must be an int, got {type(n).__name__}")
+        _check_int("n", n)
         if n < 1:
             raise ValueError("need at least one variable")
         self.n = n

@@ -16,7 +16,10 @@ lcm of the two denominators, and the costly loops (products and the cofactor
 sums of `determinant`) also pack each exponent tuple into one integer
 ordered as graded lex.  The package's other exact maps in this format (shift
 and degree scalars, the phi recurrence, the parameterised Jacobi-Trudi
-entries) are summed by one kernel, `_scaled_sum`.  `exact_divide` is
+entries) are summed by one kernel, `_scaled_sum`, and every integer
+coefficient list of one variable (a fitted function of d, the fit's own
+check, a random closed-form coefficient) is evaluated by one homogeneous
+Horner, `_eval_homogeneous`.  `exact_divide` is
 uncalled in the package and kept because the benchmark's tracer looks it up
 by name.  Coefficients become reduced `Fraction`s only in `items()`,
 `coefficient()` and `leading_term()`.  Output (JSON, text, LaTeX) is
@@ -75,6 +78,17 @@ def _scaled_sum(parts: Iterable[tuple[int, dict, int]]) -> tuple[dict, int]:
     out = {k: c for k, c in out.items() if c}
     g = gcd(den, *out.values())
     return ({k: c // g for k, c in out.items()}, den // g) if g != 1 else (out, den)
+
+
+def _eval_homogeneous(cs: Sequence[int], s: int, t: int = 1) -> int:
+    """t^k P(s/t) for the integer coefficient list of P (index = degree),
+    k = len(cs) - 1: Horner's rule homogenised in s and t, so a rational
+    argument costs no `Fraction`.  With the default t = 1 that is P(s)."""
+    total, power = 0, 1
+    for c in reversed(cs):
+        total = total * s + c * power
+        power *= t
+    return total
 
 
 def grlex_key(exponents: Exponent) -> tuple[int, Exponent]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 
 from .coeffseq import CoeffSeq, PoleError, _to_fraction
 from .engine import GschurContext, first_column_det, shift_coefficients
@@ -92,24 +93,28 @@ def bc_jacobi(p, q, probe_upto: int = 8) -> CoeffSeq:
     are read as table entries are, so a float or bool raises TypeError.
     """
     p, q = _to_fraction(p), _to_fraction(q)
+    # Each factor is linear in x: times D t at x = s/t, with D the common
+    # denominator of p and q, it is the integer 2 D s - c t for an integer
+    # c, and the powers of D t cancel between numerator and denominator.
+    D = lcm(p.denominator, q.denominator)
+    P, Q = p.numerator * (D // p.denominator), q.numerator * (D // q.denominator)
+    c = P + 2 * Q  # D (p + 2q)
+    a_top = -2 * P * (c + D)
+    n1, n2, n3 = 2 * Q + D, 2 * P + 2 * Q + D, 2 * P + 4 * Q + 2 * D
 
     def a(x: Fraction) -> Fraction:
-        d1 = 2 * x - p - 2 * q - 1
-        d2 = 2 * x - p - 2 * q + 1
-        if d1 == 0 or d2 == 0:
+        u, t = 2 * D * x.numerator, x.denominator
+        d1, d2 = u - (c + D) * t, u - (c - D) * t
+        if not d1 or not d2:
             raise PoleError(x)
-        return Fraction(-2) * p * (p + 2 * q + 1) / (d1 * d2)
+        return Fraction(a_top * t * t, d1 * d2)
 
     def b(x: Fraction) -> Fraction:
-        d1 = 2 * x - p - 2 * q
-        d2 = 2 * x - p - 2 * q - 1
-        d3 = 2 * x - p - 2 * q - 2
-        if d1 == 0 or d2 == 0 or d3 == 0:
+        u, t = 2 * D * x.numerator, x.denominator
+        d1, d2, d3 = u - c * t, u - (c + D) * t, u - (c + 2 * D) * t
+        if not d1 or not d2 or not d3:
             raise PoleError(x)
-        num = 2 * x * (2 * x - 2 * q - 1) * (2 * x - 2 * p - 2 * q - 1) * (
-            2 * x - 2 * p - 4 * q - 2
-        )
-        return num / (d1 * d2 ** 2 * d3)
+        return Fraction(u * (u - n1 * t) * (u - n2 * t) * (u - n3 * t), d1 * d2 * d2 * d3)
 
     seq = CoeffSeq.from_functions(a, b, name="bc_jacobi")
     for i in range(probe_upto + 1):

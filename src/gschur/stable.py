@@ -33,23 +33,32 @@ table (`seq.phis`), which every sample count of every interpolation shares,
 as integer determinants of the phi numerators over the product of the row
 denominators.  Which mu lie inside lam, in decreasing graded-lex order,
 depends on lam alone, so that list is enumerated once per partition and
-shared process-wide (`_inside`) by every sample count.  The fit solves its
-linear system and checks every sample in integers, and each sequence keeps
-its successful fits (`seq.families`), so the one-row families that
-`jt_infinite_check` needs, or a family evaluated at many d, are fitted
-once.  The minors and the fit share one fraction-free elimination,
-`_echelon`.  A fitted function is evaluated in integers as well: at
-x = s/t its numerator and denominator are homogenised in s and t over one
-common denominator of their coefficients, and the value is the one
-`Fraction` built.
+shared process-wide (`_inside`) by every sample count.  The sample counts
+are consecutive integers, and the counts of one degree bound are a prefix
+of the next one's, so a retry at a larger bound samples only the counts it
+adds.  The fit solves for the denominator Q alone, on one integer row per
+vanishing forward difference of y Q; the numerator P is the Newton forward
+interpolant of y Q, and every sample is checked in integers.  Each
+sequence keeps its successful fits (`seq.families`), so the one-row
+families that `jt_infinite_check` needs, or a family evaluated at many d,
+are fitted once.  The minors and the fit share one fraction-free
+elimination, `_echelon`.  A fitted function is evaluated in integers as
+well: at x = s/t its numerator and denominator are homogenised in s and t
+over one common denominator of their coefficients
+(`exactalg._eval_homogeneous`), and the value is the one `Fraction` built.
 
-A fit needs no polynomial gcd: it comes out reduced.  Suppose P0/Q0, in
-lowest terms, fits the 2*bound + 1 nodes with Q0 nonzero at each.  For any
-kernel vector (P, Q), P Q0 - P0 Q has degree <= 2*bound and vanishes at
-every node, so P Q0 = P0 Q and (P, Q) = R (P0, Q0) for a polynomial R.  With
-the unknowns ordered P's coefficients then Q's, the kernel vector of the
-first free column ends lowest in Q's block, so its R is a constant.  A fit
-that validates is such a P0/Q0, so the vector is already P0/Q0 up to scale.
+A fit needs no polynomial gcd: it comes out reduced.  At the 2*bound + 1
+consecutive nodes, a Q of degree <= bound solves the difference system
+exactly when the values y Q are those of a polynomial P of degree <= bound
+(the Newton form of their interpolant has the differences as
+coefficients).  Suppose P0/Q0, in lowest terms, fits the nodes with Q0
+nonzero at each.  For any solution Q, P Q0 - P0 Q has degree <= 2*bound
+and vanishes at every node, so P Q0 = P0 Q and Q = R Q0 for a polynomial R
+of degree <= m = bound - max(deg P0, deg Q0).  The kernel is therefore
+{R Q0}: a kernel vector's last nonzero entry sits at its degree, so the
+free columns are deg Q0 .. deg Q0 + m, and the kernel vector of the first
+free column, zero at the others, has R constant.  A fit that validates is
+such a P0/Q0, so P/Q is already P0/Q0 up to scale.
 
 Samples that no rational function of degree at most 32 explains raise
 `InterpolationInconsistentError`, an `ArithmeticError` like the poles of
@@ -61,12 +70,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm, prod
+from math import comb, factorial, lcm, prod
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import CoeffSeq, PoleError, _to_fraction
-from .engine import _from_degrees, _support, first_column_det, shift_coefficients
-from .exactalg import MultiPoly, _scaled_sum, format_poly_text
+from .engine import (
+    _check_int,
+    _from_degrees,
+    _support,
+    first_column_det,
+    shift_coefficients,
+)
+from .exactalg import MultiPoly, _eval_homogeneous, _scaled_sum, format_poly_text
 from .partitions import Partition, check_partition, contains, pad, partitions_up_to
 
 _F = Fraction
@@ -91,16 +107,6 @@ def _trimmed(cs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _eval_homogeneous(cs: Sequence[int], s: int, t: int = 1) -> int:
-    """t^k P(s/t) for the integer coefficient list of P, k = len(cs) - 1;
-    with the default t = 1 that is P(s)."""
-    total, power = 0, 1
-    for c in reversed(cs):
-        total = total * s + c * power
-        power *= t
-    return total
 
 
 class RationalFunctionOfD:
@@ -365,32 +371,67 @@ def _kernel_vector(rows: list[list[int]]) -> list[int]:
     return vec
 
 
+@cache
+def _difference_weights(g: int) -> tuple[tuple[int, ...], ...]:
+    """(-1)^(k-i) C(k, i), i = 0..k, for each order k = g+1..2g: dotted with
+    samples v_0, v_1, ... at consecutive counts, row k is Delta^k v_0."""
+    return tuple(
+        tuple((-1) ** (k - i) * comb(k, i) for i in range(k + 1))
+        for k in range(g + 1, 2 * g + 1)
+    )
+
+
 def _fit_and_validate(
     xs: Sequence[int], ys: list[Fraction], degree_bound: int
 ) -> RationalFunctionOfD:
-    """Fit P/Q with deg P, deg Q <= bound, then check everywhere.
+    """Fit P/Q with deg P, deg Q <= bound on consecutive counts, then check
+    everywhere.
 
-    The fit solves the homogenised conditions P(x) - y Q(x) = 0 at the first
-    2*bound + 1 points; with 2*bound + 2 unknown coefficients the kernel is
-    never trivial, and any nonzero solution has Q not identically zero (a
-    zero Q would force P to vanish at more points than its degree allows).
-    The remaining points are pure validation.  A pole at a sample or a
-    mismatched value raises InterpolationInconsistentError.
+    xs must be consecutive integers x_0, x_0 + 1, ..., at least 2*bound + 1
+    of them, or ValueError is raised.  The fit reads the first 2*bound + 1
+    samples: P/Q explains them exactly when the values y Q at those counts
+    are a polynomial of degree <= bound, that is when the forward
+    differences Delta^k (y Q)(x_0) vanish for k = bound+1..2*bound.  Those
+    are bound conditions on Q's bound + 1 coefficients, so the kernel is
+    never trivial.  With L the lcm of the samples' denominators, entry
+    (k, j) is sum_{i<=k} (-1)^(k-i) C(k, i) L y_i x_i^j, an integer, and Q is
+    `_kernel_vector`'s integer vector.  P is then the Newton forward
+    interpolant of L y_i Q(x_i) on x_0..x_bound, times bound! so that its
+    coefficients are integers; the denominator returned is L bound! Q.
 
-    The sample counts x are integers, so everything runs in integers: each
-    condition is multiplied by y's denominator, P and Q are `_kernel_vector`'s
-    integer vector, and each sample is checked as P(x) * den(y) == num(y) * Q(x).
-    A fit that validates is in lowest terms (see the module docstring).
+    The remaining samples are pure validation, and every sample is checked
+    as P(x) * den(y) == num(y) * Q(x) after a pole check; a pole at a
+    sample or a mismatched value raises InterpolationInconsistentError.  A
+    fit that validates is in lowest terms (see the module docstring).
     """
     g = degree_bound
-    rows = []
-    for x, y in zip(xs[: 2 * g + 1], ys):
-        powers = [x**j for j in range(g + 1)]
-        rows.append(
-            [y.denominator * p for p in powers] + [-y.numerator * p for p in powers]
-        )
-    sol = _kernel_vector(rows)
-    top, bottom = sol[: g + 1], sol[g + 1 :]
+    x0 = xs[0]
+    if len(xs) < 2 * g + 1 or any(x != x0 + i for i, x in enumerate(xs)):
+        raise ValueError(f"a fit at bound {g} needs {2 * g + 1} or more consecutive counts")
+    nodes = ys[: 2 * g + 1]
+    scale = lcm(*(y.denominator for y in nodes))
+    col = [y.numerator * (scale // y.denominator) for y in nodes]
+    cols = []  # column j holds L y_i x_i^j
+    for _ in range(g + 1):
+        cols.append(col)
+        col = [v * x for v, x in zip(col, xs)]
+    rows = [[sum(map(mul, w, col)) for col in cols] for w in _difference_weights(g)]
+    q_coeffs = _kernel_vector(rows) if rows else [1]
+    # The differences of v_i = L y_i Q(x_i) at x_0, and the nested Newton
+    # form g! P = c_0 + (x - x_0)(c_1 + (x - x_1)(...)), c_k = Delta^k v_0 g!/k!.
+    v = [c * _eval_homogeneous(q_coeffs, x) for c, x in zip(cols[0][: g + 1], xs)]
+    diffs = []
+    for _ in range(g + 1):
+        diffs.append(v[0])
+        v = [b - a for a, b in zip(v, v[1:])]
+    top, ratio = [], 1
+    for k in range(g, -1, -1):
+        nxt = [0, *top]
+        for j, c in enumerate(top):
+            nxt[j] -= xs[k] * c
+        nxt[0] += diffs[k] * ratio
+        top, ratio = nxt, ratio * k
+    bottom = [scale * factorial(g) * c for c in q_coeffs]
     for x, y in zip(xs, ys):
         q = _eval_homogeneous(bottom, x)
         if not q:
@@ -408,11 +449,14 @@ _DEGREE_BOUNDS = (4, 8, 16, 32)  # tried in turn by interpolate_c_family
 
 
 def _interpolate_all(
-    lam: Partition, seq: CoeffSeq, degree_bound: int
+    lam: Partition, seq: CoeffSeq, degree_bound: int, expansions: list
 ) -> dict[Partition, RationalFunctionOfD]:
+    """One attempt at one bound.  `expansions` holds the samples at counts
+    max(l(lam), 1), ... of earlier attempts, a prefix of this one's; the
+    counts it lacks are sampled and appended to it."""
     start = max(len(lam), 1)
     ns = range(start, start + 2 * degree_bound + 3)
-    expansions = [schur_expand_at(lam, seq, n) for n in ns]
+    expansions.extend(schur_expand_at(lam, seq, n) for n in ns[len(expansions) :])
     support = sorted(
         {mu for exp in expansions for mu in exp}, key=lambda p: (sum(p), p)
     )
@@ -426,9 +470,10 @@ def _interpolate_all(
 def interpolate_c_family(lam, seq: CoeffSeq) -> dict[Partition, RationalFunctionOfD]:
     """All Schur-basis coefficients of lam as rational functions of d.
 
-    Tries the degree bounds 4, 8, 16 and 32 in turn, re-sampling at more
-    integer counts each time, and raises the last inconsistency when even
-    32 cannot explain the samples.
+    Tries the degree bounds 4, 8, 16 and 32 in turn, each at more integer
+    counts, and raises the last inconsistency when even 32 cannot explain
+    the samples.  The counts of one attempt are a prefix of the next one's,
+    so each count is expanded once across the attempts.
 
     A table-backed sequence may run out of entries on a retry; the samples
     it did have were inconsistent, so that inconsistency is raised, chained
@@ -442,10 +487,10 @@ def interpolate_c_family(lam, seq: CoeffSeq) -> dict[Partition, RationalFunction
     lam = check_partition(lam)
     if lam in seq.families:
         return dict(seq.families[lam])
-    inconsistency = None
+    inconsistency, expansions = None, []
     for bound in _DEGREE_BOUNDS:
         try:
-            family = _interpolate_all(lam, seq, bound)
+            family = _interpolate_all(lam, seq, bound, expansions)
         except InterpolationInconsistentError as exc:
             inconsistency = exc
         except IndexError as exc:
@@ -502,8 +547,8 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     because truncation is a ring homomorphism; both sides lie in the span
     of the S_mu with l(mu) <= l(lam) (products of l(lam) one-row objects on
     the left), where truncation is injective exactly when n_eval >= l(lam),
-    so a smaller n_eval raises ValueError.  A float or bool d_value raises
-    TypeError.
+    so a smaller n_eval raises ValueError.  A float or bool d_value or
+    n_eval raises TypeError.
 
     An integer d < l(lam) raises ValueError before any fit: there the entries
     read boundary values such as a(0) and b(1), which no finite-count entry
@@ -513,6 +558,7 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
         raise ValueError("the parameterised recursion needs a closed-form sequence")
     lam = check_partition(lam)
     l = len(lam)
+    _check_int("n_eval", n_eval)
     if n_eval < max(1, l):
         raise ValueError(f"need n_eval >= max(1, l(lambda)) = {max(1, l)}, got {n_eval}")
     d = _to_fraction(d_value)
@@ -543,10 +589,13 @@ def super_schur(lam, seq: CoeffSeq, alphabet: SuperAlphabet) -> MultiPoly:
     """Super-symmetric realisation at superdimension d = n - m.
 
     The any-d object at d = n - m, realised by `realize_expansion` on the
-    alphabet's n x and m y variables.
+    alphabet's n x and m y variables.  A bool or float size raises
+    TypeError before any fit.
     """
     lam = check_partition(lam)
     n, m = alphabet
+    _check_int("alphabet.n", n)
+    _check_int("alphabet.m", m)
     if n < 0 or m < 0:
         raise ValueError("alphabet sizes must be nonnegative")
     return realize_expansion(gschur_function(lam, seq, n - m), n, m)

@@ -9,9 +9,13 @@ tableaux, super complete homogeneous functions by Newton's identities,
 Schur-basis minors by the Leibniz sum over a `Fraction` phi table, shift
 scalars by their recursion on `Fraction` maps (and a `Fraction` map put
 back in the package's reduced integer form), the parameterised Jacobi-Trudi
-entries as `Fraction` sums of realised one-row polynomials.  Slow, but with no shared
-code paths with the package internals beyond the MultiPoly container and
-its `+`/`-`.
+entries as `Fraction` sums of realised one-row polynomials, the closed-form
+coefficients of `bc_jacobi` and `random_polynomial_coeffseq` by their
+`Fraction` formulas.  Slow, but with no shared code paths with the package
+internals beyond the MultiPoly container and its `+`/`-`.  One exception:
+`kernel_fit` is the package's earlier rational fit, kept as the reference
+for the current one; it solves the full (2g+1) x (2g+2) system with the
+package's integer kernel and Horner, which have their own oracle tests.
 
 The last sections hold the per-term polynomial writer (a gcd and a
 coefficient string for every term, which the package's writers must match
@@ -25,7 +29,8 @@ from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from gschur.coeffseq import PoleError
-from gschur.exactalg import MultiPoly
+from gschur.exactalg import MultiPoly, _eval_homogeneous
+from gschur.stable import InterpolationInconsistentError, RationalFunctionOfD, _kernel_vector
 from gschur.partitions import check_partition, conjugate, diagonal_rank
 
 
@@ -290,6 +295,81 @@ def fraction_kernel_vector(rows):
     for row_idx, col in enumerate(pivots):
         vec[col] = -m[row_idx][free]
     return vec
+
+
+def kernel_fit(xs, ys, degree_bound):
+    """The package's earlier rational fit, on the full linear system.
+
+    Solves P(x) - y Q(x) = 0 at the first 2*bound + 1 samples for the
+    2*bound + 2 coefficients of P and Q together, each condition multiplied
+    by y's denominator, with `stable._kernel_vector`, then checks every
+    sample as `_fit_and_validate` does.  It reads no forward difference and
+    no Newton form, so it checks the smaller system of the current fit.
+    """
+    g = degree_bound
+    rows = []
+    for x, y in zip(xs[: 2 * g + 1], ys):
+        powers = [x**j for j in range(g + 1)]
+        rows.append(
+            [y.denominator * p for p in powers] + [-y.numerator * p for p in powers]
+        )
+    sol = _kernel_vector(rows)
+    top, bottom = sol[: g + 1], sol[g + 1 :]
+    for x, y in zip(xs, ys):
+        q = _eval_homogeneous(bottom, x)
+        if not q:
+            raise InterpolationInconsistentError(
+                f"fitted function has a pole at sample {x}"
+            )
+        if _eval_homogeneous(top, x) * y.denominator != y.numerator * q:
+            raise InterpolationInconsistentError(
+                f"fitted function disagrees with the sample at {x}"
+            )
+    return RationalFunctionOfD(top, bottom)
+
+
+def fraction_bc_jacobi(p, q):
+    """bc_jacobi's a and b by their formulas over Fraction, raising the
+    same PoleError at a vanishing denominator factor."""
+    p, q = Fraction(p), Fraction(q)
+
+    def a(x):
+        d1 = 2 * x - p - 2 * q - 1
+        d2 = 2 * x - p - 2 * q + 1
+        if d1 == 0 or d2 == 0:
+            raise PoleError(x)
+        return Fraction(-2) * p * (p + 2 * q + 1) / (d1 * d2)
+
+    def b(x):
+        d1 = 2 * x - p - 2 * q
+        d2 = 2 * x - p - 2 * q - 1
+        d3 = 2 * x - p - 2 * q - 2
+        if d1 == 0 or d2 == 0 or d3 == 0:
+            raise PoleError(x)
+        num = 2 * x * (2 * x - 2 * q - 1) * (2 * x - 2 * p - 2 * q - 1) * (
+            2 * x - 2 * p - 4 * q - 2
+        )
+        return num / (d1 * d2 ** 2 * d3)
+
+    return a, b
+
+
+def fraction_random_polynomials(rng, degree):
+    """The a and b of `random_polynomial_coeffseq(rng, degree)`, drawn from
+    rng in the same order and evaluated by Horner's rule over Fraction."""
+
+    def draw_poly():
+        cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)]
+
+        def evaluate(x):
+            total = Fraction(0)
+            for c in reversed(cs):
+                total = total * x + c
+            return total
+
+        return evaluate
+
+    return draw_poly(), draw_poly()
 
 
 def _fraction_divmod(num, den):

@@ -19,7 +19,7 @@ from gschur.coeffseq import (
 from gschur.exactalg import MultiPoly
 from gschur.presets import bc_jacobi
 
-from oracles import coeffseq_to_json, fraction_phi_table
+from oracles import coeffseq_to_json, fraction_phi_table, fraction_random_polynomials
 
 F = Fraction
 
@@ -324,6 +324,19 @@ def test_random_polynomial_coeffseq_matches_its_integer_values():
         vals[i + 3] - 3 * vals[i + 2] + 3 * vals[i + 1] - vals[i] for i in range(2)
     ]
     assert all(v == 0 for v in third)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_random_polynomial_coeffseq_matches_fraction_horner(seed, degree):
+    # Same draws from the same stream, and the same values everywhere.
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    seq = random_polynomial_coeffseq(rng, degree=degree)
+    a, b = fraction_random_polynomials(oracle_rng, degree)
+    assert rng.getstate() == oracle_rng.getstate()
+    for x in sorted({F(s, t) for s in range(-9, 10) for t in range(1, 5)}):
+        for got, want in ((seq.a_at(x), a(x)), (seq.b_at(x), b(x))):
+            assert type(got) is Fraction and got == want
 
 
 def test_table_dump_marks_unavailable_entries():

@@ -22,6 +22,8 @@ from gschur.presets import (
 )
 from gschur.verify import laurent_identity_holds
 
+from oracles import fraction_bc_jacobi
+
 F = Fraction
 
 
@@ -106,6 +108,35 @@ def test_bc_jacobi_pole_free_instance():
     seq = bc_jacobi(1, -3)
     values = [seq.a(i) for i in range(9)] + [seq.b(i) for i in range(9)]
     assert all(isinstance(v, Fraction) for v in values)
+
+
+# Every s/t with |s| <= 24 and t dividing 12: the poles of the instances
+# below (such as 5/12 and 17/12 for p, q = 1/2, 2/3) are on it.
+RATIONAL_GRID = sorted({F(s, t) for s in range(-24, 25) for t in (1, 2, 3, 4, 6, 12)})
+
+
+@pytest.mark.parametrize(
+    "p, q, probe_upto",
+    [(1, -3, 8), (F(1, 2), F(2, 3), 8), (F(-1, 3), F(3, 4), 8), (-3, F(5, 2), -1)],
+    ids=["1,-3", "1/2,2/3", "-1/3,3/4", "-3,5/2"],
+)
+def test_bc_jacobi_matches_its_fraction_formulas(p, q, probe_upto):
+    # The integer evaluation gives each value, and at each pole the same
+    # PoleError, as the Fraction formulas.
+    seq = bc_jacobi(p, q, probe_upto=probe_upto)
+    poles = set()
+    for got, want in zip((seq.a_at, seq.b_at), fraction_bc_jacobi(p, q)):
+        for x in RATIONAL_GRID:
+            try:
+                value = want(x)
+            except PoleError as exc:
+                with pytest.raises(PoleError) as caught:
+                    got(x)
+                assert (caught.value.index, str(caught.value)) == (exc.index, str(exc))
+                poles.add(x)
+                continue
+            assert type(got(x)) is Fraction and got(x) == value
+    assert poles and (F(1) in poles) == (probe_upto == -1)
 
 
 def test_make_dispatch():

@@ -42,6 +42,7 @@ from oracles import (
     fraction_kernel_vector,
     fraction_rational_value,
     fraction_reduced_ratio,
+    kernel_fit,
     leibniz_det,
     minor_expansion,
     newton_complete_homogeneous,
@@ -481,6 +482,60 @@ def test_fit_matches_fraction_oracle(g, num, den, common, noise):
     assert [fit(x) for x in xs] == ys
 
 
+@given(
+    st.integers(1, 6), st.integers(-3, 3),
+    st.sampled_from(["consistent", "perturbed", "pole"]), st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_fit_matches_the_kernel_fit_oracle(g, x0, case, data):
+    # num and den share the factor `common` and reach the bound, where a
+    # fit on fewer nodes than 2g + 1 would find a spurious Q; a perturbed
+    # case moves one sample, fit node or not, and a pole-bearing case gives
+    # den a root at one sample, whose value is then arbitrary.
+    coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    common = data.draw(st.lists(coefficient, min_size=1, max_size=g + 1))
+    keep = g + 2 - len(common)
+    num, den = (
+        list_product(data.draw(st.lists(coefficient, min_size=keep, max_size=keep)), common)
+        for _ in range(2)
+    )
+    assume(any(den) and any(common))
+    xs = range(x0, x0 + 2 * g + 3)
+    k = data.draw(st.integers(0, len(xs) - 1))
+    noise = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    if case == "pole":
+        den = list_product(den, [-xs[k], F(1)])
+    truth = fraction_reduced_ratio(num, den)
+    ys = [
+        fraction_value(truth[0], x) / fraction_value(truth[1], x)
+        if fraction_value(truth[1], x) else noise
+        for x in xs
+    ]
+    if case == "perturbed":
+        ys[k] += noise
+
+    def outcome(fit):
+        try:
+            func = fit(xs, ys, g)
+        except InterpolationInconsistentError:
+            return None
+        return func.num, func.den
+
+    got = outcome(_fit_and_validate)
+    assert got == outcome(kernel_fit)
+    if case == "consistent" and all(fraction_value(truth[1], x) for x in xs):
+        assert got == truth
+
+
+def test_fit_needs_consecutive_counts():
+    ys = [F(x) for x in range(1, 8)]
+    assert _fit_and_validate([3, 4, 5, 6, 7], ys[2:], 2) == RationalFunctionOfD([0, 1], [1])
+    with pytest.raises(ValueError, match="consecutive"):
+        _fit_and_validate([1, 2, 3, 4, 6], ys[:5], 2)
+    with pytest.raises(ValueError, match="5 or more"):
+        _fit_and_validate(range(1, 5), ys[:4], 2)
+
+
 short_coefficient_lists = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=6
 )
@@ -532,6 +587,21 @@ def test_interpolate_c_family_doubles_the_bound():
     assert family[(1,)] == 1
     assert family[()](4) == -98  # -(0 + 1 + 16 + 81)
     assert len(family[()].num) == 6 and family[()].den == (F(1),)
+
+
+def test_a_retry_expands_each_count_once(monkeypatch):
+    # Bound 4 reads the counts 1..11 and fails; bound 8 reads 1..19 and fits.
+    calls = Counter()
+    expand = stable.schur_expand_at
+
+    def counted(lam, seq, n):
+        calls[n] += 1
+        return expand(lam, seq, n)
+
+    monkeypatch.setattr(stable, "schur_expand_at", counted)
+    family = interpolate_c_family((1,), factorial(lambda x: x**4))
+    assert len(family[()].num) == 6
+    assert calls == Counter(range(1, 20))
 
 
 def test_families_are_memoised_by_partition():
@@ -590,6 +660,14 @@ def test_jt_infinite_argument_checks():
         jt_infinite_check((1,), schur(), 2, 0)
     with pytest.raises(ValueError, match="l\\(lambda\\)"):
         jt_infinite_check((1, 1, 1, 1), schur(), F(1, 3), 3)
+
+
+@pytest.mark.parametrize("n_eval", [True, 3.0])
+def test_jt_infinite_needs_an_int_n_eval(n_eval):
+    seq = schur()
+    with pytest.raises(TypeError, match=f"n_eval must be an int, got {type(n_eval).__name__}"):
+        jt_infinite_check((1,), seq, F(1, 3), n_eval)
+    assert not seq.families
 
 
 @pytest.mark.parametrize("seq", [schur(), bc_jacobi(1, -3)], ids=["schur", "bc_jacobi"])
@@ -729,6 +807,20 @@ def test_super_complete_homogeneous_one_one():
 def test_super_schur_rejects_negative_alphabet():
     with pytest.raises(ValueError):
         super_schur((1,), schur(), SuperAlphabet(-1, 0))
+
+
+@pytest.mark.parametrize(
+    "alphabet, name",
+    [((True, 1), "alphabet.n"), ((2.0, 1), "alphabet.n"), ((2, False), "alphabet.m"),
+     ((2, 1.0), "alphabet.m")],
+)
+def test_super_schur_needs_int_sizes(monkeypatch, alphabet, name):
+    def no_work(*args):
+        raise AssertionError("the sizes are checked before any expansion")
+
+    monkeypatch.setattr(stable, "gschur_function", no_work)
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        super_schur((1,), schur(), SuperAlphabet(*alphabet))
 
 
 def test_super_schur_without_odd_variables_is_bialternant():
