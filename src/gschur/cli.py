@@ -25,11 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .coeffseq import load_coeffseq
 from .engine import GschurContext
-from .exactalg import _join_signed, _ratio, format_poly_text, poly_to_json_terms
+from .exactalg import (
+    _join_signed, _ratio, as_index, as_rational, format_poly_text, poly_to_json_terms,
+)
 from .partitions import format_partition, parse_partition
 from .presets import PRESETS, fh_character_det, make
 
@@ -55,13 +56,6 @@ def _render_expansion(expansion, fmt: str) -> str:
     return "\n".join(lines) if lines else "empty expansion"
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _add_shared_options(sub: argparse.ArgumentParser) -> None:
     """The sequence source, --lambda and --format of every subcommand but verify."""
     sub.add_argument(
@@ -82,15 +76,10 @@ def _add_shared_options(sub: argparse.ArgumentParser) -> None:
 def _sequence_from_args(args):
     if bool(args.preset) == bool(args.seq_file):
         raise ValueError("give exactly one of --preset and --seq-file")
-    params = {}
-    if args.p is not None:
-        params["p"] = _rational(args.p)
-    if args.q is not None:
-        params["q"] = _rational(args.q)
+    # The preset reads the rational text through the scalar gate.
+    params = {key: getattr(args, key) for key in ("p", "q") if getattr(args, key) is not None}
     if args.a_table is not None:
-        params["a_table"] = [
-            _rational(tok.strip()) for tok in args.a_table.split(",") if tok.strip()
-        ]
+        params["a_table"] = [tok.strip() for tok in args.a_table.split(",") if tok.strip()]
     if args.seq_file:
         if params:
             raise ValueError(f"--seq-file does not read {', '.join(params)}")
@@ -164,11 +153,10 @@ def _cmd_super(args) -> int:
 def _cmd_stable(args) -> int:
     from .stable import gschur_function, jt_infinite_check
 
-    if args.n_eval < 1:
-        raise ValueError("--n-eval must be at least 1")
+    as_index(args.n_eval, "--n-eval", 1)
     seq = _sequence_from_args(args)
     lam = parse_partition(args.lam)
-    d = _rational(args.d)
+    d = as_rational(args.d, "--d")
     # The check runs first, so a sequence or --n-eval it refuses prints nothing.
     ok = not args.jt_check or jt_infinite_check(lam, seq, d, args.n_eval)
     print(_render_expansion(gschur_function(lam, seq, d), args.format))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import MultiPoly, _coerce_scalar, _eval_homogeneous, _scaled_sum
+from .exactalg import MultiPoly, _eval_homogeneous, _scaled_sum, as_index, as_rational
 
 _ZERO = Fraction(0)
 
@@ -44,19 +44,9 @@ class PoleError(ZeroDivisionError):
         super().__init__(message or f"coefficient sequence has a pole at {index}")
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
 def _lookup(values: Sequence, which: str) -> Callable[[int], Fraction]:
     """Index function of a finite table; raises IndexError past its end."""
-    table = tuple(_to_fraction(v) for v in values)
+    table = tuple(as_rational(v, f"{which}[{k}]") for k, v in enumerate(values))
 
     def of(i: int) -> Fraction:
         try:
@@ -67,6 +57,16 @@ def _lookup(values: Sequence, which: str) -> Callable[[int], Fraction]:
             ) from None
 
     return of
+
+
+def _extension(table, which: str) -> dict[int, Fraction]:
+    """A custom negative-index table: keys through the index gate, values
+    through the scalar gate."""
+    out = {as_index(k, f"{which} key"): as_rational(v, f"{which}[{k}]")
+           for k, v in (table or {}).items()}
+    if any(k >= 0 for k in out):
+        raise ValueError("custom extension tables may only hold negative indices")
+    return out
 
 
 class CoeffSeq:
@@ -98,11 +98,8 @@ class CoeffSeq:
         self.is_closed_form = closed_form
         self.kind = "closed-form" if closed_form else "table"
         self.name = name
-        self._neg_a = {int(k): _to_fraction(v) for k, v in (negative_a or {}).items()}
-        self._neg_b = {int(k): _to_fraction(v) for k, v in (negative_b or {}).items()}
-        for k in list(self._neg_a) + list(self._neg_b):
-            if k >= 0:
-                raise ValueError("custom extension tables may only hold negative indices")
+        self._neg_a = _extension(negative_a, "negative_a")
+        self._neg_b = _extension(negative_b, "negative_b")
         self.phis = UniPolySeq(self)
         self.families: dict = {}
 
@@ -136,8 +133,8 @@ class CoeffSeq:
         name: str | None = None,
     ) -> "CoeffSeq":
         return cls(
-            lambda x: a_func(_to_fraction(x)),
-            lambda x: b_func(_to_fraction(x)),
+            lambda x: a_func(as_rational(x, "x")),
+            lambda x: b_func(as_rational(x, "x")),
             closed_form=True,
             negative_a=negative_a,
             negative_b=negative_b,
@@ -145,12 +142,13 @@ class CoeffSeq:
         )
 
     def a(self, i: int) -> Fraction:
-        """a(i) at an integer index, applying the negative-index extension."""
-        return self._neg_a.get(i, _ZERO) if i < 0 else self._a_of(i)
+        """a(i) at an index read by the index gate, applying the negative-index
+        extension."""
+        return self._neg_a.get(i, _ZERO) if as_index(i, "i") < 0 else self._a_of(i)
 
     def b(self, i: int) -> Fraction:
-        """b(i) at an integer index, applying the negative-index extension."""
-        return self._neg_b.get(i, _ZERO) if i < 0 else self._b_of(i)
+        """b(i), read as `a` reads a(i)."""
+        return self._neg_b.get(i, _ZERO) if as_index(i, "i") < 0 else self._b_of(i)
 
     def a_at(self, x: Fraction) -> Fraction:
         """Closed-form evaluation of a at an arbitrary rational argument."""
@@ -205,7 +203,8 @@ class UniPolySeq:
     of integer coefficient maps over one denominator per row, reading a(j)
     before b(j); no polynomial arithmetic is involved.  Only computed rows
     are memoised, so a PoleError or IndexError met while extending the
-    family is raised again on every call that needs the missing row.
+    family is raised again on every call that needs the missing row.  The
+    index goes through the index gate (at least -1) before the memo is read.
     """
 
     def __init__(self, seq: CoeffSeq):
@@ -216,15 +215,13 @@ class UniPolySeq:
         self._last = (({}, 1), ({0: 1}, 1))
 
     def phi(self, i: int) -> MultiPoly:
-        if i < -1:
-            raise ValueError(f"phi is defined for indices >= -1, got {i}")
-        got = self._memo.get(i)
+        got = self._memo.get(as_index(i, "i", -1))
         if got is not None:
             return got
         (p2, d2), (p1, d1) = self._last
         for j in range(len(self._memo) - 2, i):
-            a = _coerce_scalar(self.seq.a(j))
-            b = _coerce_scalar(self.seq.b(j))
+            a = as_rational(self.seq.a(j), "a")
+            b = as_rational(self.seq.b(j), "b")
             # (z - a) p1/d1 - b p2/d2, low powers first to keep the terms ordered
             nxt, den = _scaled_sum((
                 (-b.numerator, p2, b.denominator * d2),
@@ -261,15 +258,12 @@ def coeffseq_from_json(obj) -> CoeffSeq:
         isinstance(v, Mapping) for v in negative.values()
     ):
         raise ValueError("'negative' must be \"zero\" or an object with a/b maps")
+    neg = {key: {int(k): v for k, v in negative.get(key, {}).items()} for key in "ab"}
     try:
-        neg = {
-            key: {int(k): _to_fraction(v) for k, v in negative.get(key, {}).items()}
-            for key in ("a", "b")
-        }
         return CoeffSeq.from_tables(
             obj["a"], obj["b"], negative_a=neg["a"], negative_b=neg["b"]
         )
-    except (TypeError, ZeroDivisionError) as exc:
+    except TypeError as exc:
         raise ValueError(f"bad sequence entry: {exc}") from None
 
 
@@ -288,6 +282,7 @@ def random_coeffseq(rng, length: int = 64) -> CoeffSeq:
     def draw() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
+    as_index(length, "length", 0)
     a = [draw() for _ in range(length)]
     b = [draw() for _ in range(length)]
     return CoeffSeq.from_tables(a, b)

@@ -43,7 +43,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .coeffseq import CoeffSeq
-from .exactalg import MultiPoly, _coerce_scalar, _scaled_sum, determinant, grlex_key
+from .exactalg import MultiPoly, _scaled_sum, as_index, as_rational, determinant, grlex_key
 from .partitions import (
     Partition,
     check_partition,
@@ -76,12 +76,15 @@ def shift_coefficients(
     in the finite case and may be a rational parameter in the stable case;
     `a_of` / `b_of` just have to accept whatever `i + offset - 1` evaluates
     to.  Entries with i + r < 0 are empty and read no coefficients; every
-    other entry with r >= 1 reads a and b at i + offset - 1, each an int or
-    a `Fraction` (a bool, a float or anything else raises TypeError).
-    `memo` is keyed by (i, r); its pairs must not be mutated.
+    other entry with r >= 1 reads a and b at i + offset - 1, each through
+    the scalar gate.  i and r >= 0 go through the index gate here, once;
+    the memoised recursion `_shifted` checks nothing.  `memo` is keyed by
+    (i, r); its pairs must not be mutated.
     """
-    if r < 0:
-        raise ValueError("shift order must be nonnegative")
+    return _shifted(a_of, b_of, offset, as_index(i, "i"), as_index(r, "r", 0), memo)
+
+
+def _shifted(a_of, b_of, offset, i: int, r: int, memo: dict) -> tuple[dict[int, int], int]:
     if i + r < 0:
         return {}, 1
     key = (i, r)
@@ -92,11 +95,11 @@ def shift_coefficients(
         value = {i: 1}, 1
     else:
         arg = i + offset - 1
-        up = shift_coefficients(a_of, b_of, offset, i + 1, r - 1, memo)
-        a = _coerce_scalar(a_of(arg))
-        same = shift_coefficients(a_of, b_of, offset, i, r - 1, memo)
-        b = _coerce_scalar(b_of(arg))
-        lower = shift_coefficients(a_of, b_of, offset, i - 1, r - 1, memo)
+        up = _shifted(a_of, b_of, offset, i + 1, r - 1, memo)
+        a = as_rational(a_of(arg), "a")
+        same = _shifted(a_of, b_of, offset, i, r - 1, memo)
+        b = as_rational(b_of(arg), "b")
+        lower = _shifted(a_of, b_of, offset, i - 1, r - 1, memo)
         value = _scaled_sum(
             (s.numerator, nums, s.denominator * d)
             for s, (nums, d) in ((1, up), (a, same), (b, lower))
@@ -157,26 +160,16 @@ def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
     has more parts than variables.
     """
     mu = check_partition(mu)
-    if len(mu) > n:
+    if len(mu) > as_index(n, "n", 0):
         return MultiPoly.zero(n)
     return MultiPoly._make(n, dict.fromkeys(set(permutations(pad(mu, n))), 1))
-
-
-def _check_int(name: str, value) -> None:
-    """A count or index must be an int; a bool or float raises TypeError
-    naming the argument."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class GschurContext:
     """All determinantal routes for one (n, coefficient sequence) pair."""
 
     def __init__(self, n: int, seq: CoeffSeq):
-        _check_int("n", n)
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.n = n
+        self.n = as_index(n, "n", 1)
         self.seq = seq
         self._bialternant: dict[Partition, MultiPoly] = {}
         self._shift_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
@@ -244,7 +237,7 @@ class GschurContext:
         memoised per (i, r), with the phi tails per j, not to be mutated.
         Empty for i + r < 0, whatever the negative extension.
         """
-        key = (i, r)
+        key = (as_index(i, "i"), as_index(r, "r", 0))
         got = self._scalar_memo.get(key)
         if got is not None:
             return got
@@ -262,7 +255,7 @@ class GschurContext:
     def h_shift(self, i: int, r: int) -> MultiPoly:
         """The r-times shifted one-row family h_i^{(r)}, written from
         `shift_scalars` alone by `_from_degrees`."""
-        key = (i, r)
+        key = (as_index(i, "i"), as_index(r, "r", 0))
         got = self._h_shift_memo.get(key)
         if got is None:
             got = self._h_shift_memo[key] = _from_degrees(self.n, *self.shift_scalars(i, r))
@@ -287,9 +280,8 @@ class GschurContext:
         partition is a lookup.  For u < 0 the determinant collapses to a
         constant: (-1)^v when u + v = -1 and zero otherwise.
         """
-        if v < 0:
-            raise ValueError("leg length must be nonnegative")
-        if u < 0:
+        as_index(v, "v", 0)
+        if as_index(u, "u") < 0:
             value = Fraction(-1) ** v if u + v == -1 else Fraction(0)
             return MultiPoly.constant(self.n, value)
         if v + 1 > self.n:
@@ -337,8 +329,8 @@ class GschurContext:
         one written as an exponent shift of h_i^{(r-1)}, with no product.
         Must vanish whenever r <= i + 2n - 2.
         """
-        if r < 1:
-            raise ValueError("the identity needs a positive shift order")
+        as_index(i, "i")
+        as_index(r, "r", 1)
         if self.n < 2:
             raise ValueError("the identity needs at least two variables")
         if r > i + 2 * self.n - 2:

@@ -31,6 +31,12 @@ far fewer distinct coefficients than terms.
 Polynomials are immutable by convention: no method mutates `self`, and all
 arithmetic returns fresh objects, so values can be shared freely between
 threads once constructed.
+
+The package's one input policy is the two gates here, and every module reads
+caller input through them.  `as_rational` is the exact-scalar gate: an int
+that is not a bool, a `Fraction`, or a string `Fraction` reads.  `as_index`
+is the index gate: an int that is not a bool, with an optional lower bound.
+Integral floats and `Fraction`s are not indices.
 """
 
 from __future__ import annotations
@@ -52,12 +58,36 @@ class DivisionNotExactError(ArithmeticError):
     """No polynomial quotient exists for the requested exact division."""
 
 
-def _coerce_scalar(value: Scalar) -> Fraction:
+def as_rational(value, name: str) -> Fraction:
+    """The exact-scalar gate: `value` as a `Fraction`.  Text that `Fraction`
+    does not read, or reads with a zero denominator, raises ValueError; any
+    other value but an int (not a bool) or a `Fraction` raises TypeError.
+    Both messages start with `name` and show the value."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{name}: zero denominator in {value!r}") from None
+        except ValueError:
+            raise ValueError(f"{name}: {value!r} does not read as a rational") from None
+    raise TypeError(
+        f"{name}: cannot interpret {value!r} as an exact rational: expected an int"
+        f" or Fraction or a str, got {type(value).__name__}"
+    )
+
+
+def as_index(value, name: str, low: int | None = None) -> int:
+    """The index gate: `value` itself when it is an int, not a bool, and at
+    least `low` (if given); otherwise TypeError or ValueError naming `name`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def _scaled_sum(parts: Iterable[tuple[int, dict, int]]) -> tuple[dict, int]:
@@ -91,6 +121,17 @@ def _eval_homogeneous(cs: Sequence[int], s: int, t: int = 1) -> int:
     return total
 
 
+def _exponents(exps: Iterable[int], arity: int) -> Exponent:
+    """exps as an exponent tuple of an arity-variable ring, each entry read
+    by the index gate (int() would truncate 1.9 to 1)."""
+    e = tuple(exps)
+    for v in e:
+        as_index(v, "exponent", 0)
+    if len(e) != arity:
+        raise ValueError(f"exponent tuple {e} does not match arity {arity}")
+    return e
+
+
 def grlex_key(exponents: Exponent) -> tuple[int, Exponent]:
     """Sort key realising the graded lexicographic monomial order."""
     return (sum(exponents), exponents)
@@ -109,19 +150,12 @@ class MultiPoly:
     __slots__ = ("arity", "_num", "_den")
 
     def __init__(self, arity: int, terms: Mapping[Exponent, Scalar] | None = None):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
+        as_index(arity, "arity", 0)
         clean: dict[Exponent, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                e = tuple(exps)
-                if any(type(v) is not int for v in e):  # int() would truncate 1.9 to 1
-                    raise TypeError(f"exponents must be integers, got {e}")
-                if len(e) != arity:
-                    raise ValueError(f"exponent tuple {e} does not match arity {arity}")
-                if any(v < 0 for v in e):
-                    raise ValueError(f"negative exponent in {e}")
-                c = _coerce_scalar(coeff)
+                e = _exponents(exps, arity)
+                c = as_rational(coeff, "coefficient")
                 if c:
                     clean[e] = c
         # Over the lcm of reduced denominators the content is already 1.
@@ -149,7 +183,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, arity: int, value: Scalar) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: value})
+        return cls(arity, {(0,) * as_index(arity, "arity", 0): value})
 
     @classmethod
     def one(cls, arity: int) -> "MultiPoly":
@@ -157,7 +191,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "MultiPoly":
-        if not 0 <= index < arity:
+        if as_index(index, "index", 0) >= as_index(arity, "arity", 0):
             raise ValueError(f"variable index {index} out of range for arity {arity}")
         exps = tuple(1 if i == index else 0 for i in range(arity))
         return cls(arity, {exps: 1})
@@ -177,7 +211,7 @@ class MultiPoly:
         return ((e, Fraction(c, self._den)) for e, c in self._num.items())
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(exponents), 0), self._den)
+        return Fraction(self._num.get(_exponents(exponents, self.arity), 0), self._den)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Greatest term in the graded lexicographic order."""
@@ -199,11 +233,10 @@ class MultiPoly:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
     def _combine(self, other, sign: int):
-        """self + sign * other, over the lcm of the two denominators."""
-        if isinstance(other, (int, Fraction)):
+        """self + sign * other, over the lcm of the two denominators; a scalar
+        other goes through the gate."""
+        if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.arity, other)
-        elif not isinstance(other, MultiPoly):
-            return NotImplemented
         self._check_same_ring(other)
         den = lcm(self._den, other._den)
         up, scale = den // self._den, sign * (den // other._den)
@@ -226,9 +259,7 @@ class MultiPoly:
         return self._combine(other, -1)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.arity, other) - self
-        return NotImplemented
+        return MultiPoly.constant(self.arity, other) - self
 
     def _scale(self, c: Scalar) -> "MultiPoly":
         if not c:
@@ -247,25 +278,19 @@ class MultiPoly:
             width = _field_width(_degree(self._num) + _degree(other._num))
             pair = (1, _to_ints(self, width), _to_ints(other, width))
             return _from_ints(_product_sum([pair]), self.arity, width)
-        if isinstance(other, (int, Fraction)):
-            return self._scale(_coerce_scalar(other))
-        return NotImplemented
+        return self._scale(as_rational(other, "coefficient"))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce_scalar(other)
-            if not c:
-                raise ZeroDivisionError("division of a polynomial by zero")
-            return self._scale(1 / c)
-        return NotImplemented
+        c = as_rational(other, "divisor")
+        if not c:
+            raise ZeroDivisionError("division of a polynomial by zero")
+        return self._scale(1 / c)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
         result = MultiPoly.one(self.arity)
-        for _ in range(exponent):
+        for _ in range(as_index(exponent, "exponent", 0)):
             result = result * self
         return result
 
@@ -285,9 +310,9 @@ class MultiPoly:
 
         The arity is preserved; the variable simply no longer occurs.
         """
-        if not 0 <= index < self.arity:
+        if as_index(index, "index", 0) >= self.arity:
             raise ValueError(f"variable index {index} out of range")
-        v = _coerce_scalar(value)
+        v = as_rational(value, "value")
         # Every term goes over v's denominator to the variable's top power.
         most = max((e[index] for e in self._num), default=0)
         out: dict[Exponent, int] = {}

@@ -8,26 +8,27 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .exactalg import as_index
+
 Partition = tuple[int, ...]
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
     """Normalise an iterable of parts into a canonical partition tuple.
 
-    Trailing zeros are stripped; anything not weakly decreasing or containing
-    a negative or non-integral part is rejected.
+    Each part goes through the index gate with lower bound 0, so a bool, a
+    float (integral or not) or a `Fraction` raises TypeError and a negative
+    part ValueError.  Trailing zeros are stripped, and parts that are not
+    weakly decreasing raise ValueError.
     """
-    raw = tuple(parts)
-    p = tuple(int(v) for v in raw)
-    if p != raw:
-        raise ValueError(f"non-integral part in {raw}")
+    p = tuple(parts)
+    for v in p:
+        as_index(v, "partition part", 0)
     while p and p[-1] == 0:
         p = p[:-1]
     for a, b in zip(p, p[1:]):
         if a < b:
             raise ValueError(f"parts are not weakly decreasing: {p}")
-    if p and p[-1] < 0:
-        raise ValueError(f"negative part in {p}")
     return p
 
 

@@ -19,9 +19,9 @@ from functools import cache
 from itertools import product
 from math import lcm
 
-from .coeffseq import CoeffSeq, PoleError, _to_fraction
+from .coeffseq import CoeffSeq, PoleError
 from .engine import GschurContext, first_column_det, shift_coefficients
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, as_index, as_rational
 from .partitions import check_partition
 
 CLASSICAL_PRESETS = ("so_odd", "so_even", "sp")
@@ -69,9 +69,8 @@ def sp() -> CoeffSeq:
 def factorial(a_values) -> CoeffSeq:
     """b = 0 with a prescribed a-table, so phi_i = (z - a(0))...(z - a(i-1)).
 
-    Accepts either a callable closed form or a finite table of exact
-    rationals, read as `CoeffSeq.from_tables` reads one: ints, Fractions or
-    strings, with a float or bool raising TypeError.
+    Accepts either a callable closed form or a finite table, read as
+    `CoeffSeq.from_tables` reads one: each entry through the scalar gate.
     """
     if callable(a_values):
         return CoeffSeq.from_functions(a_values, lambda x: _F(0), name="factorial")
@@ -89,10 +88,11 @@ def bc_jacobi(p, q, probe_upto: int = 8) -> CoeffSeq:
     Both formulas can vanish in the denominator at small indices, depending
     on p and q.  Construction eagerly probes indices 0..probe_upto and fails
     fast with a PoleError naming the first singular index; pass probe_upto=-1
-    to defer every failure to first use (0 still probes index 0).  p and q
-    are read as table entries are, so a float or bool raises TypeError.
+    to defer every failure to first use (0 still probes index 0).  p and q go
+    through the scalar gate and probe_upto through the index gate.
     """
-    p, q = _to_fraction(p), _to_fraction(q)
+    p, q = as_rational(p, "p"), as_rational(q, "q")
+    as_index(probe_upto, "probe_upto", -1)
     # Each factor is linear in x: times D t at x = s/t, with D the common
     # denominator of p and q, it is the integer 2 D s - c t for an integer
     # c, and the powers of D t cancel between numerator and denominator.
@@ -198,8 +198,7 @@ def boundary_insensitivity(lam, n: int) -> bool:
     a context's memos, meant for a single thread; no polynomial is built.
     """
     lam = check_partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"partition {lam} needs more than {n} variables")
+    as_index(n, "n", len(lam))
     variants = _boundary_variants(n)
     for j, part in enumerate(lam):
         for r in range(1, len(lam)):

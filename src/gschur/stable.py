@@ -74,15 +74,11 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .coeffseq import CoeffSeq, PoleError, _to_fraction
-from .engine import (
-    _check_int,
-    _from_degrees,
-    _support,
-    first_column_det,
-    shift_coefficients,
+from .coeffseq import _ZERO, CoeffSeq, PoleError
+from .engine import _from_degrees, _support, first_column_det, shift_coefficients
+from .exactalg import (
+    MultiPoly, _eval_homogeneous, _scaled_sum, as_index, as_rational, format_poly_text,
 )
-from .exactalg import MultiPoly, _eval_homogeneous, _scaled_sum, format_poly_text
 from .partitions import Partition, check_partition, contains, pad, partitions_up_to
 
 _F = Fraction
@@ -140,8 +136,8 @@ class RationalFunctionOfD:
         )
 
     def __call__(self, x) -> Fraction:
-        """Value at an exact rational x; a float or bool raises TypeError."""
-        x = _to_fraction(x)
+        """Value at x, read through the scalar gate."""
+        x = as_rational(x, "d")
         s, t = x.numerator, x.denominator
         top, bottom = self._ints
         q = _eval_homogeneous(bottom, s, t)
@@ -214,8 +210,8 @@ def realize_expansion(
     skipped; with m = 0 that is the truncation of a symmetric function to n
     variables, which drops every mu with more than n rows.
     """
-    if n < 0 or m < 0:
-        raise ValueError("alphabet sizes must be nonnegative")
+    as_index(n, "n", 0)
+    as_index(m, "m", 0)
     inside = {
         mu: c for mu, c in expansion.items() if c and (len(mu) <= n or mu[n] <= m)
     }
@@ -273,8 +269,7 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
     """
     lam = check_partition(lam)
     l = len(lam)
-    if n < l:
-        raise ValueError(f"need at least {l} variables for {lam}")
+    as_index(n, "n", l)
     if l == 0:
         return {(): _F(1)}
     # Row j holds the integer numerators of phi_{lam_j + n - 1 - j}; the
@@ -462,7 +457,7 @@ def _interpolate_all(
     )
     out: dict[Partition, RationalFunctionOfD] = {}
     for mu in support:
-        ys = [exp.get(mu, _F(0)) for exp in expansions]
+        ys = [exp.get(mu, _ZERO) for exp in expansions]
         out[mu] = _fit_and_validate(ns, ys, degree_bound)
     return out
 
@@ -515,15 +510,14 @@ def gschur_function(lam, seq: CoeffSeq, d_value) -> dict[Partition, Fraction]:
     succeed, and the direct route stays meaningful for table sequences whose
     coefficients have no rational interpolant at all.
 
-    d_value must be exact (int, Fraction or a string Fraction reads); a
-    float or bool raises TypeError.
+    d_value goes through the scalar gate.
     """
     lam = check_partition(lam)
-    d = _to_fraction(d_value)
+    d = as_rational(d_value, "d_value")
     if not lam:
         return {(): _F(1)}
     if d.denominator == 1 and d >= len(lam):
-        return schur_expand_at(lam, seq, int(d))
+        return schur_expand_at(lam, seq, d.numerator)
     family = interpolate_c_family(lam, seq)
     out: dict[Partition, Fraction] = {}
     for mu, func in family.items():
@@ -547,8 +541,8 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     because truncation is a ring homomorphism; both sides lie in the span
     of the S_mu with l(mu) <= l(lam) (products of l(lam) one-row objects on
     the left), where truncation is injective exactly when n_eval >= l(lam),
-    so a smaller n_eval raises ValueError.  A float or bool d_value or
-    n_eval raises TypeError.
+    so a smaller n_eval raises ValueError.  d_value goes through the scalar
+    gate and n_eval through the index gate.
 
     An integer d < l(lam) raises ValueError before any fit: there the entries
     read boundary values such as a(0) and b(1), which no finite-count entry
@@ -558,10 +552,8 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
         raise ValueError("the parameterised recursion needs a closed-form sequence")
     lam = check_partition(lam)
     l = len(lam)
-    _check_int("n_eval", n_eval)
-    if n_eval < max(1, l):
-        raise ValueError(f"need n_eval >= max(1, l(lambda)) = {max(1, l)}, got {n_eval}")
-    d = _to_fraction(d_value)
+    as_index(n_eval, "n_eval", max(1, l))
+    d = as_rational(d_value, "d_value")
     if d.denominator == 1 and d < l:
         raise ValueError(f"at an integer d the check needs d >= l(lambda) = {l}, got {d}")
     rhs = realize_expansion(gschur_function(lam, seq, d), n_eval)
@@ -589,13 +581,11 @@ def super_schur(lam, seq: CoeffSeq, alphabet: SuperAlphabet) -> MultiPoly:
     """Super-symmetric realisation at superdimension d = n - m.
 
     The any-d object at d = n - m, realised by `realize_expansion` on the
-    alphabet's n x and m y variables.  A bool or float size raises
-    TypeError before any fit.
+    alphabet's n x and m y variables.  Both sizes go through the index gate
+    before any fit.
     """
     lam = check_partition(lam)
     n, m = alphabet
-    _check_int("alphabet.n", n)
-    _check_int("alphabet.m", m)
-    if n < 0 or m < 0:
-        raise ValueError("alphabet sizes must be nonnegative")
+    as_index(n, "alphabet.n", 0)
+    as_index(m, "alphabet.m", 0)
     return realize_expansion(gschur_function(lam, seq, n - m), n, m)

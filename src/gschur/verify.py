@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 from . import presets as presets_mod
 from .coeffseq import CoeffSeq, random_coeffseq, random_polynomial_coeffseq
 from .engine import GschurContext
-from .exactalg import _scaled_sum, poly_to_json_terms
+from .exactalg import _scaled_sum, as_index, poly_to_json_terms
 from .partitions import dominated_partial_sums, partitions_up_to
 from .presets import boundary_insensitivity, factorial, fh_character_det, schur
 from .stable import (
@@ -385,8 +385,9 @@ def run_property(
     the draws of every configuration that 64 serves are unchanged.
     `max_weight` and `max_vars` default to 5 and 3 for the properties that
     read them.  Raises ValueError, before any case runs, for an option the
-    property does not read and for a configuration that is out of range or
-    leaves the suite with nothing to check.
+    property does not read and for a configuration that leaves the suite
+    with nothing to check; trials >= 1, seed, max_weight >= 0 and
+    max_vars >= 1 go through the index gate first.
     """
     if name not in _PROPERTIES:
         raise ValueError(f"unknown property {name!r}; pick from {PROPERTY_NAMES}")
@@ -396,10 +397,10 @@ def run_property(
     if ignored:
         flags = " or ".join("--" + opt.replace("_", "-") for opt in ignored)
         raise ValueError(f"property {name} does not read {flags}")
-    max_weight = 5 if max_weight is None else max_weight
-    max_vars = 3 if max_vars is None else max_vars
-    if trials < 1 or max_vars < 1 or max_weight < 0:
-        raise ValueError("need trials >= 1, max_vars >= 1 and max_weight >= 0")
+    as_index(trials, "trials", 1)
+    as_index(seed, "seed")
+    max_weight = as_index(5 if max_weight is None else max_weight, "max_weight", 0)
+    max_vars = as_index(3 if max_vars is None else max_vars, "max_vars", 1)
     if name == "fh":
         report = suite_fh(max_weight, max_vars)
     else:

@@ -42,7 +42,6 @@ def test_check_partition_strips_trailing_zeros():
     assert check_partition([3, 1, 0, 0]) == (3, 1)
     assert check_partition([]) == ()
     assert check_partition((5,)) == (5,)
-    assert check_partition((Fraction(2), 1.0)) == (2, 1)
 
 
 def test_check_partition_rejects_bad_input():
@@ -52,10 +51,18 @@ def test_check_partition_rejects_bad_input():
         check_partition([2, -1])
     with pytest.raises(ValueError):
         check_partition([2, 0, 1])
-    with pytest.raises(ValueError):
-        check_partition((2.7, 1))
-    with pytest.raises(ValueError):
-        check_partition((Fraction(5, 2),))
+
+
+@pytest.mark.parametrize(
+    "parts, kind",
+    [((Fraction(2), 1.0), "Fraction"), ((2, 1.0), "float"), ((2.7, 1), "float"),
+     ((Fraction(5, 2),), "Fraction"), ((True,), "bool"), ((1, False), "bool")],
+    ids=repr,
+)
+def test_check_partition_reads_parts_through_the_index_gate(parts, kind):
+    # Integral floats and Fractions are not indices, so nothing is rounded.
+    with pytest.raises(TypeError, match=f"^partition part must be an int, got {kind}$"):
+        check_partition(parts)
 
 
 def test_pad():
