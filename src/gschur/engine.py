@@ -16,20 +16,17 @@ bialternant.  Row-reducing the one-row bialternant with the monic phi gives
 
     S_(i)(x_1..x_n) = sum_m [z^m] phi_{i+n-1} * h_{m-n+1}(x_1..x_n),
 
-with h_d the classical complete homogeneous polynomial of degree d.  The
-shift recursion is linear in its base family, so each shifted one-row
-polynomial is a scalar combination h_i^{(r)} = sum_j c_j S_(j) whose c_j
-depend only on a, b and the offset; `shift_coefficients` computes those
-scalars, and `shift_scalars` folds them into one scalar per degree d,
-h_i^{(r)} = sum_d s_d h_d(x_1..x_n), both as integer numerators over one
-denominator, summed by `exactalg._scaled_sum`.  `h_shift` writes its
-polynomial from that map alone by `_from_degrees`, which also writes the
-stable layer's parameterised Jacobi-Trudi entries, and `gschur verify`
-checks the shift identities on the same map.
+with h_d the classical complete homogeneous polynomial of degree d, so
+S_(i) is a map of degree scalars.  The one shift recursion, `_shifted`,
+runs on maps: on those of the S_(j) in `shift_scalars`, giving
+h_i^{(r)} = sum_d s_d h_d, and on unit maps in `shift_coefficients`.
+`h_shift` writes its polynomial from the degree map by `_from_degrees`,
+which also writes the stable layer's parameterised Jacobi-Trudi entries,
+and `gschur verify` checks the shift identities on the same map.
 
 The sequence memoises its own phi family (`seq.phis`), so every context
-over one sequence shares it; contexts memoise shift and degree scalars,
-shifted families, bialternants and Jacobi-Trudi determinants, which hooks read.
+over one sequence shares it; contexts memoise degree scalars, shifted
+families, bialternants and Jacobi-Trudi determinants, which hooks read.
 They are cheap to create and meant for a single thread; the polynomials
 they hand out are immutable and can be shared freely.
 """
@@ -54,52 +51,47 @@ from .partitions import (
 
 
 def shift_coefficients(
-    a_of: Callable,
-    b_of: Callable,
-    offset,
-    i: int,
-    r: int,
-    memo: dict,
+    a_of: Callable, b_of: Callable, offset, i: int, r: int, memo: dict
 ) -> tuple[dict[int, int], int]:
-    """Scalars c_j with f_i^{(r)} = sum_j c_j f_j, for any base family f.
+    """Scalars c_j with f_i^{(r)} = sum_j c_j f_j, for any base family f:
+    `_shifted` on the unit maps f_j = {j: 1}.  i and r >= 0 go through the
+    index gate here, once.  `memo` is keyed by (i, r); its pairs must not
+    be mutated."""
+    i, r = as_index(i, "i"), as_index(r, "r", 0)
+    return _shifted(lambda j: ({j: 1}, 1), a_of, b_of, offset, i, r, memo)
 
-    The shifted families obey
+
+def _shifted(base, a_of, b_of, offset, i: int, r: int, memo: dict) -> tuple[dict, int]:
+    """The one shift recursion, on maps: f_i^{(r)} with f_j = base(j), j >= 0,
 
         f_i^{(r+1)} = f_{i+1}^{(r)} + a(i + offset - 1) f_i^{(r)}
                                     + b(i + offset - 1) f_{i-1}^{(r)},
 
-    with f^{(0)} = f and f_j = 0 for j < 0.  The recursion is linear in the
-    base, so it runs on the scalars, kept as `MultiPoly` keeps its terms:
-    nonzero integer numerators {j: n_j} over one den > 0, content-reduced,
-    so equal maps are equal pairs and the empty map is ({}, 1).  Each step
-    is one `_scaled_sum` of its three terms.  `offset` is the variable count
-    in the finite case and may be a rational parameter in the stable case;
-    `a_of` / `b_of` just have to accept whatever `i + offset - 1` evaluates
-    to.  Entries with i + r < 0 are empty and read no coefficients; every
+    and f_j = 0 for j < 0.  Every map is nonzero integer numerators over one
+    den > 0, content-reduced (`base` must return such pairs), so equal maps
+    are equal pairs and the empty map is ({}, 1); each step is one
+    `_scaled_sum`.  `offset` is the variable count in the finite case and
+    may be a rational parameter in the stable case; `a_of` / `b_of` just
+    have to accept whatever `i + offset - 1` evaluates to.  The memo is read
+    first; then entries with i + r < 0 are empty and read nothing, and every
     other entry with r >= 1 reads a and b at i + offset - 1, each through
-    the scalar gate.  i and r >= 0 go through the index gate here, once;
-    the memoised recursion `_shifted` checks nothing.  `memo` is keyed by
-    (i, r); its pairs must not be mutated.
+    the scalar gate.  The indices are not checked.
     """
-    return _shifted(a_of, b_of, offset, as_index(i, "i"), as_index(r, "r", 0), memo)
-
-
-def _shifted(a_of, b_of, offset, i: int, r: int, memo: dict) -> tuple[dict[int, int], int]:
-    if i + r < 0:
-        return {}, 1
     key = (i, r)
     got = memo.get(key)
     if got is not None:
         return got
+    if i + r < 0:
+        return {}, 1
     if r == 0:
-        value = {i: 1}, 1
+        value = base(i)
     else:
         arg = i + offset - 1
-        up = _shifted(a_of, b_of, offset, i + 1, r - 1, memo)
+        up = _shifted(base, a_of, b_of, offset, i + 1, r - 1, memo)
         a = as_rational(a_of(arg), "a")
-        same = _shifted(a_of, b_of, offset, i, r - 1, memo)
+        same = _shifted(base, a_of, b_of, offset, i, r - 1, memo)
         b = as_rational(b_of(arg), "b")
-        lower = _shifted(a_of, b_of, offset, i - 1, r - 1, memo)
+        lower = _shifted(base, a_of, b_of, offset, i - 1, r - 1, memo)
         value = _scaled_sum(
             (s.numerator, nums, s.denominator * d)
             for s, (nums, d) in ((1, up), (a, same), (b, lower))
@@ -172,9 +164,7 @@ class GschurContext:
         self.n = as_index(n, "n", 1)
         self.seq = seq
         self._bialternant: dict[Partition, MultiPoly] = {}
-        self._shift_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
         self._scalar_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
-        self._tails: dict[int, tuple[dict[int, int], int]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
         self._jt_memo: dict[Partition, MultiPoly] = {}
 
@@ -230,27 +220,21 @@ class GschurContext:
     def shift_scalars(self, i: int, r: int) -> tuple[dict[int, int], int]:
         """The degree scalars of h_i^{(r)} = sum_d s_d h_d(x_1..x_n).
 
-        With c_j = n_j / den from `shift_coefficients` (arguments offset by
-        n - 1) and S_(j) = sum_m [z^m] phi_{j+n-1} h_{m-n+1},
-        s_d = sum_j n_j [z^{d+n-1}] phi_{j+n-1} / den, one `_scaled_sum`.
-        Returned as ({d: n_d}, den), reduced, so equal maps are equal pairs;
-        memoised per (i, r), with the phi tails per j, not to be mutated.
-        Empty for i + r < 0, whatever the negative extension.
+        `_shifted` with arguments offset by n - 1 on the base
+        S_(j) = sum_d [z^{d+n-1}] phi_{j+n-1} h_d.  Returned as ({d: n_d}, den),
+        reduced, so equal maps are equal pairs; every (i, r) the recursion
+        reaches is memoised in `_scalar_memo`, not to be mutated.  Empty for
+        i + r < 0, whatever the negative extension.
         """
-        key = (as_index(i, "i"), as_index(r, "r", 0))
-        got = self._scalar_memo.get(key)
-        if got is not None:
-            return got
+        i, r = as_index(i, "i"), as_index(r, "r", 0)
+        return _shifted(self._one_row, self.seq.a, self.seq.b, self.n, i, r, self._scalar_memo)
+
+    def _one_row(self, j: int) -> tuple[dict[int, int], int]:
+        """The degree map of S_(j): the phi_{j+n-1} coefficients from z^{n-1} on."""
         n = self.n
-        nums, den = shift_coefficients(self.seq.a, self.seq.b, n, i, r, self._shift_memo)
-        parts, tails = [], self._tails
-        for j, c in nums.items():
-            if j not in tails:
-                phi = self.seq.phis.phi(j + n - 1)
-                tails[j] = {m - n + 1: p for (m,), p in phi._num.items() if m >= n - 1}, phi._den
-            parts.append((c, tails[j][0], den * tails[j][1]))
-        got = self._scalar_memo[key] = _scaled_sum(parts)
-        return got
+        phi = self.seq.phis.phi(j + n - 1)
+        tail = {m - n + 1: p for (m,), p in phi._num.items() if m >= n - 1}
+        return _scaled_sum([(1, tail, phi._den)])
 
     def h_shift(self, i: int, r: int) -> MultiPoly:
         """The r-times shifted one-row family h_i^{(r)}, written from

@@ -6,6 +6,7 @@ without trailing zeros; the empty tuple is the empty partition.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .exactalg import as_index
@@ -33,8 +34,8 @@ def check_partition(parts: Iterable[int]) -> Partition:
 
 
 def pad(p: Partition, n: int) -> tuple[int, ...]:
-    """Extend with zeros to exactly n entries."""
-    if len(p) > n:
+    """Extend with zeros to exactly n >= 0 entries."""
+    if len(p) > as_index(n, "n", 0):
         raise ValueError(f"partition {p} has more than {n} parts")
     return p + (0,) * (n - len(p))
 
@@ -83,18 +84,9 @@ def dominated_partial_sums(mu: Partition, lam: Partition, n: int) -> bool:
     """
     mu = check_partition(mu)
     lam = check_partition(lam)
-    if len(mu) > n or len(lam) > n:
+    if len(mu) > as_index(n, "n", 0) or len(lam) > n:
         raise ValueError("both partitions must fit in n parts")
-    mu_p = pad(mu, n)
-    lam_p = pad(lam, n)
-    total_mu = 0
-    total_lam = 0
-    for a, b in zip(mu_p, lam_p):
-        total_mu += a
-        total_lam += b
-        if total_mu > total_lam:
-            return False
-    return True
+    return all(x <= y for x, y in zip(accumulate(pad(mu, n)), accumulate(pad(lam, n))))
 
 
 def partitions_of(
@@ -103,19 +95,25 @@ def partitions_of(
     """All partitions of `total` in reverse-lexicographic order.
 
     `max_part` bounds every part and `max_length` the number of parts; the
-    recursion stops at `max_length` parts, so a short bound is cheap.
+    recursion stops at `max_length` parts, so a short bound is cheap.  The
+    counts go through the index gate here, before the first partition.
     """
-    length = total if max_length is None else max_length
+    as_index(total, "total")
+    cap = total if max_part is None else as_index(max_part, "max_part")
+    length = total if max_length is None else as_index(max_length, "max_length")
+    return _partitions_of(total, cap, length)
+
+
+def _partitions_of(total: int, cap: int, length: int) -> Iterator[Partition]:
     if total < 0 or length < 0:
         return
     if total == 0:
         yield ()
         return
-    cap = total if max_part is None else min(max_part, total)
-    for first in range(cap, 0, -1):
+    for first in range(min(cap, total), 0, -1):
         if first * length < total:  # the rest cannot fit in length - 1 parts
             return
-        for rest in partitions_of(total - first, first, length - 1):
+        for rest in _partitions_of(total - first, first, length - 1):
             yield (first,) + rest
 
 
@@ -123,22 +121,39 @@ def compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `length` nonnegative integers summing to `total`.
 
     Lexicographically decreasing, so (total, 0, ..., 0) comes first; nothing
-    for a negative total, and () alone for length 0 and total 0.
+    for a negative total, and () alone for length 0 and total 0.  The counts
+    go through the index gate here, before the first tuple, and each tuple
+    is stepped to the next in place, with no recursion.
     """
+    return _compositions(as_index(length, "length", 0), as_index(total, "total"))
+
+
+def _compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:
     if total < 0 or (length == 0 and total):
         return
-    if length <= 1:
-        yield (total,) if length else ()
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(length - 1, total - first):
-            yield (first,) + rest
+    c = [total] + [0] * (length - 1) if length else []
+    last, k = length - 1, 0
+    while True:
+        yield tuple(c)
+        # One unit moves from the rightmost positive entry before the last
+        # to its right neighbour, which also takes the last entry.
+        k = min(k, last - 1)
+        while k >= 0 and not c[k]:
+            k -= 1
+        if k < 0:
+            return
+        c[k] -= 1
+        tail, c[last] = c[last], 0
+        k += 1
+        c[k] = tail + 1
 
 
 def partitions_up_to(max_weight: int, max_length: int | None = None) -> Iterator[Partition]:
-    """Partitions of every weight 0..max_weight, ordered by weight then revlex."""
-    for w in range(max_weight + 1):
-        yield from partitions_of(w, max_length=max_length)
+    """Partitions of every weight 0..max_weight, ordered by weight then revlex.
+    The counts go through the index gate here, before the first partition."""
+    as_index(max_weight, "max_weight")
+    length = max_weight if max_length is None else as_index(max_length, "max_length")
+    return (p for w in range(max_weight + 1) for p in _partitions_of(w, w, length))
 
 
 def parse_partition(text: str) -> Partition:

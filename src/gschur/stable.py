@@ -70,18 +70,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import _ZERO, CoeffSeq, PoleError
-from .engine import _from_degrees, _support, first_column_det, shift_coefficients
+from .engine import _from_degrees, _shifted, _support, first_column_det
 from .exactalg import (
     MultiPoly, _eval_homogeneous, _scaled_sum, as_index, as_rational, format_poly_text,
 )
 from .partitions import Partition, check_partition, contains, pad, partitions_up_to
-
-_F = Fraction
 
 
 class InterpolationInconsistentError(ArithmeticError):
@@ -95,45 +93,52 @@ class SuperAlphabet(NamedTuple):
     m: int
 
 
-# -- univariate helpers over Fraction coefficient lists ---------------------
-
-
-def _trimmed(cs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in cs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+# -- rational functions of d ------------------------------------------------
 
 
 class RationalFunctionOfD:
-    """Rational function of one parameter with a monic denominator.
+    """Rational function of one parameter, held as one integer pair.
 
-    The constructor trims trailing zeros and scales the denominator monic;
-    it divides out no common factor, so the caller passes a coprime pair
-    (the fit in `_fit_and_validate` only ever finds one).  Then equal
-    functions have equal coefficient tuples and `==` is semantic equality.
-    A call evaluates both over one common integer denominator of the
-    coefficients, homogenised in x's numerator and denominator, so the only
-    `Fraction` it builds is the value.
+    The constructor reads each coefficient (lowest degree first) through the
+    scalar gate and clears the denominators; `_make`, which the fit calls
+    directly, trims trailing zeros and divides out the content, leaving the
+    denominator's leading coefficient positive.  No common factor is divided
+    out, so the caller passes a coprime pair (`_fit_and_validate` only finds
+    one); then equal functions have equal pairs and `==` is semantic
+    equality.  `num` and `den` read the pair back as `Fraction` tuples over
+    a monic denominator.  A call evaluates the pair homogenised in x's
+    numerator and denominator, building no `Fraction` but the value.
     """
 
-    __slots__ = ("num", "den", "_ints")
+    __slots__ = ("_ints",)
 
-    def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction]):
-        num = _trimmed(num)
-        den = _trimmed(den)
-        if not den:
+    def __init__(self, num: Sequence, den: Sequence):
+        num = [as_rational(c, "num") for c in num]
+        den = [as_rational(c, "den") for c in den]
+        scale = lcm(*(c.denominator for c in num + den))
+        top, bottom = ([c.numerator * (scale // c.denominator) for c in cs] for cs in (num, den))
+        self._ints = self._make(top, bottom)._ints
+
+    @classmethod
+    def _make(cls, top: list[int], bottom: list[int]) -> "RationalFunctionOfD":
+        """Trusted constructor from integer coefficient lists (the fit's)."""
+        for cs in (top, bottom):
+            while cs and not cs[-1]:
+                cs.pop()
+        if not bottom:
             raise ZeroDivisionError("denominator is the zero polynomial")
-        if not num:
-            den = (_F(1),)
-        lead = den[-1]
-        self.num = tuple(c / lead for c in num)
-        self.den = tuple(c / lead for c in den)
-        common = lcm(*(c.denominator for c in self.num + self.den))
-        self._ints = tuple(
-            [c.numerator * (common // c.denominator) for c in cs]
-            for cs in (self.num, self.den)
-        )
+        if not top:
+            bottom = [1]
+        g = gcd(*top, *bottom) * (1 if bottom[-1] > 0 else -1)
+        obj = object.__new__(cls)
+        obj._ints = tuple(tuple(c // g for c in cs) for cs in (top, bottom))
+        return obj
+
+    num = property(lambda self: self._monic(0))
+    den = property(lambda self: self._monic(1))
+
+    def _monic(self, k: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._ints[1][-1]) for c in self._ints[k])
 
     def __call__(self, x) -> Fraction:
         """Value at x, read through the scalar gate."""
@@ -156,23 +161,20 @@ class RationalFunctionOfD:
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, RationalFunctionOfD):
-            return self.num == other.num and self.den == other.den
+            return self._ints == other._ints
         if isinstance(other, (int, Fraction)):
-            return self.den == (_F(1),) and (
-                self.num == (Fraction(other),) or (not self.num and other == 0)
-            )
+            top, bottom = self._ints
+            return len(bottom) == 1 and Fraction(top[0] if top else 0, bottom[0]) == other
         return NotImplemented
 
     __hash__ = None
 
     def __repr__(self) -> str:
         def fmt(cs):
-            if not cs:
-                return "0"
             poly = MultiPoly(1, {(i,): c for i, c in enumerate(cs)})
             return format_poly_text(poly, names=["d"])
 
-        if self.den == (_F(1),):
+        if len(self._ints[1]) == 1:
             return fmt(self.num)
         return f"({fmt(self.num)})/({fmt(self.den)})"
 
@@ -271,7 +273,7 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
     l = len(lam)
     as_index(n, "n", l)
     if l == 0:
-        return {(): _F(1)}
+        return {(): Fraction(1)}
     # Row j holds the integer numerators of phi_{lam_j + n - 1 - j}; the
     # product of the row denominators is every minor's denominator.
     phis = [seq.phis.phi(part + n - 1 - j) for j, part in enumerate(lam)]
@@ -437,7 +439,7 @@ def _fit_and_validate(
             raise InterpolationInconsistentError(
                 f"fitted function disagrees with the sample at {x}"
             )
-    return RationalFunctionOfD(top, bottom)
+    return RationalFunctionOfD._make(top, bottom)
 
 
 _DEGREE_BOUNDS = (4, 8, 16, 32)  # tried in turn by interpolate_c_family
@@ -515,7 +517,7 @@ def gschur_function(lam, seq: CoeffSeq, d_value) -> dict[Partition, Fraction]:
     lam = check_partition(lam)
     d = as_rational(d_value, "d_value")
     if not lam:
-        return {(): _F(1)}
+        return {(): Fraction(1)}
     if d.denominator == 1 and d >= len(lam):
         return schur_expand_at(lam, seq, d.numerator)
     family = interpolate_c_family(lam, seq)
@@ -530,19 +532,18 @@ def gschur_function(lam, seq: CoeffSeq, d_value) -> dict[Partition, Fraction]:
 def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     """Does the parameterised Jacobi-Trudi determinant reproduce lam's object?
 
-    Entry (i, c) is sum_j c_j S_(j), the one-row any-d objects S_(j)
-    combined with the `shift_coefficients` scalars whose coefficient
-    arguments are offset by d - 1 (so the sequence must be closed form,
-    evaluable off the integers).  S_(j) at d is the degree map
-    sum_k [s_(k)] S_(j) h_k, so an entry is one `_scaled_sum` of degree maps,
-    written by `engine._from_degrees` as `h_shift` writes the finite ones;
-    only the right-hand side goes through `realize_expansion`.  Both sides
-    are compared after truncation to n_eval variables, which is faithful
-    because truncation is a ring homomorphism; both sides lie in the span
-    of the S_mu with l(mu) <= l(lam) (products of l(lam) one-row objects on
-    the left), where truncation is injective exactly when n_eval >= l(lam),
-    so a smaller n_eval raises ValueError.  d_value goes through the scalar
-    gate and n_eval through the index gate.
+    Entry (i, c) is h_i^{(c)} from `engine._shifted`, the recursion of the
+    finite entries, with coefficient arguments offset by d - 1 (so the
+    sequence must be closed form, evaluable off the integers) and the
+    one-row any-d objects at d as its base, each the degree map
+    sum_k [s_(k)] S_(j) h_k; `engine._from_degrees` writes every entry as it
+    writes `h_shift`, and only the right-hand side goes through
+    `realize_expansion`.  Both sides are compared after truncation to n_eval
+    variables, which is faithful because truncation is a ring homomorphism;
+    both sides lie in the span of the S_mu with l(mu) <= l(lam) (products of
+    l(lam) one-row objects on the left), where truncation is injective
+    exactly when n_eval >= l(lam), so a smaller n_eval raises ValueError.
+    d_value goes through the scalar gate and n_eval through the index gate.
 
     An integer d < l(lam) raises ValueError before any fit: there the entries
     read boundary values such as a(0) and b(1), which no finite-count entry
@@ -567,9 +568,8 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     memo: dict = {}
 
     def entry(i: int, c: int) -> MultiPoly:
-        nums, den = shift_coefficients(seq.a_at, seq.b_at, d, i, c, memo)
-        parts = [(s, one_rows[j][0], one_rows[j][1] * den) for j, s in nums.items()]
-        return _from_degrees(n_eval, *_scaled_sum(parts))
+        degrees = _shifted(one_rows.__getitem__, seq.a_at, seq.b_at, d, i, c, memo)
+        return _from_degrees(n_eval, *degrees)
 
     return first_column_det(entry, [part - j for j, part in enumerate(lam)], n_eval) == rhs
 

@@ -11,8 +11,10 @@ scalars by their recursion on `Fraction` maps (and a `Fraction` map put
 back in the package's reduced integer form), the parameterised Jacobi-Trudi
 entries as `Fraction` sums of realised one-row polynomials, the closed-form
 coefficients of `bc_jacobi` and `random_polynomial_coeffseq` by their
-`Fraction` formulas.  Slow, but with no shared code paths with the package
-internals beyond the MultiPoly container and its `+`/`-`.  One exception:
+`Fraction` formulas, and compositions by the recursion on the first part
+that `partitions.compositions` replaced.  Slow, but with no shared code
+paths with the package internals beyond the MultiPoly container and its
+`+`/`-`.  One exception:
 `kernel_fit` is the package's earlier rational fit, kept as the reference
 for the current one; it solves the full (2g+1) x (2g+2) system with the
 package's integer kernel and Horner, which have their own oracle tests.
@@ -565,6 +567,20 @@ def index_set_identity(p) -> bool:
     left = [k - p[k - 1] - 1 for k in range(r + 1, l + 1)]
     right = [q[j - 1] - j for j in range(1, r + 1)]
     return sorted(left + right) == list(range(l))
+
+
+def recursive_compositions(length, total):
+    """`partitions.compositions` by recursion on the first part, one level
+    per entry: lexicographically decreasing tuples of `length` nonnegative
+    integers summing to `total`."""
+    if total < 0 or (length == 0 and total):
+        return
+    if length <= 1:
+        yield (total,) if length else ()
+        return
+    for first in range(total, -1, -1):
+        for rest in recursive_compositions(length - 1, total - first):
+            yield (first,) + rest
 
 
 def apply_permutation(poly, perm) -> MultiPoly:

@@ -506,6 +506,24 @@ def test_bialternant_has_no_variable_cap(capsys):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--preset", "schur", "--method", "jt"],
+        ["compute", "--preset", "schur", "--method", "giambelli"],
+        ["compute", "--preset", "sp", "--method", "fh"],
+        ["super", "--preset", "schur", "--m", "0"],
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_a_thousand_variables_run(capsys, argv):
+    # The supports of h_d take no stack level per variable: Python's
+    # recursion limit is about a thousand.
+    code, out, err = run(capsys, *argv, "--n", "1000", "--lambda", "1")
+    assert (code, err) == (0, "")
+    assert out == " + ".join(f"x{i}" for i in range(1, 1001)) + "\n"
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()

@@ -21,6 +21,9 @@ from gschur import presets
 from gschur.coeffseq import CoeffSeq, random_coeffseq
 from gschur.engine import GschurContext, monomial_symmetric
 from gschur.exactalg import MultiPoly
+from gschur.partitions import (
+    compositions, dominated_partial_sums, pad, partitions_of, partitions_up_to,
+)
 from gschur.presets import bc_jacobi, factorial, sp
 from gschur.stable import (
     SuperAlphabet,
@@ -141,6 +144,24 @@ SLOTS = {
     "lemma_residual-i": index("i", lambda v, w: w.ctx.lemma_residual(v, 1)),
     "lemma_residual-r": index("r", lambda v, w: w.ctx.lemma_residual(1, v), 1),
     "monomial_symmetric-n": index("n", lambda v, w: monomial_symmetric(v, (1,)), 0),
+    # partition helpers: the counts are read when called, not when iterated
+    "pad": index("n", lambda v, w: pad((1,), v), 0),
+    "partitions_of-total": index("total", lambda v, w: partitions_of(v)),
+    "partitions_of-max_part": index(
+        "max_part", lambda v, w: partitions_of(4, max_part=v), none_ok=True
+    ),
+    "partitions_of-max_length": index(
+        "max_length", lambda v, w: partitions_of(4, max_length=v), none_ok=True
+    ),
+    "partitions_up_to-max_weight": index("max_weight", lambda v, w: partitions_up_to(v)),
+    "partitions_up_to-max_length": index(
+        "max_length", lambda v, w: partitions_up_to(2, v), none_ok=True
+    ),
+    "compositions-length": index("length", lambda v, w: compositions(v, 1), 0),
+    "compositions-total": index("total", lambda v, w: compositions(2, v)),
+    "dominated_partial_sums": index(
+        "n", lambda v, w: dominated_partial_sums((1,), (1,), v), 0
+    ),
     # sequences and their families
     "phi": index("i", lambda v, w: w.seq.phis.phi(v), -1),
     "a-table": index("i", lambda v, w: CoeffSeq.from_tables([1, 2], [1, 2]).a(v)),

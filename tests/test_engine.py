@@ -492,8 +492,10 @@ def test_monomial_expansion_checks_both_generators(planted):
 
 
 def _plant(ctx, key, degree, delta):
-    """Memoise a wrong shift_scalars map, delta added at degree, before
-    h_shift or a check reads it."""
+    """Memoise a wrong shift_scalars map, delta added at degree.  One memo
+    holds every (i, r) the recursion reaches, so a map planted before the
+    entries above it are computed would feed them too: the tests run their
+    check once before planting, so the check reads the planted map itself."""
     nums, den = ctx.shift_scalars(*key)
     fracs = {d: F(c, den) for d, c in nums.items()}
     fracs[degree] = fracs.get(degree, 0) + delta
@@ -522,7 +524,8 @@ def test_lemma_check_agrees_with_the_residual(seq, case, plant, dd, delta, other
     ctx = GschurContext(n, seq)
     if plant == "table":
         ctx._sub = GschurContext(n - 1, seeded_seq(other))
-    elif plant is not None:
+    verify._splits_variables(ctx, {"i": i, "r": r})
+    if plant not in (None, "table"):
         owner, key = {"head": (ctx, (i, r)), "prev": (ctx, (i, r - 1)),
                       "tail": (ctx._sub, (i + 1, r - 1))}[plant]
         _plant(owner, key, max(0, i + r) // 2 + dd, delta)
@@ -541,6 +544,7 @@ def test_extension_check_agrees_with_h_shift(seq, n, data, plant, dd, delta):
     other = seeded_seq(data.draw(st.integers(0, 999))) if plant == "table" else seq
     pair = tuple(GschurContext(n, s) for s in (
         seq, other.with_negative(verify.CUSTOM_NEGATIVE_A, verify.CUSTOM_NEGATIVE_B)))
+    verify._ignores_extension(pair, {"i": i, "r": r})
     if plant == "scalars":
         _plant(pair[1], (i, r), max(0, i + r) // 2 + dd, delta)
     holds = verify._ignores_extension(pair, {"i": i, "r": r}) is None
@@ -555,6 +559,7 @@ def test_alternation_check_agrees_with_the_permutation_sum(seq, n, data, plant, 
     i = data.draw(st.integers(0, 4))
     r = data.draw(st.integers(0, i + 2 * n - 2))
     ctx = GschurContext(n, seq)
+    verify._bracket_identity(ctx, {"i": i, "r": r})
     if plant:
         _plant(ctx, (i, r), (i + r) // 2 + dd, delta)
     holds = verify._bracket_identity(ctx, {"i": i, "r": r}) is None
@@ -564,6 +569,21 @@ def test_alternation_check_agrees_with_the_permutation_sum(seq, n, data, plant, 
     rhs = MultiPoly(n, {(m + r,) + delta_n[1:]: c for (m,), c in phi.items()})
     assert holds == (alternation(lhs) == alternation(rhs))
     assert holds != plant
+
+
+@given(shift_tables, st.integers(1, 4), st.integers(-5, 5), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_shift_scalars_equal_the_fold_over_the_shift_coefficients(seq, n, i, r):
+    # An independent formulation: the scalars c_j of
+    # h_i^{(r)} = sum_j c_j S_(j), folded with the phi_{j+n-1} tails,
+    # s_d = sum_j c_j [z^{d+n-1}] phi_{j+n-1}, all over Fraction.
+    phis = fraction_phi_table(seq, max(0, i + r + n - 1))
+    fold = {}
+    for j, c in fraction_shift_coefficients(seq.a, seq.b, n, i, r, {}).items():
+        for m, p in enumerate(phis[j + n - 1]):
+            if m >= n - 1:
+                fold[m - n + 1] = fold.get(m - n + 1, 0) + c * p
+    assert GschurContext(n, seq).shift_scalars(i, r) == scalar_pair(fold)
 
 
 def test_shift_scalars_are_reduced_and_write_h_shift():

@@ -21,7 +21,7 @@ from gschur.partitions import (
     partitions_up_to,
 )
 
-from oracles import index_set_identity
+from oracles import index_set_identity, recursive_compositions
 
 
 @st.composite
@@ -173,6 +173,20 @@ def test_compositions_edges_counts_and_order():
             assert len(got) == comb(total + length - 1, length - 1)
             assert got == sorted(got, reverse=True)
             assert all(len(e) == length and sum(e) == total for e in got)
+
+
+@given(st.integers(0, 7), st.integers(-1, 7))
+@settings(max_examples=200, deadline=None)
+def test_compositions_match_the_recursive_oracle(length, total):
+    assert list(compositions(length, total)) == list(recursive_compositions(length, total))
+
+
+def test_compositions_run_at_any_length():
+    # No stack level per entry: Python's recursion limit is about a thousand.
+    for length in (1000, 2000):
+        got = list(compositions(length, 1))
+        assert len(got) == length and got[0] == (1,) + (0,) * (length - 1)
+        assert got[-1] == (0,) * (length - 1) + (1,)
 
 
 def test_index_set_identity_small_cases():

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -83,6 +83,38 @@ def test_rational_function_is_not_equal_to_a_bool():
     assert (zero == False) is False  # noqa: E712
     assert one.__eq__(True) is NotImplemented
     assert one == 1 and zero == 0
+
+
+@pytest.mark.parametrize(
+    "num, den, slot",
+    [([0.5], [1], "num"), ([True], [1], "num"), ([1], [1, 2.0], "den"), ([1], [None], "den")],
+    ids=repr,
+)
+def test_rational_function_reads_its_coefficients_through_the_scalar_gate(num, den, slot):
+    with pytest.raises(TypeError, match=rf"^{slot}: cannot interpret"):
+        RationalFunctionOfD(num, den)
+    with pytest.raises(ValueError, match=r"^num: zero denominator"):
+        RationalFunctionOfD([1, "1/0"], [1])
+    assert RationalFunctionOfD(["1/2", 0], [" 3 ", "0"]) == F(1, 6)
+
+
+@given(st.lists(st.fractions(max_denominator=9), max_size=4),
+       st.lists(st.fractions(max_denominator=9), max_size=4).filter(any),
+       st.fractions(max_denominator=9).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_rational_function_holds_one_normalised_integer_pair(num, den, scale):
+    func = RationalFunctionOfD(num, den)
+    top, bottom = func._ints
+    assert all(type(c) is int for c in top + bottom)
+    assert bottom[-1] > 0 and gcd(*top, *bottom) == 1 and (not top or top[-1])
+    assert top or bottom == (1,)
+    # num and den are the monic Fraction form, and a rescaled pair is the same function.
+    lead = bottom[-1]
+    assert func.num == tuple(F(c, lead) for c in top) and func.den[-1] == 1
+    assert func.den == tuple(F(c, lead) for c in bottom)
+    assert RationalFunctionOfD([c * scale for c in num], [c * scale for c in den]) == func
+    with pytest.raises(AttributeError):
+        func.num = ()
 
 
 # -- classical expansion ----------------------------------------------------
