@@ -100,12 +100,12 @@ class RationalFunctionOfD:
     """Rational function of one parameter, held as one integer pair.
 
     The constructor reads each coefficient (lowest degree first) through the
-    scalar gate and clears the denominators; `_make`, which the fit calls
-    directly, trims trailing zeros and divides out the content, leaving the
-    denominator's leading coefficient positive.  No common factor is divided
-    out, so the caller passes a coprime pair (`_fit_and_validate` only finds
-    one); then equal functions have equal pairs and `==` is semantic
-    equality.  `num` and `den` read the pair back as `Fraction` tuples over
+    scalar gate and clears the denominators; it and `_make`, which the fit
+    calls directly, keep the integer lists as `_normalised` leaves them:
+    content 1, the denominator's leading coefficient positive.  No common
+    factor is divided out, so the caller passes a coprime pair
+    (`_fit_and_validate` only finds one); then equal functions have equal
+    pairs and `==` is semantic equality.  `num` and `den` read the pair back as `Fraction` tuples over
     a monic denominator.  A call evaluates the pair homogenised in x's
     numerator and denominator, building no `Fraction` but the value.
     """
@@ -117,21 +117,13 @@ class RationalFunctionOfD:
         den = [as_rational(c, "den") for c in den]
         scale = lcm(*(c.denominator for c in num + den))
         top, bottom = ([c.numerator * (scale // c.denominator) for c in cs] for cs in (num, den))
-        self._ints = self._make(top, bottom)._ints
+        self._ints = _normalised(top, bottom)
 
     @classmethod
     def _make(cls, top: list[int], bottom: list[int]) -> "RationalFunctionOfD":
         """Trusted constructor from integer coefficient lists (the fit's)."""
-        for cs in (top, bottom):
-            while cs and not cs[-1]:
-                cs.pop()
-        if not bottom:
-            raise ZeroDivisionError("denominator is the zero polynomial")
-        if not top:
-            bottom = [1]
-        g = gcd(*top, *bottom) * (1 if bottom[-1] > 0 else -1)
         obj = object.__new__(cls)
-        obj._ints = tuple(tuple(c // g for c in cs) for cs in (top, bottom))
+        obj._ints = _normalised(top, bottom)
         return obj
 
     num = property(lambda self: self._monic(0))
@@ -151,20 +143,14 @@ class RationalFunctionOfD:
         p = _eval_homogeneous(top, s, t)
         # P(x) / Q(x) = p t^deg(Q) / (q t^deg(P)).
         shift = len(bottom) - len(top)
-        if shift > 0:
-            p *= t**shift
-        elif shift < 0:
-            q *= t**-shift
-        return Fraction(p, q)
+        return Fraction(p * t ** max(shift, 0), q * t ** max(-shift, 0))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, bool):
-            return NotImplemented
+        # A truth value is not a constant function, though True == 1.
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self._ints == _normalised([other.numerator], [other.denominator])
         if isinstance(other, RationalFunctionOfD):
             return self._ints == other._ints
-        if isinstance(other, (int, Fraction)):
-            top, bottom = self._ints
-            return len(bottom) == 1 and Fraction(top[0] if top else 0, bottom[0]) == other
         return NotImplemented
 
     __hash__ = None
@@ -177,6 +163,19 @@ class RationalFunctionOfD:
         if len(self._ints[1]) == 1:
             return fmt(self.num)
         return f"({fmt(self.num)})/({fmt(self.den)})"
+
+
+def _normalised(top: list[int], bottom: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Trimmed, content 1, positive leading denominator; zero is ((), (1,))."""
+    for cs in (top, bottom):
+        while cs and not cs[-1]:
+            cs.pop()
+    if not bottom:
+        raise ZeroDivisionError("denominator is the zero polynomial")
+    if not top:
+        bottom = [1]
+    g = gcd(*top, *bottom) * (1 if bottom[-1] > 0 else -1)
+    return tuple(c // g for c in top), tuple(c // g for c in bottom)
 
 
 # -- realisation on n x and m y variables ------------------------------------

@@ -64,6 +64,9 @@ def test_rational_function_scalar_equality():
     assert RationalFunctionOfD([3], [1]) == 3
     assert RationalFunctionOfD([], [5]) == 0
     assert RationalFunctionOfD([1, 1], [1]) != 5
+    # A constant term alone does not make a constant: 1 + d != 1 and d != 0.
+    assert RationalFunctionOfD([1, 1], [1]) != 1 and RationalFunctionOfD([0, 1], [1]) != 0
+    assert RationalFunctionOfD([2], [2, 2]) != 1
 
 
 def test_rational_function_pole_and_repr():
