@@ -11,9 +11,12 @@ violated (counterexamples are printed), 2 for usage or contract errors
 (including unreadable or malformed sequence files, zero denominators in
 rational arguments, a `--p`, `--q` or `--a-table` the sequence source does
 not read, a `stable --jt-check` at an integer d below l(lambda), and an
-unknown `verify --property` name), and 3 for
+unknown `verify --property` name), 3 for
 mathematical failures: any `ArithmeticError`, which covers poles and
-inconsistent interpolation.  Identical invocations, including the
+inconsistent interpolation, and 141 (128 + SIGPIPE, what a shell reports
+for a filter ended by SIGPIPE) with nothing on stderr when stdout is closed
+before the output is written, as by `| head`; not 0, which would hide a
+`verify` failure cut short.  Identical invocations, including the
 seed, produce byte-identical output.
 
 Each subcommand imports the layers it runs: `compute` and `expand --basis
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coeffseq import load_coeffseq
@@ -255,11 +259,20 @@ def main(argv=None) -> int:
         ):
             argv[k - 1:k + 1] = [f"{argv[k - 1]}={word}"]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code in (0, None) else 2
+        else:
+            code = args.func(args)
+        # A reader gone before the last write shows here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Say nothing, and let the flush at exit write what is still
+        # buffered to the null device instead of the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -27,7 +27,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import MultiPoly, _eval_homogeneous, _scaled_sum, as_index, as_rational
+from .exactalg import (
+    MultiPoly, _eval_homogeneous, _scaled_sum, as_container, as_index, as_rational,
+)
 
 _ZERO = Fraction(0)
 
@@ -46,6 +48,7 @@ class PoleError(ZeroDivisionError):
 
 def _lookup(values: Sequence, which: str) -> Callable[[int], Fraction]:
     """Index function of a finite table; raises IndexError past its end."""
+    values = as_container(values, f"{which}_table", Sequence)
     table = tuple(as_rational(v, f"{which}[{k}]") for k, v in enumerate(values))
 
     def of(i: int) -> Fraction:
@@ -60,10 +63,11 @@ def _lookup(values: Sequence, which: str) -> Callable[[int], Fraction]:
 
 
 def _extension(table, which: str) -> dict[int, Fraction]:
-    """A custom negative-index table: keys through the index gate, values
-    through the scalar gate."""
+    """A custom negative-index table (None for none): a mapping, its keys
+    through the index gate and its values through the scalar gate."""
+    table = {} if table is None else as_container(table, which, Mapping)
     out = {as_index(k, f"{which} key"): as_rational(v, f"{which}[{k}]")
-           for k, v in (table or {}).items()}
+           for k, v in table.items()}
     if any(k >= 0 for k in out):
         raise ValueError("custom extension tables may only hold negative indices")
     return out

@@ -22,7 +22,10 @@ runs on maps: on those of the S_(j) in `shift_scalars`, giving
 h_i^{(r)} = sum_d s_d h_d, and on unit maps in `shift_coefficients`.
 `h_shift` writes its polynomial from the degree map by `_from_degrees`,
 which also writes the stable layer's parameterised Jacobi-Trudi entries,
-and `gschur verify` checks the shift identities on the same map.
+and `gschur verify` checks the shift identities on the same map.  The
+variable-splitting lemma is one defect function on these maps,
+`_splitting_defect`: `gschur verify` reads its two maps, and
+`lemma_residual` writes the residual polynomial from them alone.
 
 The sequence memoises its own phi family (`seq.phis`), so every context
 over one sequence shares it; contexts memoise degree scalars, shifted
@@ -36,6 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
+from math import lcm
 from operator import itemgetter
 from typing import Callable
 
@@ -304,23 +308,50 @@ class GschurContext:
         keys.sort(key=grlex_key, reverse=True)
         return {check_partition(e): Fraction(num[e], den) for e in keys}
 
+    def _splitting_defect(self, i: int, r: int) -> tuple[tuple[dict, int], tuple[dict, int]]:
+        """The degree maps (A, B) of the variable-splitting residual,
+
+            h_i^{(r)} - x_1 h_i^{(r-1)} - h_{i+1}^{(r-1)}(x_2..x_n)
+                = x_1 sum_d A_d h_d(x_1..x_n) + sum_d B_d h_d(x_2..x_n),
+
+        by h_d = x_1 h_{d-1} + h_d(x_2..x_n): A_d = s_{d+1}(i, r, n) -
+        s_d(i, r-1, n) and B_d = s_d(i, r, n) - s_d(i+1, r-1, n-1), each a
+        reduced pair, so the identity holds iff both are ({}, 1).  The
+        indices are not checked.
+        """
+        nums, den = head = self.shift_scalars(i, r)
+        tail = self._sub.shift_scalars(i + 1, r - 1)
+        prev = self.shift_scalars(i, r - 1)
+        lowered = {d - 1: c for d, c in nums.items() if d}
+        return (
+            _scaled_sum([(1, lowered, den), (-1, *prev)]),
+            _scaled_sum([(1, *head), (-1, *tail)]),
+        )
+
     def lemma_residual(self, i: int, r: int) -> MultiPoly:
         """Defect of the variable-splitting identity for shifted families.
 
         Returns h_i^{(r)}(x_1..x_n) - x_1 h_i^{(r-1)}(x_1..x_n)
-        - h_{i+1}^{(r-1)}(x_2..x_n), the last term computed in an (n-1)-variable
-        context over the same sequence and then re-embedded, and the middle
-        one written as an exponent shift of h_i^{(r-1)}, with no product.
-        Must vanish whenever r <= i + 2n - 2.
+        - h_{i+1}^{(r-1)}(x_2..x_n), written once from the two degree maps
+        of `_splitting_defect`: the x_1 part on exponents with e_1 >= 1 and
+        the x_2..x_n part on those with e_1 = 0, so the supports are disjoint
+        and nothing is added.  A zero defect writes nothing.  Must vanish
+        whenever r <= i + 2n - 2.
         """
         as_index(i, "i")
         as_index(r, "r", 1)
-        if self.n < 2:
+        n = self.n
+        if n < 2:
             raise ValueError("the identity needs at least two variables")
-        if r > i + 2 * self.n - 2:
+        if r > i + 2 * n - 2:
             raise ValueError("shift order exceeds the extension-independence bound")
-        tail = self._sub.h_shift(i + 1, r - 1).prepend_variable()
-        head = self.h_shift(i, r)
-        prev = self.h_shift(i, r - 1)
-        x1_prev = {(e[0] + 1,) + e[1:]: c for e, c in prev._num.items()}
-        return head - MultiPoly._make(self.n, x1_prev, prev._den) - tail
+        (a_nums, a_den), (b_nums, b_den) = self._splitting_defect(i, r)
+        den = lcm(a_den, b_den)
+        terms = {}
+        for degree, c in a_nums.items():
+            c *= den // a_den
+            terms.update(((e[0] + 1,) + e[1:], c) for e in _support(n, degree))
+        for degree, c in b_nums.items():
+            c *= den // b_den
+            terms.update(((0,) + e, c) for e in _support(n - 1, degree))
+        return MultiPoly._make(n, terms, den)

@@ -23,26 +23,32 @@ Horner, `_eval_homogeneous`.  `exact_divide` is
 uncalled in the package and kept because the benchmark's tracer looks it up
 by name.  Coefficients become reduced `Fraction`s only in `items()`,
 `coefficient()` and `leading_term()`.  Output (JSON, text, LaTeX) is
-written from the numerators by `_terms`, which reduces each distinct
-numerator against the denominator once: a shifted one-row family repeats one
-numerator per degree on every monomial of that degree, so the output holds
-far fewer distinct coefficients than terms.
+written from the numerators by `_terms`, which orders the terms by one sort
+of (degree, exponent, numerator) triples, with no Python key per term, and
+reduces each distinct numerator against the denominator once: a shifted
+one-row family repeats one numerator per degree on every monomial of that
+degree, so the output holds far fewer distinct coefficients than terms.
+Text builds each monomial from its nonzero exponents, once per piece.
 
 Polynomials are immutable by convention: no method mutates `self`, and all
 arithmetic returns fresh objects, so values can be shared freely between
 threads once constructed.
 
-The package's one input policy is the two gates here, and every module reads
-caller input through them.  `as_rational` is the exact-scalar gate: an int
-that is not a bool, a `Fraction`, or a string `Fraction` reads.  `as_index`
-is the index gate: an int that is not a bool, with an optional lower bound.
-Integral floats and `Fraction`s are not indices.
+The package's one input policy is the three gates here, and every module
+reads caller input through them.  `as_rational` is the exact-scalar gate: an
+int that is not a bool, a `Fraction`, or a string `Fraction` reads.
+`as_index` is the index gate: an int that is not a bool, with an optional
+lower bound.  Integral floats and `Fraction`s are not indices.
+`as_container` is the container gate for tables and alphabets (a `Sequence`)
+and negative-index extensions (a `Mapping`); text is neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -88,6 +94,14 @@ def as_index(value, name: str, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
     return value
+
+
+def as_container(value, name: str, kind: type):
+    """The container gate: `value` itself when it is a `kind` (`Sequence` or
+    `Mapping`) and not text; otherwise TypeError naming `name`."""
+    if isinstance(value, kind) and not isinstance(value, (str, bytes)):
+        return value
+    raise TypeError(f"{name} must be a {kind.__name__.lower()}, got {type(value).__name__}")
 
 
 def _scaled_sum(parts: Iterable[tuple[int, dict, int]]) -> tuple[dict, int]:
@@ -323,11 +337,6 @@ class MultiPoly:
         out = {e: c for e, c in out.items() if c}
         return MultiPoly._make(self.arity, out, self._den * v.denominator**most)
 
-    def prepend_variable(self) -> "MultiPoly":
-        """Reinterpret in a ring with one extra leading variable (x_i -> x_{i+1})."""
-        num = {(0,) + e: c for e, c in self._num.items()}
-        return MultiPoly._make(self.arity + 1, num, self._den)
-
     def __repr__(self) -> str:
         return f"MultiPoly({self.arity}: {format_poly_text(self)})"
 
@@ -534,17 +543,18 @@ _STYLES = {
 }
 
 
-def _terms(poly: MultiPoly) -> tuple[list[Exponent], dict[Exponent, int], dict[int, _Ratio]]:
-    """The exponents, leading term first; the numerator map; and each distinct
-    numerator reduced once against the denominator, {numerator: (p, q)} with
-    q > 0.  Every output of a polynomial is written from here, formatting
-    each distinct coefficient once and looking it up for each term."""
+def _terms(poly: MultiPoly) -> tuple[list[tuple[int, Exponent, int]], dict[int, _Ratio]]:
+    """The (degree, exponent, numerator) triples, leading term first (the
+    exponents are distinct, so the sort never compares numerators), and each
+    distinct numerator reduced once, {numerator: (p, q)} with q > 0.  Every
+    output of a polynomial is written from here, formatting each distinct
+    coefficient once and looking it up for each term."""
     num, den = poly._num, poly._den
     reduced = {}
     for c in set(num.values()):
         g = gcd(c, den)
         reduced[c] = (c // g, den // g)
-    return sorted(num, key=grlex_key, reverse=True), num, reduced
+    return sorted(zip(map(sum, num), num, num.values()), reverse=True), reduced
 
 
 def _ratio(p: int, q: int, style: str = "text") -> str:
@@ -555,9 +565,9 @@ def _ratio(p: int, q: int, style: str = "text") -> str:
 def poly_to_json_terms(poly: MultiPoly) -> list[dict]:
     """JSON-ready term list, leading term first; each coefficient reads as `str`
     of its reduced `Fraction`."""
-    exps, num, reduced = _terms(poly)
+    terms, reduced = _terms(poly)
     text = {c: _ratio(p, q) for c, (p, q) in reduced.items()}
-    return [{"e": list(e), "c": text[num[e]]} for e in exps]
+    return [{"e": list(e), "c": text[c]} for _, e, c in terms]
 
 
 def _join_signed(terms: Iterable[tuple[str, Scalar]]) -> str:
@@ -584,14 +594,17 @@ def format_poly_text(
     var, power, times, sep, _ = _STYLES[style]
     if names is None:
         names = [var.format(i + 1) for i in range(poly.arity)]
-    exps, num, reduced = _terms(poly)
+    terms, reduced = _terms(poly)
     mags = {c: _ratio(abs(p), q, style) for c, (p, q) in reduced.items()}
-    terms = []
-    for e in exps:
-        mono = times.join(
-            power.format(names[i], k) if k > 1 else names[i] for i, k in enumerate(e) if k
-        )
-        c = num[e]
+
+    @cache
+    def atom(i: int, k: int) -> str:
+        return power.format(names[i], k) if k > 1 else names[i]
+
+    variables = range(poly.arity)
+    bodies = []
+    for _, e, c in terms:
+        mono = times.join(map(atom, compress(variables, e), filter(None, e)))
         mag = mags[c]
         if not mono:
             body = mag
@@ -599,5 +612,5 @@ def format_poly_text(
             body = mono
         else:
             body = f"{mag}{sep}{mono}"
-        terms.append((body, c))
-    return _join_signed(terms) or "0"
+        bodies.append((body, c))
+    return _join_signed(bodies) or "0"

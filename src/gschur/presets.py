@@ -18,10 +18,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm
+from typing import Sequence
 
 from .coeffseq import CoeffSeq, PoleError
 from .engine import GschurContext, first_column_det, shift_coefficients
-from .exactalg import MultiPoly, as_index, as_rational
+from .exactalg import MultiPoly, as_container, as_index, as_rational
 from .partitions import check_partition
 
 CLASSICAL_PRESETS = ("so_odd", "so_even", "sp")
@@ -70,10 +71,12 @@ def factorial(a_values) -> CoeffSeq:
     """b = 0 with a prescribed a-table, so phi_i = (z - a(0))...(z - a(i-1)).
 
     Accepts either a callable closed form or a finite table, read as
-    `CoeffSeq.from_tables` reads one: each entry through the scalar gate.
+    `CoeffSeq.from_tables` reads one: a sequence through the container gate,
+    each entry through the scalar gate.
     """
     if callable(a_values):
         return CoeffSeq.from_functions(a_values, lambda x: _F(0), name="factorial")
+    a_values = as_container(a_values, "a_values", Sequence)
     return CoeffSeq.from_tables(a_values, [0] * len(a_values), name="factorial")
 
 

@@ -77,7 +77,8 @@ from typing import Mapping, NamedTuple, Sequence
 from .coeffseq import _ZERO, CoeffSeq, PoleError
 from .engine import _from_degrees, _shifted, _support, first_column_det
 from .exactalg import (
-    MultiPoly, _eval_homogeneous, _scaled_sum, as_index, as_rational, format_poly_text,
+    MultiPoly, _eval_homogeneous, _scaled_sum, as_container, as_index, as_rational,
+    format_poly_text,
 )
 from .partitions import Partition, check_partition, contains, pad, partitions_up_to
 
@@ -580,10 +581,13 @@ def super_schur(lam, seq: CoeffSeq, alphabet: SuperAlphabet) -> MultiPoly:
     """Super-symmetric realisation at superdimension d = n - m.
 
     The any-d object at d = n - m, realised by `realize_expansion` on the
-    alphabet's n x and m y variables.  Both sizes go through the index gate
+    alphabet's n x and m y variables.  The alphabet goes through the
+    container gate and must be a pair; both sizes go through the index gate
     before any fit.
     """
     lam = check_partition(lam)
+    if len(as_container(alphabet, "alphabet", Sequence)) != 2:
+        raise ValueError(f"alphabet must be a pair (n, m), got {alphabet!r}")
     n, m = alphabet
     as_index(n, "alphabet.n", 0)
     as_index(m, "alphabet.m", 0)

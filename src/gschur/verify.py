@@ -97,21 +97,22 @@ def _scalars_json(pair) -> dict:
 def _splits_variables(ctx, case):
     """The variable-splitting lemma on degree scalars s_d(i, r, n).
 
-    With h_d(x_1..x_n) = x_1 h_{d-1}(x_1..x_n) + h_d(x_2..x_n) for d >= 1,
-    and those pieces linearly independent for n >= 2, the residual
-    h_i^{(r)} - x_1 h_i^{(r-1)} - h_{i+1}^{(r-1)}(x_2..x_n) vanishes iff
-    s_d(i, r, n) = s_d(i+1, r-1, n-1) for every d (equal pairs) and
-    s_d(i, r, n) = s_{d-1}(i, r-1, n) for every d >= 1 (the first map with
-    s_0 dropped, reduced again).
+    The residual h_i^{(r)} - x_1 h_i^{(r-1)} - h_{i+1}^{(r-1)}(x_2..x_n) is
+    x_1 sum_d A_d h_d(x_1..x_n) + sum_d B_d h_d(x_2..x_n), with the two maps
+    of `GschurContext._splitting_defect`, and those pieces are linearly
+    independent for n >= 2, so it vanishes iff both maps are empty: that is,
+    s_d(i, r, n) = s_d(i+1, r-1, n-1) for every d and
+    s_d(i, r, n) = s_{d-1}(i, r-1, n) for every d >= 1.  A failure records
+    the three maps themselves.
     """
     i, r = case["i"], case["r"]
-    head = ctx.shift_scalars(i, r)
-    tail = ctx._sub.shift_scalars(i + 1, r - 1)
-    nums, den = ctx.shift_scalars(i, r - 1)
-    raised = _scaled_sum([(1, {d: c for d, c in head[0].items() if d}, head[1])])
-    if head == tail and raised == ({d + 1: c for d, c in nums.items()}, den):
+    if ctx._splitting_defect(i, r) == (({}, 1), ({}, 1)):
         return None
-    maps = {"scalars": head, "prev": (nums, den), "tail": tail}
+    maps = {
+        "scalars": ctx.shift_scalars(i, r),
+        "prev": ctx.shift_scalars(i, r - 1),
+        "tail": ctx._sub.shift_scalars(i + 1, r - 1),
+    }
     return {name: _scalars_json(pair) for name, pair in maps.items()}
 
 

@@ -8,13 +8,16 @@ over `Fraction`, Schur polynomials by listing semistandard
 tableaux, super complete homogeneous functions by Newton's identities,
 Schur-basis minors by the Leibniz sum over a `Fraction` phi table, shift
 scalars by their recursion on `Fraction` maps (and a `Fraction` map put
-back in the package's reduced integer form), the parameterised Jacobi-Trudi
+back in the package's reduced integer form), the variable-splitting residual
+as three written polynomials and two subtractions, the parameterised Jacobi-Trudi
 entries as `Fraction` sums of realised one-row polynomials, the closed-form
 coefficients of `bc_jacobi` and `random_polynomial_coeffseq` by their
 `Fraction` formulas, and compositions by the recursion on the first part
 that `partitions.compositions` replaced.  Slow, but with no shared code
 paths with the package internals beyond the MultiPoly container and its
-`+`/`-`.  One exception:
+`+`/`-`.  Two exceptions: the splitting residual writes its three
+polynomials from the package's degree maps with `engine._from_degrees`, so
+that it checks how `lemma_residual` combines them; and
 `kernel_fit` is the package's earlier rational fit, kept as the reference
 for the current one; it solves the full (2g+1) x (2g+2) system with the
 package's integer kernel and Horner, which have their own oracle tests.
@@ -31,6 +34,7 @@ from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from gschur.coeffseq import PoleError
+from gschur.engine import _from_degrees
 from gschur.exactalg import MultiPoly, _eval_homogeneous
 from gschur.stable import InterpolationInconsistentError, RationalFunctionOfD, _kernel_vector
 from gschur.partitions import check_partition, conjugate, diagonal_rank
@@ -214,6 +218,22 @@ def scalar_pair(fracs) -> tuple:
     for f in fracs.values():
         den = den * f.denominator // gcd(den, f.denominator)
     return {k: f.numerator * (den // f.denominator) for k, f in fracs.items()}, den
+
+
+def polynomial_lemma_residual(ctx, i, r) -> MultiPoly:
+    """h_i^{(r)}(x_1..x_n) - x_1 h_i^{(r-1)}(x_1..x_n) - h_{i+1}^{(r-1)}(x_2..x_n)
+    as three written polynomials and two `MultiPoly` subtractions: the
+    middle one by an exponent shift, the last one written in n - 1
+    variables (from `ctx._sub`) and re-embedded with x_1 absent.  Each is
+    written by `engine._from_degrees` straight from `shift_scalars`, not
+    through the `h_shift` memo, so a map planted there is read."""
+    n = ctx.n
+    head = _from_degrees(n, *ctx.shift_scalars(i, r))
+    prev = _from_degrees(n, *ctx.shift_scalars(i, r - 1))
+    tail = _from_degrees(n - 1, *ctx._sub.shift_scalars(i + 1, r - 1))
+    x1_prev = MultiPoly(n, {(e[0] + 1,) + e[1:]: c for e, c in prev.items()})
+    embedded = MultiPoly(n, {(0,) + e: c for e, c in tail.items()})
+    return head - x1_prev - embedded
 
 
 def newton_complete_homogeneous(n, m, upto):

@@ -666,6 +666,22 @@ def test_exit_code_contract(tmp_path, argv, seq_body, expected):
         assert proc.stdout == ""
 
 
+def test_a_closed_stdout_exits_141_in_silence():
+    # About 660 kB of text, far beyond a pipe's buffer, so a write after the
+    # reader has gone always fails.
+    argv = ["compute", "--preset", "schur", "--n", "30", "--lambda", "4", "--method", "jt"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gschur.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 141
+
+
 # -- the exit-code contract over the parser's grammar -----------------------
 
 

@@ -2,7 +2,8 @@
 
 Each row is one argument slot of one entry: an index, read by
 `exactalg.as_index` (from `low` on, when the row has one), a partition part
-(an index from 0) or an exact scalar, read by `exactalg.as_rational`.  Every
+(an index from 0), an exact scalar, read by `exactalg.as_rational`, or a
+container (a sequence or a mapping), read by `exactalg.as_container`.  Every
 out-of-contract value in a slot must raise TypeError or ValueError whose
 message starts with the slot's name, before any work: the sequence's phi
 memo, its fitted families and every memo of the context stay as they were.
@@ -65,7 +66,7 @@ class Slot(NamedTuple):
     """`call(value, world)` puts `value` in the slot named `label`."""
 
     label: str
-    scalar: bool
+    kind: str  # "index", "scalar", "sequence" or "mapping"
     call: Callable
     low: int | None = None
     none_ok: bool = False  # None is the slot's default, so it is in contract
@@ -73,12 +74,16 @@ class Slot(NamedTuple):
 
     @property
     def prefix(self) -> str:
-        return f"{self.label}: " if self.scalar else f"{self.label} must be "
+        return f"{self.label}: " if self.kind == "scalar" else f"{self.label} must be "
 
     def fixed(self) -> list:
         """The out-of-contract values every slot of its kind gets."""
-        if self.scalar:
+        if self.kind == "scalar":
             bad = [True, False, 2.0, 1.5, None, "x", "1/0"]
+        elif self.kind == "sequence":
+            bad = [True, 2, 2.0, F(1, 2), None, "12", b"12", {0: 1}]
+        elif self.kind == "mapping":
+            bad = [True, 2, 2.0, None, "x", [(-1, 1)], ((-1, 1),)]
         else:
             bad = [True, False, 2.0, 1.5, F(2), F(5, 2), None, "x", "1/0", "2"]
             if self.low is not None:
@@ -90,8 +95,12 @@ class Slot(NamedTuple):
         kinds = [st.booleans(), st.floats()]
         if not self.none_ok:
             kinds.append(st.none())
-        if self.scalar:
+        if self.kind == "scalar":
             kinds += [st.text().filter(_unreadable), st.integers().map(lambda p: f"{p}/0")]
+        elif self.kind == "sequence":
+            kinds += [st.integers(), st.text(), st.dictionaries(st.integers(), st.integers())]
+        elif self.kind == "mapping":
+            kinds += [st.integers(), st.text(), st.lists(st.integers())]
         else:
             kinds += [st.fractions(), st.text()]
             if self.low is not None:
@@ -114,15 +123,16 @@ def _fitted():
 
 
 def index(label, call, low=None, **kw) -> Slot:
-    return Slot(label, False, call, low, **kw)
+    return Slot(label, "index", call, low, **kw)
 
 
 def part(call) -> Slot:
-    return Slot("partition part", False, call, 0)
+    return Slot("partition part", "index", call, 0)
 
 
 def scalar(label, call) -> Slot:
-    return Slot(label, True, call)
+    return Slot(label, "scalar", call)
+
 
 
 SLOTS = {
@@ -167,6 +177,16 @@ SLOTS = {
     "a-table": index("i", lambda v, w: CoeffSeq.from_tables([1, 2], [1, 2]).a(v)),
     "b-table": index("i", lambda v, w: CoeffSeq.from_tables([1, 2], [1, 2]).b(v)),
     "a-closed-form": index("i", lambda v, w: w.seq.a(v)),
+    "from_tables-a_table": Slot(
+        "a_table", "sequence", lambda v, w: CoeffSeq.from_tables(v, [0])
+    ),
+    "from_tables-b_table": Slot(
+        "b_table", "sequence", lambda v, w: CoeffSeq.from_tables([0], v)
+    ),
+    "from_tables-negative_a": Slot(
+        "negative_a", "mapping", lambda v, w: CoeffSeq.from_tables([1], [1], negative_a=v),
+        none_ok=True,
+    ),
     "from_tables-a": scalar("a[0]", lambda v, w: CoeffSeq.from_tables([v], [0])),
     "from_tables-b": scalar("b[1]", lambda v, w: CoeffSeq.from_tables([0, 0], [0, v])),
     "from_tables-negative-key": index(
@@ -180,6 +200,12 @@ SLOTS = {
     "from_functions-value": scalar(
         "a", lambda v, w: CoeffSeq.from_functions(lambda x: v, lambda x: F(1)).phis.phi(2)
     ),
+    "with_negative-negative_a": Slot(
+        "negative_a", "mapping", lambda v, w: w.seq.with_negative(v, {}), none_ok=True
+    ),
+    "with_negative-negative_b": Slot(
+        "negative_b", "mapping", lambda v, w: w.seq.with_negative({}, v), none_ok=True
+    ),
     "random_coeffseq-length": index(
         "length", lambda v, w: random_coeffseq(random.Random(0), v), 0
     ),
@@ -188,6 +214,7 @@ SLOTS = {
     "bc_jacobi-q": scalar("q", lambda v, w: bc_jacobi(1, v)),
     "bc_jacobi-probe_upto": index("probe_upto", lambda v, w: bc_jacobi(1, -3, v), -1),
     "factorial": scalar("a[0]", lambda v, w: factorial([v])),
+    "factorial-a_values": Slot("a_values", "sequence", lambda v, w: factorial(v)),
     "make-p": scalar("p", lambda v, w: presets.make("bc_jacobi", p=v, q=-3)),
     "make-q": scalar("q", lambda v, w: presets.make("bc_jacobi", p=1, q=v)),
     "make-a_table": scalar("a[1]", lambda v, w: presets.make("factorial", a_table=[0, v])),
@@ -209,6 +236,10 @@ SLOTS = {
         "n_eval", lambda v, w: jt_infinite_check((2, 1), w.seq, F(1, 3), v), 2
     ),
     "super_schur-lam": part(lambda v, w: super_schur((2, v), w.seq, SuperAlphabet(2, 1))),
+    "super_schur-alphabet": Slot(
+        "alphabet", "sequence", lambda v, w: super_schur((1,), w.seq, v),
+        extra=((2,), (2, 1, 0), [2, 1, 0]),
+    ),
     "super_schur-n": index(
         "alphabet.n", lambda v, w: super_schur((1,), w.seq, SuperAlphabet(v, 1)), 0
     ),

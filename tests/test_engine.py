@@ -28,6 +28,7 @@ from oracles import (
     fraction_product,
     fraction_shift_coefficients,
     leibniz_det,
+    polynomial_lemma_residual,
     scalar_pair,
     schur_by_tableaux,
     vandermonde,
@@ -516,23 +517,50 @@ def lemma_cases(draw):
     return n, i, draw(st.integers(1, i + 2 * n - 2))
 
 
+def _planted_lemma_context(seq, case, plants=(), other=None):
+    """A context for the lemma case (n, i, r) with wrong degree maps planted,
+    each (name, dd, delta) with name "head", "prev" or "tail", and with its
+    sub-context over the table `seeded_seq(other)` when other is given."""
+    n, i, r = case
+    ctx = GschurContext(n, seq)
+    if other is not None:
+        ctx._sub = GschurContext(n - 1, seeded_seq(other))
+    ctx._splitting_defect(i, r)
+    owners = {"head": (ctx, (i, r)), "prev": (ctx, (i, r - 1)),
+              "tail": (ctx._sub, (i + 1, r - 1))}
+    for name, dd, delta in plants:
+        _plant(*owners[name], max(0, i + r) // 2 + dd, delta)
+    return ctx
+
+
 @given(shift_tables, lemma_cases(), st.sampled_from([None, "head", "prev", "tail", "table"]),
        st.integers(0, 4), deltas, st.integers(0, 999))
 @settings(max_examples=60, deadline=None)
 def test_lemma_check_agrees_with_the_residual(seq, case, plant, dd, delta, other):
     n, i, r = case
-    ctx = GschurContext(n, seq)
-    if plant == "table":
-        ctx._sub = GschurContext(n - 1, seeded_seq(other))
-    verify._splits_variables(ctx, {"i": i, "r": r})
-    if plant not in (None, "table"):
-        owner, key = {"head": (ctx, (i, r)), "prev": (ctx, (i, r - 1)),
-                      "tail": (ctx._sub, (i + 1, r - 1))}[plant]
-        _plant(owner, key, max(0, i + r) // 2 + dd, delta)
+    plants = [(plant, dd, delta)] if plant in ("head", "prev", "tail") else []
+    ctx = _planted_lemma_context(seq, case, plants, other if plant == "table" else None)
     holds = verify._splits_variables(ctx, {"i": i, "r": r}) is None
-    assert holds == ctx.lemma_residual(i, r).is_zero
+    assert holds == polynomial_lemma_residual(ctx, i, r).is_zero
     if plant != "table":
         assert holds == (plant is None)
+
+
+# Each map planted or not, so both parts of the residual are often nonzero
+# over different denominators.
+@given(shift_tables, lemma_cases(),
+       st.tuples(*[st.none() | st.tuples(st.just(name), st.integers(0, 4), deltas)
+                   for name in ("head", "prev", "tail")]),
+       st.none() | st.integers(0, 999))
+@settings(max_examples=80, deadline=None)
+def test_lemma_residual_equals_the_polynomial_residual(seq, case, plants, other):
+    n, i, r = case
+    plants = [plant for plant in plants if plant]
+    ctx = _planted_lemma_context(seq, case, plants, other)
+    residual = ctx.lemma_residual(i, r)
+    assert residual == polynomial_lemma_residual(ctx, i, r)
+    if not plants and other is None:
+        assert residual.is_zero
 
 
 @given(shift_tables, st.integers(1, 4), st.data(),

@@ -190,13 +190,6 @@ def test_bind_scalar():
     assert p.bind(1, F(1, 2)) == F(1, 2) * x(0) ** 2 - F(1, 2)
 
 
-def test_prepend_variable_shifts_indices():
-    p = x(0) + 2 * x(1)
-    lifted = p.prepend_variable()
-    assert lifted.arity == 3
-    assert lifted == x(1, 3) + 2 * x(2, 3)
-
-
 def test_apply_permutation_swaps_variables():
     p = x(0) ** 2 + 3 * x(1)
     assert apply_permutation(p, [1, 0]) == x(1) ** 2 + 3 * x(0)
@@ -406,11 +399,12 @@ def test_terms_come_in_descending_grlex_order_and_reduced(case, integral):
     if integral:  # den == 1, so every (p, q) has q == 1
         terms = {e: c.numerator for e, c in terms.items()}
     p = MultiPoly(arity, terms)
-    exps, num, reduced = _terms(p)
-    assert exps == sorted(p._num, key=grlex_key, reverse=True)
-    assert set(reduced) == set(num.values())
-    for e in exps:
-        top, bottom = reduced[num[e]]
+    terms, reduced = _terms(p)
+    assert [e for _, e, _ in terms] == sorted(p._num, key=grlex_key, reverse=True)
+    assert set(reduced) == set(p._num.values())
+    for degree, e, c in terms:
+        assert degree == sum(e) and c == p._num[e]
+        top, bottom = reduced[c]
         assert F(top, bottom) == p.coefficient(e)
         assert bottom > 0 and gcd(top, bottom) == 1
 
