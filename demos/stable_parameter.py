@@ -29,8 +29,8 @@ for d in (3, Fraction(7, 2), Fraction(-1, 2)):
 print()
 
 # The one-row determinant identity survives at non-integer d: both sides are
-# symmetric functions of infinitely many variables, compared here after
-# truncating to 2 variables.
+# symmetric functions of infinitely many variables, compared as polynomials
+# in the free generators h_1, h_2, ... of the ring of symmetric functions.
 for d in (Fraction(7, 2), Fraction(1, 3)):
     ok = jt_infinite_check((2, 1), seq, d, 2)
     print(f"determinant identity at d = {d}: {'holds' if ok else 'fails'}")

@@ -10,8 +10,9 @@ Exit codes: 0 on success or a verified identity, 1 when an identity is
 violated (counterexamples are printed), 2 for usage or contract errors
 (including unreadable or malformed sequence files, zero denominators in
 rational arguments, a `--p`, `--q` or `--a-table` the sequence source does
-not read, a `stable --jt-check` at an integer d below l(lambda), and an
-unknown `verify --property` name), 3 for
+not read, a `stable --jt-check` at an integer d below l(lambda), an
+unknown `verify --property` name, and an input that outgrows the stack or
+the memory, a `RecursionError` or `MemoryError`), 3 for
 mathematical failures: any `ArithmeticError`, which covers poles and
 inconsistent interpolation, and 141 (128 + SIGPIPE, what a shell reports
 for a filter ended by SIGPIPE) with nothing on stderr when stdout is closed
@@ -241,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-eval",
         type=int,
         default=3,
-        help="variables used to compare both sides of --jt-check (at least l(lambda))",
+        help="variable count named in the --jt-check line (at least l(lambda)); "
+        "the check compares in the ring of symmetric functions",
     )
     stable.set_defaults(func=_cmd_stable)
     return parser
@@ -278,6 +280,12 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # The input outgrew the stack or the memory: a limit of the route,
+        # not a violated identity, so no traceback and not exit 1.
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"error: input too large for this route ({detail})", file=sys.stderr)
         return 2
 
 

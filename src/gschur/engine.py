@@ -21,8 +21,8 @@ S_(i) is a map of degree scalars.  The one shift recursion, `_shifted`,
 runs on maps: on those of the S_(j) in `shift_scalars`, giving
 h_i^{(r)} = sum_d s_d h_d, and on unit maps in `shift_coefficients`.
 `h_shift` writes its polynomial from the degree map by `_from_degrees`,
-which also writes the stable layer's parameterised Jacobi-Trudi entries,
-and `gschur verify` checks the shift identities on the same map.  The
+and `gschur verify` checks the shift identities on the same map; the
+stable layer runs the recursion on the one-row objects at d.  The
 variable-splitting lemma is one defect function on these maps,
 `_splitting_defect`: `gschur verify` reads its two maps, and
 `lemma_residual` writes the residual polynomial from them alone.
@@ -142,7 +142,9 @@ def _support(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 def _from_degrees(n: int, nums: dict[int, int], den: int) -> MultiPoly:
     """sum_d (nums[d] / den) h_d(x_1..x_n), each numerator written once onto
-    degree d's exponent tuples (`_support`; the h_d have disjoint supports)."""
+    degree d's exponent tuples (`_support`; the h_d have disjoint supports).
+    The writer of `h_shift`; `stable.jt_infinite_check` keeps its entries on
+    free generators h_k instead."""
     terms = {}
     for degree, c in nums.items():
         terms.update(dict.fromkeys(_support(n, degree), c))
@@ -199,7 +201,9 @@ class GschurContext:
             S_lam(x_1..x_n) = d_{n-1} ... d_1 [ phi_{lam_1+n-1}(x_1) S_(lam_2, ...)(x_2..x_n) ],
 
         d_1 first, the tail memoised in the (n-1)-variable sub-context.  Only
-        phi is read, so the other routes stay independent.  No cap on n.
+        phi is read, so the other routes stay independent.  The tail recurses
+        through `_sub` once per variable, so n = 1000 exceeds Python's
+        recursion limit and raises RecursionError.
         """
         lam = self.fit_partition(lam)
         n = self.n

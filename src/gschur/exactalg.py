@@ -157,8 +157,9 @@ class MultiPoly:
     Construct with an explicit arity and a mapping from exponent tuples to
     coefficients; use the classmethod helpers for common shapes.  Variables
     are indexed from 0, so `variable(3, 0)` is x1 of a three-variable ring.
-    The public constructor validates every term; the package's own builders
-    write integer numerators through `_make` instead.
+    The public constructor reads `terms` through the container gate and
+    validates every term; the package's own builders write integer
+    numerators through `_make` instead.
     """
 
     __slots__ = ("arity", "_num", "_den")
@@ -166,8 +167,8 @@ class MultiPoly:
     def __init__(self, arity: int, terms: Mapping[Exponent, Scalar] | None = None):
         as_index(arity, "arity", 0)
         clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
+        if terms is not None:
+            for exps, coeff in as_container(terms, "terms", Mapping).items():
                 e = _exponents(exps, arity)
                 c = as_rational(coeff, "coefficient")
                 if c:

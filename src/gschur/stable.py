@@ -14,8 +14,9 @@ d >= l(lam)) and the super-symmetric realisation (`super_schur`).
 A Schur-basis coefficient map becomes a polynomial in one place,
 `realize_expansion`: Jacobi-Trudi determinants over the complete homogeneous
 functions of n x and m y variables, written from their generating function,
-so no realisation goes through the bialternant it is compared against.  The
-one-row entries of `jt_infinite_check` are written by `engine._from_degrees`.
+so no realisation goes through the bialternant it is compared against.
+`jt_infinite_check` takes the same determinants over free generators h_k,
+so both of its sides are compared in the ring of symmetric functions.
 
 The expensive step, expanding at a single integer count n, needs no
 polynomials in x at all.  Write C_{i,m} = [z^m] phi_i for the lower
@@ -75,7 +76,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import _ZERO, CoeffSeq, PoleError
-from .engine import _from_degrees, _shifted, _support, first_column_det
+from .engine import _shifted, _support, first_column_det
 from .exactalg import (
     MultiPoly, _eval_homogeneous, _scaled_sum, as_container, as_index, as_rational,
     format_poly_text,
@@ -210,23 +211,29 @@ def realize_expansion(
     `super_complete_homogeneous`, the hook Schur function of the two
     alphabets.  It vanishes exactly when mu_{n+1} > m, so those mu are
     skipped; with m = 0 that is the truncation of a symmetric function to n
-    variables, which drops every mu with more than n rows.
+    variables, which drops every mu with more than n rows.  `expansion` goes
+    through the container gate, n and m through the index gate.
     """
+    expansion = as_container(expansion, "expansion", Mapping)
     as_index(n, "n", 0)
     as_index(m, "m", 0)
     inside = {
         mu: c for mu, c in expansion.items() if c and (len(mu) <= n or mu[n] <= m)
     }
     depth = max((mu[0] + len(mu) - 1 for mu in inside if mu), default=0)
-    hs = super_complete_homogeneous(n, m, depth)
-    zero = MultiPoly.zero(n + m)
+    return _schur_sum(inside, super_complete_homogeneous(n, m, depth), n + m)
+
+
+def _schur_sum(expansion: Mapping, hs: list[MultiPoly], arity: int) -> MultiPoly:
+    """sum_mu c_mu det[h_{mu_j - j + c}], h_k = hs[k] (0 for k < 0)."""
+    zero = MultiPoly.zero(arity)
 
     def h_entry(i: int, c: int) -> MultiPoly:
         return hs[i + c] if i + c >= 0 else zero
 
     out = zero
-    for mu, c in inside.items():
-        out = out + c * first_column_det(h_entry, [p - j for j, p in enumerate(mu)], n + m)
+    for mu, c in expansion.items():
+        out = out + c * first_column_det(h_entry, [p - j for j, p in enumerate(mu)], arity)
     return out
 
 
@@ -532,18 +539,16 @@ def gschur_function(lam, seq: CoeffSeq, d_value) -> dict[Partition, Fraction]:
 def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     """Does the parameterised Jacobi-Trudi determinant reproduce lam's object?
 
-    Entry (i, c) is h_i^{(c)} from `engine._shifted`, the recursion of the
-    finite entries, with coefficient arguments offset by d - 1 (so the
-    sequence must be closed form, evaluable off the integers) and the
-    one-row any-d objects at d as its base, each the degree map
-    sum_k [s_(k)] S_(j) h_k; `engine._from_degrees` writes every entry as it
-    writes `h_shift`, and only the right-hand side goes through
-    `realize_expansion`.  Both sides are compared after truncation to n_eval
-    variables, which is faithful because truncation is a ring homomorphism;
-    both sides lie in the span of the S_mu with l(mu) <= l(lam) (products of
-    l(lam) one-row objects on the left), where truncation is injective
-    exactly when n_eval >= l(lam), so a smaller n_eval raises ValueError.
-    d_value goes through the scalar gate and n_eval through the index gate.
+    Both sides are compared in Lambda = Q[h_1, h_2, ...], the h_k
+    algebraically independent (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, ch. I (2.8)): a `MultiPoly` in lam_1 + l(lam) - 1
+    variables, the k-th standing for h_k.  Entry (i, c) is h_i^{(c)} from
+    `engine._shifted`, the recursion of the finite entries, with arguments
+    offset by d - 1 (so the sequence must be closed form) and the one-row
+    any-d objects at d, each sum_k [s_(k)] S_(j) h_k, as its base.  The
+    right-hand side is sum_mu c_mu det[h_{mu_j - j + c}] over
+    `gschur_function`.  Equality in Lambda implies it after truncation, so
+    n_eval (index gate, at least max(1, l(lam))) does not change the verdict.
 
     An integer d < l(lam) raises ValueError before any fit: there the entries
     read boundary values such as a(0) and b(1), which no finite-count entry
@@ -557,21 +562,22 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     d = as_rational(d_value, "d_value")
     if d.denominator == 1 and d < l:
         raise ValueError(f"at an integer d the check needs d >= l(lambda) = {l}, got {d}")
-    rhs = realize_expansion(gschur_function(lam, seq, d), n_eval)
+    depth = lam[0] + l - 1 if lam else 0
+    unit = _support(depth, 0) + _support(depth, 1)  # unit[k]: the exponent of h_k
+    hs = [MultiPoly._make(depth, {e: 1}) for e in unit]
+    rhs = _schur_sum(gschur_function(lam, seq, d), hs, depth)
     one_rows = [
-        _scaled_sum(
-            (v.numerator, {sum(mu): 1}, v.denominator)
-            for mu, v in gschur_function((j,) if j else (), seq, d).items()
-        )
-        for j in range(max(lam, default=0) + l)
+        _scaled_sum((v.numerator, {sum(mu): 1}, v.denominator)
+                    for mu, v in gschur_function((j,) if j else (), seq, d).items())
+        for j in range(depth + 1)
     ]
     memo: dict = {}
 
     def entry(i: int, c: int) -> MultiPoly:
-        degrees = _shifted(one_rows.__getitem__, seq.a_at, seq.b_at, d, i, c, memo)
-        return _from_degrees(n_eval, *degrees)
+        nums, den = _shifted(one_rows.__getitem__, seq.a_at, seq.b_at, d, i, c, memo)
+        return MultiPoly._make(depth, {unit[k]: v for k, v in nums.items()}, den)
 
-    return first_column_det(entry, [part - j for j, part in enumerate(lam)], n_eval) == rhs
+    return first_column_det(entry, [part - j for j, part in enumerate(lam)], depth) == rhs
 
 
 # -- super-symmetric realisation -------------------------------------------

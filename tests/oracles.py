@@ -10,17 +10,21 @@ Schur-basis minors by the Leibniz sum over a `Fraction` phi table, shift
 scalars by their recursion on `Fraction` maps (and a `Fraction` map put
 back in the package's reduced integer form), the variable-splitting residual
 as three written polynomials and two subtractions, the parameterised Jacobi-Trudi
-entries as `Fraction` sums of realised one-row polynomials, the closed-form
+entries as `Fraction` sums of one-row objects realised on free generators
+h_k of the ring of symmetric functions, the closed-form
 coefficients of `bc_jacobi` and `random_polynomial_coeffseq` by their
 `Fraction` formulas, and compositions by the recursion on the first part
 that `partitions.compositions` replaced.  Slow, but with no shared code
 paths with the package internals beyond the MultiPoly container and its
-`+`/`-`.  Two exceptions: the splitting residual writes its three
+`+`/`-`.  Three exceptions: the splitting residual writes its three
 polynomials from the package's degree maps with `engine._from_degrees`, so
-that it checks how `lemma_residual` combines them; and
+that it checks how `lemma_residual` combines them;
 `kernel_fit` is the package's earlier rational fit, kept as the reference
 for the current one; it solves the full (2g+1) x (2g+2) system with the
-package's integer kernel and Horner, which have their own oracle tests.
+package's integer kernel and Horner, which have their own oracle tests; and
+`truncated_jt_check` is the package's earlier parameterised Jacobi-Trudi
+check on polynomials in n_eval variables, kept as the reference for the
+comparison in the ring of symmetric functions.
 
 The last sections hold the per-term polynomial writer (a gcd and a
 coefficient string for every term, which the package's writers must match
@@ -34,9 +38,12 @@ from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from gschur.coeffseq import PoleError
-from gschur.engine import _from_degrees
-from gschur.exactalg import MultiPoly, _eval_homogeneous
-from gschur.stable import InterpolationInconsistentError, RationalFunctionOfD, _kernel_vector
+from gschur.engine import _from_degrees, _shifted, first_column_det
+from gschur.exactalg import MultiPoly, _eval_homogeneous, _scaled_sum
+from gschur.stable import (
+    InterpolationInconsistentError, RationalFunctionOfD, _kernel_vector, gschur_function,
+    realize_expansion,
+)
 from gschur.partitions import check_partition, conjugate, diagonal_rank
 
 
@@ -262,28 +269,56 @@ def newton_complete_homogeneous(n, m, upto):
     return hs
 
 
-def realized_jt_entries(seq, d, n_eval, one_rows):
-    """Entry (i, c) -> polynomial of `stable.jt_infinite_check`'s determinant,
-    built as the check first built it: each one-row map {mu: [s_mu] S_(j)}
-    (`one_rows[j]`, mu = () or (k,)) realised on n_eval variables with
-    s_(k) = h_k from `newton_complete_homogeneous`, then summed with the
+def realized_jt_entries(seq, d, one_rows):
+    """Entry (i, c) -> element of Lambda = Q[h_1, h_2, ...] of
+    `stable.jt_infinite_check`'s determinant: each one-row map
+    {mu: [s_mu] S_(j)} (`one_rows[j]`, mu = () or (k,)) realised with
+    s_() = 1 and s_(k) = h_k, the k-th variable of a MultiPoly in
+    len(one_rows) - 1 variables, then summed with the
     `fraction_shift_coefficients` scalars at offset d as Fraction * MultiPoly."""
-    hs = newton_complete_homogeneous(n_eval, 0, len(one_rows))
+    depth = len(one_rows) - 1
+    hs = [MultiPoly.one(depth)] + [MultiPoly.variable(depth, k) for k in range(depth)]
     realized = []
     for row in one_rows:
-        poly = MultiPoly(n_eval)
+        poly = MultiPoly(depth)
         for mu, c in row.items():
             poly = poly + c * hs[sum(mu)]
         realized.append(poly)
     memo = {}
 
     def entry(i, c):
-        out = MultiPoly(n_eval)
+        out = MultiPoly(depth)
         for j, coeff in fraction_shift_coefficients(seq.a_at, seq.b_at, d, i, c, memo).items():
             out = out + coeff * realized[j]
         return out
 
     return entry
+
+
+def truncated_jt_check(lam, seq, d, n_eval) -> bool:
+    """The parameterised Jacobi-Trudi check as the package first ran it:
+    every entry written as a polynomial in n_eval variables by
+    `engine._from_degrees` and the right-hand side by `realize_expansion`,
+    compared after truncation, which is injective on both sides' span
+    (the s_mu with l(mu) <= l(lam)) when n_eval >= l(lam).  Reads the
+    package's one-row any-d objects, shift recursion and determinant; the
+    reference for the comparison in Lambda."""
+    lam = check_partition(lam)
+    rhs = realize_expansion(gschur_function(lam, seq, d), n_eval)
+    one_rows = [
+        _scaled_sum(
+            (v.numerator, {sum(mu): 1}, v.denominator)
+            for mu, v in gschur_function((j,) if j else (), seq, d).items()
+        )
+        for j in range(max(lam, default=0) + len(lam))
+    ]
+    memo = {}
+
+    def entry(i, c):
+        degrees = _shifted(one_rows.__getitem__, seq.a_at, seq.b_at, d, i, c, memo)
+        return _from_degrees(n_eval, *degrees)
+
+    return first_column_det(entry, [part - j for j, part in enumerate(lam)], n_eval) == rhs
 
 
 def fraction_kernel_vector(rows):

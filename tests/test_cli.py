@@ -645,6 +645,12 @@ EXIT_CODE_CASES = [
     # so_odd and so_even, so every sequence is refused there.
     ("jt-check-integer-d-below-length", ["stable", "--preset", "so_odd", "--d", "1",
                                          "--lambda", "2,1", "--jt-check"], None, 2),
+    # The bialternant recurses once per variable, so a thousand variables
+    # outgrow the stack: one error line, not a traceback and exit 1.
+    ("bialternant-thousand-variables", ["compute", "--preset", "schur", "--n", "1000",
+                                        "--lambda", "1"], None, 2),
+    ("monomial-expand-thousand-variables", ["expand", "--preset", "schur", "--n", "1000",
+                                            "--lambda", "1", "--basis", "monomial"], None, 2),
 ]
 
 
@@ -664,6 +670,24 @@ def test_exit_code_contract(tmp_path, argv, seq_body, expected):
     assert proc.stderr.count("\n") == 1
     if expected == 2:
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError(), "input too large for this route (MemoryError)"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "input too large for this route (RecursionError: maximum recursion depth exceeded)"),
+    ],
+    ids=["memory", "recursion"],
+)
+def test_an_exhausted_memory_or_stack_exits_two_with_one_line(capsys, monkeypatch, error, line):
+    def exhausted(self, lam):
+        raise error
+
+    monkeypatch.setattr(GschurContext, "bialternant", exhausted)
+    code, out, err = run(capsys, "compute", "--preset", "schur", "--n", "2", "--lambda", "1")
+    assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 def test_a_closed_stdout_exits_141_in_silence():

@@ -221,6 +221,9 @@ SLOTS = {
     # the any-d layer
     "schur_expand_at-lam": part(lambda v, w: schur_expand_at((2, v), w.seq, 3)),
     "schur_expand_at-n": index("n", lambda v, w: schur_expand_at((2,), w.seq, v), 1),
+    "realize_expansion-expansion": Slot(
+        "expansion", "mapping", lambda v, w: realize_expansion(v, 2)
+    ),
     "realize_expansion-n": index("n", lambda v, w: realize_expansion({(1,): 1}, v), 0),
     "realize_expansion-m": index("m", lambda v, w: realize_expansion({(1,): 1}, 2, v), 0),
     "interpolate_c_family": part(lambda v, w: interpolate_c_family((2, v), w.seq)),
@@ -249,6 +252,7 @@ SLOTS = {
     "fitted-function": scalar("d", lambda v, w: _fitted()(v)),
     # MultiPoly: the constructor, the builders and the operators
     "MultiPoly-arity": index("arity", lambda v, w: MultiPoly(v), 0),
+    "MultiPoly-terms": Slot("terms", "mapping", lambda v, w: MultiPoly(2, v), none_ok=True),
     "MultiPoly-exponent": index("exponent", lambda v, w: MultiPoly(2, {(v, 0): 1}), 0),
     "MultiPoly-coefficient": scalar("coefficient", lambda v, w: MultiPoly(2, {(1, 0): v})),
     "zero": index("arity", lambda v, w: MultiPoly.zero(v), 0),

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -48,6 +49,7 @@ from oracles import (
     newton_complete_homogeneous,
     realized_jt_entries,
     schur_by_tableaux,
+    truncated_jt_check,
 )
 
 F = Fraction
@@ -707,8 +709,8 @@ def test_jt_infinite_needs_an_int_n_eval(n_eval):
 
 @pytest.mark.parametrize("seq", [schur(), bc_jacobi(1, -3)], ids=["schur", "bc_jacobi"])
 def test_jt_infinite_sees_an_error_on_the_longest_partition(monkeypatch, seq):
-    # Truncation to fewer than 4 variables sends S_(1,1,1,1) to zero, so an
-    # error planted there shows only at n_eval = l(lam) = 4.
+    # The error sits on S_(1,1,1,1), which truncation to fewer than
+    # l(lam) = 4 variables would send to zero; the comparison in Lambda sees it.
     lam, d = (1, 1, 1, 1), F(1, 3)
     assert jt_infinite_check(lam, seq, d, 4)
     honest = stable.gschur_function
@@ -758,8 +760,9 @@ JT_ENTRY_SEQS = [bc_jacobi(1, -3), random_polynomial_coeffseq(random.Random(7))]
 @pytest.mark.parametrize("d", [F(1, 3), F(7, 3)], ids=["1/3", "7/3"])
 @pytest.mark.parametrize("seq", JT_ENTRY_SEQS, ids=["bc_jacobi", "poly-table"])
 def test_jt_infinite_entries_equal_the_realised_one_row_sums(monkeypatch, seq, d, n_eval):
-    # The check writes each entry from a degree map; the oracle realises
-    # every one-row object as a polynomial first and sums Fraction * MultiPoly.
+    # The check writes each entry from a degree map onto the free generators
+    # h_k of Lambda; the oracle realises every one-row object on them first
+    # and sums Fraction * MultiPoly.  n_eval changes no entry.
     lam = (3, 2, 1)
     seen = {}
 
@@ -771,12 +774,81 @@ def test_jt_infinite_entries_equal_the_realised_one_row_sums(monkeypatch, seq, d
     assert jt_infinite_check(lam, seq, d, n_eval)
     top = lam[0] + len(lam)
     one_rows = [gschur_function((j,) if j else (), seq, d) for j in range(top)]
-    oracle = realized_jt_entries(seq, d, n_eval, one_rows)
+    oracle = realized_jt_entries(seq, d, one_rows)
     cases = [(i, c) for i in range(-len(lam), lam[0] + 1) for c in range(len(lam))
              if i + c < top]
     for i, c in cases:
         assert seen["entry"](i, c) == oracle(i, c), (i, c)
     assert any(not oracle(i, c).is_zero for i, c in cases if c)
+
+
+JT_GRID_SEQS = {
+    "sp": sp,
+    "so_odd": so_odd,
+    "so_even": so_even,
+    "schur": schur,
+    "bc_jacobi(1,-3)": lambda: bc_jacobi(1, -3),
+    "bc_jacobi(1/3,1/5)": lambda: bc_jacobi(F(1, 3), F(1, 5)),
+    **{
+        f"poly-table-{k}": (lambda k=k: random_polynomial_coeffseq(random.Random(k)))
+        for k in range(4)
+    },
+}
+JT_GRID_D = [F(7, 3), F(-5, 2), F(1, 3), 4, 6]
+
+
+def _verdict(check, lam, seq, d, n_eval):
+    try:
+        return check(lam, seq, d, n_eval)
+    except PoleError:
+        return "pole"
+
+
+@pytest.mark.parametrize("build", JT_GRID_SEQS.values(), ids=JT_GRID_SEQS)
+def test_jt_infinite_in_lambda_matches_the_truncated_check(build):
+    # The comparison in Lambda gives the verdict, or the PoleError, of the
+    # earlier comparison after truncation to n_eval >= l(lam) variables.
+    seq = build()
+    cases = [
+        (lam, n_eval)
+        for lam in [(1,), (2, 1), (1, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1)]
+        for n_eval in sorted({len(lam), 3, 5})
+    ] + [((4, 3, 2, 1), 4)]
+    for lam, n_eval in cases:
+        for d in JT_GRID_D:
+            got = _verdict(jt_infinite_check, lam, seq, d, n_eval)
+            assert got == _verdict(truncated_jt_check, lam, seq, d, n_eval), (lam, d, n_eval)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(JT_GRID_SEQS)),
+    lam=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1, 1), (3, 2, 1)]),
+    d=st.sampled_from([F(7, 3), F(1, 3), 4]),
+    data=st.data(),
+)
+def test_jt_infinite_fails_on_a_planted_wrong_one_row_object(name, lam, d, data):
+    # +1 on one Schur coefficient [s_(k)] S_(j) of one one-row object that
+    # the entries read (1 <= j <= lam_1 + l(lam) - 1); with two or more rows
+    # the right-hand side reads no one-row object.
+    seq = JT_GRID_SEQS[name]()
+    try:
+        assert jt_infinite_check(lam, seq, d, 3)
+    except PoleError:
+        assume(False)
+    j = data.draw(st.integers(1, lam[0] + len(lam) - 1), label="j")
+    k = data.draw(st.integers(0, j), label="k")
+    honest = stable.gschur_function
+
+    def planted(mu, s, value):
+        out = honest(mu, s, value)
+        if mu == (j,):
+            key = (k,) if k else ()
+            out = {**out, key: out.get(key, F(0)) + 1}
+        return out
+
+    with mock.patch.object(stable, "gschur_function", planted):
+        assert not jt_infinite_check(lam, seq, d, 3)
 
 
 def test_jt_infinite_of_the_empty_partition_is_one():
