@@ -25,7 +25,10 @@ and `gschur verify` checks the shift identities on the same map; the
 stable layer runs the recursion on the one-row objects at d.  The
 variable-splitting lemma is one defect function on these maps,
 `_splitting_defect`: `gschur verify` reads its two maps, and
-`lemma_residual` writes the residual polynomial from them alone.
+`lemma_residual` writes the residual polynomial from them alone.  Every
+entry is linear in the h_d, so the Jacobi-Trudi and compact-character
+determinants are taken in Lambda = Q[h_1, h_2, ...] (`_in_lambda`), and
+`_realise` writes each result in x_1..x_n once, through Kostka numbers.
 
 The sequence memoises its own phi family (`seq.phis`), so every context
 over one sequence shares it; contexts memoise degree scalars, shifted
@@ -38,18 +41,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import permutations
+from itertools import compress, permutations
 from math import lcm
 from operator import itemgetter
 from typing import Callable
 
 from .coeffseq import CoeffSeq
-from .exactalg import MultiPoly, _scaled_sum, as_index, as_rational, determinant, grlex_key
+from .exactalg import MultiPoly, _scaled_sum, as_index, as_rational, determinant
 from .partitions import (
     Partition,
+    _partitions_of,
     check_partition,
     compositions,
     frobenius_coordinates,
+    kostka,
     pad,
 )
 
@@ -140,15 +145,61 @@ def _support(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compositions(n, d))
 
 
+@cache
+def _shapes(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The shape of each exponent tuple of `_support(n, d)`, in its order: its
+    entries sorted increasing, one shared tuple per shape."""
+    shapes, first = list(map(tuple, map(sorted, _support(n, d)))), {}
+    return tuple(map(first.setdefault, shapes, shapes))
+
+
 def _from_degrees(n: int, nums: dict[int, int], den: int) -> MultiPoly:
     """sum_d (nums[d] / den) h_d(x_1..x_n), each numerator written once onto
     degree d's exponent tuples (`_support`; the h_d have disjoint supports).
-    The writer of `h_shift`; `stable.jt_infinite_check` keeps its entries on
-    free generators h_k instead."""
+    The writer of the one-row entries `h_shift`; determinants of them are
+    taken in Lambda (`_in_lambda`) and written by `_realise`."""
     terms = {}
     for degree, c in nums.items():
         terms.update(dict.fromkeys(_support(n, degree), c))
     return MultiPoly._make(n, terms, den)
+
+
+def _in_lambda(nums: dict[int, int], den: int, depth: int) -> MultiPoly:
+    """sum_d (nums[d] / den) h_d, every d <= depth, in Lambda: a `MultiPoly` in
+    `depth` free generators, the k-th standing for h_k (Macdonald, I (2.8))."""
+    unit = _support(depth, 0) + _support(depth, 1)  # unit[k]: the exponent of h_k
+    return MultiPoly._make(depth, {unit[d]: c for d, c in nums.items()}, den)
+
+
+@cache
+def _h_monomials(e: tuple[int, ...], n: int) -> tuple[int, tuple]:
+    """The degree d of h_nu = h_1^{e_1} h_2^{e_2} ... and its (shape, [m_mu] h_nu)
+    pairs for every mu of d with at most n parts, through Schur coordinates:
+    sum_rho K_{rho nu} K_{rho mu}, rho of more than n parts dropping out."""
+    nu = tuple(k for k in range(len(e), 0, -1) for _ in range(e[k - 1]))
+    d = sum(nu)
+    schur = [(rho, k) for rho in _partitions_of(d, d, d) if (k := kostka(rho, nu))]
+    return d, tuple(
+        ((0,) * (n - len(mu)) + mu[::-1], sum(k * kostka(rho, mu) for rho, k in schur))
+        for mu in _partitions_of(d, d, n)
+    )
+
+
+def _realise(elem: MultiPoly, n: int) -> MultiPoly:
+    """An element of Lambda over `_in_lambda`'s generators in x_1..x_n: per degree,
+    sum_nu C_nu [m_mu] h_nu written onto `_support(n, d)` by `_shapes(n, d)`."""
+    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
+    for e, k in elem._num.items():
+        d, row = _h_monomials(e, n)
+        m = by_degree.setdefault(d, {})
+        for shape, c in row:
+            m[shape] = m.get(shape, 0) + k * c
+    terms = {}
+    for d in sorted(by_degree, reverse=True):  # printing's order: its sort is linear
+        m = by_degree[d]
+        values = list(map(m.__getitem__, _shapes(n, d)))
+        terms.update(zip(compress(_support(n, d), values), filter(None, values)))
+    return MultiPoly._make(n, terms, elem._den)
 
 
 def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
@@ -168,6 +219,8 @@ class GschurContext:
 
     def __init__(self, n: int, seq: CoeffSeq):
         self.n = as_index(n, "n", 1)
+        if not isinstance(seq, CoeffSeq):
+            raise TypeError(f"seq must be a CoeffSeq, got {type(seq).__name__}")
         self.seq = seq
         self._bialternant: dict[Partition, MultiPoly] = {}
         self._scalar_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
@@ -258,9 +311,18 @@ class GschurContext:
         lam = self.fit_partition(lam)
         got = self._jt_memo.get(lam)
         if got is None:
-            indices = [lam[j] - j for j in range(len(lam))]
-            got = self._jt_memo[lam] = first_column_det(self.h_shift, indices, self.n)
+            got = self._jt_memo[lam] = self._det_in_lambda(self.shift_scalars, lam)
         return got
+
+    def _det_in_lambda(self, entry: Callable, lam: Partition) -> MultiPoly:
+        """det[ entry(lam_j - j, c) ] over degree maps, taken in Lambda and written
+        by `_realise`; of order <= 1 it is its entry, h_shift(lam_1, 0)."""
+        if len(lam) < 2:
+            return self.h_shift(lam[0], 0) if lam else MultiPoly.one(self.n)
+        depth = lam[0] + len(lam) - 1
+        indices = [part - j for j, part in enumerate(lam)]
+        det = first_column_det(lambda i, c: _in_lambda(*entry(i, c), depth), indices, depth)
+        return _realise(det, self.n)
 
     # -- route 3: hooks and Giambelli -------------------------------------
 
@@ -305,12 +367,11 @@ class GschurContext:
         n = self.n
         if n > 1:
             for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
-                move = itemgetter(*perm)
-                if any(num.get(move(e)) != c for e, c in num.items()):
+                if list(map(num.get, map(itemgetter(*perm), num))) != list(num.values()):
                     raise AssertionError(f"bialternant is not symmetric under {perm}")
-        keys = [e for e in num if all(x >= y for x, y in zip(e, e[1:]))]
-        keys.sort(key=grlex_key, reverse=True)
-        return {check_partition(e): Fraction(num[e], den) for e in keys}
+        keys = [e for e in num if list(e) == sorted(e, reverse=True)]  # zeros trail
+        pairs = sorted(zip(map(sum, keys), keys), reverse=True)
+        return {e[:n - e.count(0)]: Fraction(num[e], den) for _, e in pairs}
 
     def _splitting_defect(self, i: int, r: int) -> tuple[tuple[dict, int], tuple[dict, int]]:
         """The degree maps (A, B) of the variable-splitting residual,

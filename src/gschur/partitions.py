@@ -6,6 +6,7 @@ without trailing zeros; the empty tuple is the empty partition.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -17,12 +18,15 @@ Partition = tuple[int, ...]
 def check_partition(parts: Iterable[int]) -> Partition:
     """Normalise an iterable of parts into a canonical partition tuple.
 
-    Each part goes through the index gate with lower bound 0, so a bool, a
-    float (integral or not) or a `Fraction` raises TypeError and a negative
-    part ValueError.  Trailing zeros are stripped, and parts that are not
-    weakly decreasing raise ValueError.
+    Anything else raises TypeError.  Each part goes through the index gate
+    with lower bound 0, so a bool, a float (integral or not) or a `Fraction`
+    raises TypeError and a negative part ValueError.  Trailing zeros are
+    stripped, and parts that are not weakly decreasing raise ValueError.
     """
-    p = tuple(parts)
+    try:
+        p = tuple(parts)
+    except TypeError:
+        raise TypeError(f"partition must be iterable, got {type(parts).__name__}") from None
     for v in p:
         as_index(v, "partition part", 0)
     while p and p[-1] == 0:
@@ -115,6 +119,28 @@ def _partitions_of(total: int, cap: int, length: int) -> Iterator[Partition]:
             return
         for rest in _partitions_of(total - first, first, length - 1):
             yield (first,) + rest
+
+
+@cache
+def kostka(shape: Partition, content: Partition) -> int:
+    """Semistandard tableaux of `shape` and `content` (partitions, unchecked;
+    Macdonald, I §6): the largest entries fill one of the `_strips`."""
+    if not content or shape < content:  # K = 0 unless shape dominates content, lex >= it
+        return int(shape == content)
+    return sum(kostka(inner, content[:-1]) for inner in _strips(shape, content[-1]))
+
+
+def _strips(shape: Partition, k: int) -> list[Partition]:
+    """The mu with shape/mu a horizontal strip of k boxes: shape_{j+1} <= mu_j
+    <= shape_j, so only the last part can reach 0."""
+    if not shape:
+        return [()] if not k else []
+    first, rest = shape[0], shape[1:]
+    return [
+        ((first - t,) if first > t else ()) + tail
+        for t in range(min(k, first - (rest[0] if rest else 0)) + 1)
+        for tail in _strips(rest, k - t)
+    ]
 
 
 def compositions(length: int, total: int) -> Iterator[tuple[int, ...]]:

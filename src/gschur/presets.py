@@ -21,8 +21,8 @@ from math import lcm
 from typing import Sequence
 
 from .coeffseq import CoeffSeq, PoleError
-from .engine import GschurContext, first_column_det, shift_coefficients
-from .exactalg import MultiPoly, as_container, as_index, as_rational
+from .engine import GschurContext, shift_coefficients
+from .exactalg import MultiPoly, _scaled_sum, as_container, as_index, as_rational
 from .partitions import check_partition
 
 CLASSICAL_PRESETS = ("so_odd", "so_even", "sp")
@@ -153,8 +153,9 @@ def make(name: str, **params) -> CoeffSeq:
 def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
     """Compact character determinant for the orthogonal/symplectic presets.
 
-    A `first_column_det` over the indices i = lam_j - j (0-based): column
-    c = 0 holds h_i and every later column c holds h_{i+c} + h_{i-c}.
+    A first-column determinant over the indices i = lam_j - j (0-based):
+    column c = 0 holds h_i and every later column c holds h_{i+c} + h_{i-c},
+    summed as degree maps and taken in Lambda (`_det_in_lambda`).
     The column operations that produce this shape from the Jacobi-Trudi
     determinant use b = 1 and a = 0 beyond the boundary, so the construction
     is only claimed, and only allowed, for those presets.
@@ -166,10 +167,10 @@ def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
         )
     lam = ctx.fit_partition(lam)
 
-    def entry(i: int, c: int) -> MultiPoly:
-        return ctx.h(i + c) + ctx.h(i - c) if c else ctx.h(i)
+    def entry(i: int, c: int) -> tuple[dict[int, int], int]:  # h_i alone when c = 0
+        return _scaled_sum((1, *ctx.shift_scalars(j, 0)) for j in {i + c, i - c})
 
-    return first_column_det(entry, [part - j for j, part in enumerate(lam)], ctx.n)
+    return ctx._det_in_lambda(entry, lam)
 
 
 @cache

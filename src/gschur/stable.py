@@ -15,8 +15,8 @@ A Schur-basis coefficient map becomes a polynomial in one place,
 `realize_expansion`: Jacobi-Trudi determinants over the complete homogeneous
 functions of n x and m y variables, written from their generating function,
 so no realisation goes through the bialternant it is compared against.
-`jt_infinite_check` takes the same determinants over free generators h_k,
-so both of its sides are compared in the ring of symmetric functions.
+`jt_infinite_check` takes the same determinants over free generators h_k
+(`engine._in_lambda`), so both of its sides are compared in Lambda.
 
 The expensive step, expanding at a single integer count n, needs no
 polynomials in x at all.  Write C_{i,m} = [z^m] phi_i for the lower
@@ -76,7 +76,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import _ZERO, CoeffSeq, PoleError
-from .engine import _shifted, _support, first_column_det
+from .engine import _in_lambda, _shifted, _support, first_column_det
 from .exactalg import (
     MultiPoly, _eval_homogeneous, _scaled_sum, as_container, as_index, as_rational,
     format_poly_text,
@@ -276,6 +276,8 @@ def schur_expand_at(lam, seq: CoeffSeq, n: int) -> dict[Partition, Fraction]:
     phi_0..phi_{lam_1 + n - 1} are read, from `seq.phis`.  The keys come in
     decreasing graded-lex order, as a triangular solve would find them.
     """
+    if not isinstance(seq, CoeffSeq):
+        raise TypeError(f"seq must be a CoeffSeq, got {type(seq).__name__}")
     lam = check_partition(lam)
     l = len(lam)
     as_index(n, "n", l)
@@ -542,7 +544,8 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     Both sides are compared in Lambda = Q[h_1, h_2, ...], the h_k
     algebraically independent (Macdonald, *Symmetric Functions and Hall
     Polynomials*, ch. I (2.8)): a `MultiPoly` in lam_1 + l(lam) - 1
-    variables, the k-th standing for h_k.  Entry (i, c) is h_i^{(c)} from
+    variables, the k-th standing for h_k (`engine._in_lambda`, the writer
+    of the finite entries too).  Entry (i, c) is h_i^{(c)} from
     `engine._shifted`, the recursion of the finite entries, with arguments
     offset by d - 1 (so the sequence must be closed form) and the one-row
     any-d objects at d, each sum_k [s_(k)] S_(j) h_k, as its base.  The
@@ -563,8 +566,7 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     if d.denominator == 1 and d < l:
         raise ValueError(f"at an integer d the check needs d >= l(lambda) = {l}, got {d}")
     depth = lam[0] + l - 1 if lam else 0
-    unit = _support(depth, 0) + _support(depth, 1)  # unit[k]: the exponent of h_k
-    hs = [MultiPoly._make(depth, {e: 1}) for e in unit]
+    hs = [_in_lambda({k: 1}, 1, depth) for k in range(depth + 1)]
     rhs = _schur_sum(gschur_function(lam, seq, d), hs, depth)
     one_rows = [
         _scaled_sum((v.numerator, {sum(mu): 1}, v.denominator)
@@ -574,8 +576,8 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     memo: dict = {}
 
     def entry(i: int, c: int) -> MultiPoly:
-        nums, den = _shifted(one_rows.__getitem__, seq.a_at, seq.b_at, d, i, c, memo)
-        return MultiPoly._make(depth, {unit[k]: v for k, v in nums.items()}, den)
+        scalars = _shifted(one_rows.__getitem__, seq.a_at, seq.b_at, d, i, c, memo)
+        return _in_lambda(*scalars, depth)
 
     return first_column_det(entry, [part - j for j, part in enumerate(lam)], depth) == rhs
 

@@ -522,6 +522,20 @@ def schur_by_tableaux(lam, n) -> MultiPoly:
     return MultiPoly(n, {e: c for e, c in terms.items() if c})
 
 
+def realised_by_products(elem, n) -> MultiPoly:
+    """An element of Lambda on `engine._in_lambda`'s generators, the k-th
+    standing for h_k, in x_1..x_n: each term C h_1^{e_1} h_2^{e_2} ...
+    multiplied out from the `_from_degrees` polynomials h_k(x_1..x_n)."""
+    hs = [_from_degrees(n, {k: 1}, 1) for k in range(elem.arity + 1)]
+    total = MultiPoly.zero(n)
+    for e, c in elem.items():
+        term = MultiPoly.constant(n, c)
+        for k, power in enumerate(e, 1):
+            term = term * hs[k] ** power
+        total = total + term
+    return total
+
+
 def kostka(lam, mu) -> int:
     """Number of semistandard tableaux of shape lam and content mu."""
     lam = tuple(lam)

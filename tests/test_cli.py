@@ -10,13 +10,14 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gschur
-from gschur import cli, stable, verify
+from gschur import cli, engine, stable, verify
 from gschur.coeffseq import random_coeffseq, random_polynomial_coeffseq
 from gschur.engine import GschurContext
 from gschur.exactalg import MultiPoly, format_poly_text
@@ -377,6 +378,22 @@ def test_verify_suites_detect_a_wrong_quantity(monkeypatch, prop, owner, attr, c
     if prop != "fh":  # the presets are not drawn
         first_draw = random_coeffseq(random.Random(3))
         assert report.failures[0]["seq"] == first_draw.table_dump(24)
+
+
+@pytest.mark.parametrize("prop", ["jt", "fh"])
+def test_a_wrong_kostka_number_fails_the_jt_and_fh_properties(monkeypatch, prop):
+    # Both determinants are written in x_1..x_n through Kostka numbers, so one
+    # wrong number, K_(2,1),(2,1) = 2, must show against the bialternant.  The
+    # monomial coordinates of each h_nu are memoised, so they start cold.
+    real = engine.kostka
+
+    def wrong(shape, content):
+        return real(shape, content) + (shape == content == (2, 1))
+
+    monkeypatch.setattr(engine, "kostka", wrong)
+    monkeypatch.setattr(engine, "_h_monomials", cache(engine._h_monomials.__wrapped__))
+    report = run_property(prop, trials=1, seed=3, **options_read_by(prop, 3, 2))
+    assert report.failures and report.checks
 
 
 def test_a_broken_spot_check_fails_in_the_suite_and_in_the_gate(monkeypatch):

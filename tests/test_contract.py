@@ -2,8 +2,10 @@
 
 Each row is one argument slot of one entry: an index, read by
 `exactalg.as_index` (from `low` on, when the row has one), a partition part
-(an index from 0), an exact scalar, read by `exactalg.as_rational`, or a
-container (a sequence or a mapping), read by `exactalg.as_container`.  Every
+(an index from 0), an exact scalar, read by `exactalg.as_rational`, a
+container (a sequence or a mapping), read by `exactalg.as_container`, a
+partition as a whole, which must be iterable, or a coefficient sequence,
+which must be a `CoeffSeq`.  Every
 out-of-contract value in a slot must raise TypeError or ValueError whose
 message starts with the slot's name, before any work: the sequence's phi
 memo, its fitted families and every memo of the context stay as they were.
@@ -23,7 +25,8 @@ from gschur.coeffseq import CoeffSeq, random_coeffseq
 from gschur.engine import GschurContext, monomial_symmetric
 from gschur.exactalg import MultiPoly
 from gschur.partitions import (
-    compositions, dominated_partial_sums, pad, partitions_of, partitions_up_to,
+    check_partition, compositions, dominated_partial_sums, pad, partitions_of,
+    partitions_up_to,
 )
 from gschur.presets import bc_jacobi, factorial, sp
 from gschur.stable import (
@@ -66,7 +69,7 @@ class Slot(NamedTuple):
     """`call(value, world)` puts `value` in the slot named `label`."""
 
     label: str
-    kind: str  # "index", "scalar", "sequence" or "mapping"
+    kind: str  # "index", "scalar", "sequence", "mapping", "iterable" or "coeffseq"
     call: Callable
     low: int | None = None
     none_ok: bool = False  # None is the slot's default, so it is in contract
@@ -84,6 +87,10 @@ class Slot(NamedTuple):
             bad = [True, 2, 2.0, F(1, 2), None, "12", b"12", {0: 1}]
         elif self.kind == "mapping":
             bad = [True, 2, 2.0, None, "x", [(-1, 1)], ((-1, 1),)]
+        elif self.kind == "iterable":
+            bad = [True, 2, 2.0, F(1, 2), None]
+        elif self.kind == "coeffseq":
+            bad = [None, 2, "sp", [0, 1], {"a": [0], "b": [0]}, sp]
         else:
             bad = [True, False, 2.0, 1.5, F(2), F(5, 2), None, "x", "1/0", "2"]
             if self.low is not None:
@@ -100,6 +107,10 @@ class Slot(NamedTuple):
         elif self.kind == "sequence":
             kinds += [st.integers(), st.text(), st.dictionaries(st.integers(), st.integers())]
         elif self.kind == "mapping":
+            kinds += [st.integers(), st.text(), st.lists(st.integers())]
+        elif self.kind == "iterable":
+            kinds += [st.integers(), st.fractions()]
+        elif self.kind == "coeffseq":
             kinds += [st.integers(), st.text(), st.lists(st.integers())]
         else:
             kinds += [st.fractions(), st.text()]
@@ -138,10 +149,12 @@ def scalar(label, call) -> Slot:
 SLOTS = {
     # GschurContext and its methods
     "GschurContext-n": index("n", lambda v, w: GschurContext(v, w.seq), 1),
+    "GschurContext-seq": Slot("seq", "coeffseq", lambda v, w: GschurContext(2, v).h(1)),
     "fit_partition": part(lambda v, w: w.ctx.fit_partition((2, v))),
     "bialternant": part(lambda v, w: w.ctx.bialternant((2, v))),
     "jacobi_trudi": part(lambda v, w: w.ctx.jacobi_trudi((2, v))),
     "jacobi_trudi-first-part": part(lambda v, w: w.ctx.jacobi_trudi((v, 1))),
+    "jacobi_trudi-lam": Slot("partition", "iterable", lambda v, w: w.ctx.jacobi_trudi(v)),
     "giambelli": part(lambda v, w: w.ctx.giambelli((2, v))),
     "monomial_expansion": part(lambda v, w: w.ctx.monomial_expansion((2, v))),
     "h-i": index("i", lambda v, w: w.ctx.h(v)),
@@ -155,6 +168,7 @@ SLOTS = {
     "lemma_residual-r": index("r", lambda v, w: w.ctx.lemma_residual(1, v), 1),
     "monomial_symmetric-n": index("n", lambda v, w: monomial_symmetric(v, (1,)), 0),
     # partition helpers: the counts are read when called, not when iterated
+    "check_partition": Slot("partition", "iterable", lambda v, w: check_partition(v)),
     "pad": index("n", lambda v, w: pad((1,), v), 0),
     "partitions_of-total": index("total", lambda v, w: partitions_of(v)),
     "partitions_of-max_part": index(
@@ -221,6 +235,7 @@ SLOTS = {
     # the any-d layer
     "schur_expand_at-lam": part(lambda v, w: schur_expand_at((2, v), w.seq, 3)),
     "schur_expand_at-n": index("n", lambda v, w: schur_expand_at((2,), w.seq, v), 1),
+    "schur_expand_at-seq": Slot("seq", "coeffseq", lambda v, w: schur_expand_at((1,), v, 2)),
     "realize_expansion-expansion": Slot(
         "expansion", "mapping", lambda v, w: realize_expansion(v, 2)
     ),

@@ -29,6 +29,7 @@ from oracles import (
     fraction_shift_coefficients,
     leibniz_det,
     polynomial_lemma_residual,
+    realised_by_products,
     scalar_pair,
     schur_by_tableaux,
     vandermonde,
@@ -351,6 +352,43 @@ def test_jacobi_trudi_equals_bialternant_on_seeded_sequences():
             ctx = GschurContext(n, seq)
             for lam in partitions_up_to(5, n):
                 assert ctx.jacobi_trudi(lam) == ctx.bialternant(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from(sorted(ORACLE_PRESETS)), st.integers(0, 2**16)),
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(list(partitions_up_to(6, n))))
+    ),
+)
+def test_jacobi_trudi_and_fh_taken_in_lambda_equal_the_bialternant(table, case):
+    # Both determinants are taken over free generators h_k and written in
+    # x_1..x_n through Kostka numbers; the bialternant reads only phi.
+    n, lam = case
+    seq = ORACLE_PRESETS[table]() if isinstance(table, str) else seeded_seq(table)
+    ctx = GschurContext(n, seq)
+    bialt = ctx.bialternant(lam)
+    assert ctx.jacobi_trudi(lam) == bialt
+    if seq.name in presets.CLASSICAL_PRESETS:
+        assert presets.fh_character_det(ctx, lam) == bialt
+
+
+def _lambda_elements(depth):
+    """Elements of Lambda on depth generators h_1..h_depth, of degree <= 6."""
+    exponents = st.lists(st.integers(0, 3), min_size=depth, max_size=depth).map(tuple)
+    coefficients = st.fractions(-5, 5, max_denominator=6).filter(bool)
+    return st.dictionaries(
+        exponents.filter(lambda e: sum(k * p for k, p in enumerate(e, 1)) <= 6),
+        coefficients,
+        max_size=6,
+    ).map(lambda terms: MultiPoly(depth, terms))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 5).flatmap(_lambda_elements))
+def test_realise_equals_the_product_of_the_h_polynomials(n, elem):
+    # Through the Schur and monomial coordinates against sum C prod h_k(x).
+    assert engine._realise(elem, n) == realised_by_products(elem, n)
 
 
 def test_hook_negative_arm_closed_form():

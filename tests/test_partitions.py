@@ -15,13 +15,14 @@ from gschur.partitions import (
     dominated_partial_sums,
     format_partition,
     frobenius_coordinates,
+    kostka,
     pad,
     parse_partition,
     partitions_of,
     partitions_up_to,
 )
 
-from oracles import index_set_identity, recursive_compositions
+from oracles import index_set_identity, kostka as tableau_kostka, recursive_compositions
 
 
 @st.composite
@@ -205,3 +206,19 @@ def test_parse_and_format_partition():
         parse_partition("1,2")
     with pytest.raises(ValueError):
         parse_partition("a,b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=partitions(max_weight=7), data=st.data())
+def test_kostka_counts_the_semistandard_tableaux(shape, data):
+    # The content is a partition of the shape's weight, or of a weight near it.
+    weight = data.draw(st.sampled_from(sorted({sum(shape), max(sum(shape) - 1, 0)})))
+    content = data.draw(st.sampled_from(list(partitions_of(weight))))
+    assert kostka(shape, content) == tableau_kostka(shape, content)
+
+
+def test_kostka_pinned():
+    # The classical table of weight 3: h_(1,1,1) = s_3 + 2 s_(2,1) + s_(1,1,1).
+    assert [kostka(rho, (1, 1, 1)) for rho in partitions_of(3)] == [1, 2, 1]
+    assert kostka((2, 1), (3,)) == 0 and kostka((), ()) == 1
+    assert kostka((3, 2), (2, 2, 1)) == 2
