@@ -26,15 +26,16 @@ stable layer runs the recursion on the one-row objects at d.  The
 variable-splitting lemma is one defect function on these maps,
 `_splitting_defect`: `gschur verify` reads its two maps, and
 `lemma_residual` writes the residual polynomial from them alone.  Every
-entry is linear in the h_d, so the Jacobi-Trudi and compact-character
-determinants are taken in Lambda = Q[h_1, h_2, ...] (`_in_lambda`), and
-`_realise` writes each result in x_1..x_n once, through Kostka numbers.
+entry is linear in the h_d, so the Jacobi-Trudi, compact-character and
+Giambelli determinants are taken in Lambda = Q[h_1, h_2, ...] on packed
+maps (`_in_lambda`), and `_realise` writes each result in x_1..x_n once,
+through Kostka numbers.
 
-The sequence memoises its own phi family (`seq.phis`), so every context
-over one sequence shares it; contexts memoise degree scalars, shifted
-families, bialternants and Jacobi-Trudi determinants, which hooks read.
-They are cheap to create and meant for a single thread; the polynomials
-they hand out are immutable and can be shared freely.
+The sequence memoises its own phi family (`seq.phis`), so every context over
+one sequence shares it; contexts memoise degree scalars, shifted families,
+bialternants and Jacobi-Trudi determinants (in Lambda too), which hooks and
+Giambelli read.  They are cheap to create and meant for a single thread; the
+polynomials they hand out are immutable and can be shared freely.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ from operator import itemgetter
 from typing import Callable
 
 from .coeffseq import CoeffSeq
-from .exactalg import MultiPoly, _scaled_sum, as_index, as_rational, determinant
+from .exactalg import (
+    MultiPoly, _Cleared, _cofactor_det, _scaled_sum, as_index, as_rational, determinant,
+)
 from .partitions import (
     Partition,
     _partitions_of,
@@ -155,28 +158,44 @@ def _shapes(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 def _from_degrees(n: int, nums: dict[int, int], den: int) -> MultiPoly:
     """sum_d (nums[d] / den) h_d(x_1..x_n), each numerator written once onto
-    degree d's exponent tuples (`_support`; the h_d have disjoint supports).
-    The writer of the one-row entries `h_shift`; determinants of them are
-    taken in Lambda (`_in_lambda`) and written by `_realise`."""
+    degree d's exponent tuples (`_support`; the h_d have disjoint supports):
+    `h_shift`'s writer; determinants are written by `_realise`."""
     terms = {}
     for degree, c in nums.items():
         terms.update(dict.fromkeys(_support(n, degree), c))
     return MultiPoly._make(n, terms, den)
 
 
-def _in_lambda(nums: dict[int, int], den: int, depth: int) -> MultiPoly:
-    """sum_d (nums[d] / den) h_d, every d <= depth, in Lambda: a `MultiPoly` in
-    `depth` free generators, the k-th standing for h_k (Macdonald, I (2.8))."""
-    unit = _support(depth, 0) + _support(depth, 1)  # unit[k]: the exponent of h_k
-    return MultiPoly._make(depth, {unit[d]: c for d, c in nums.items()}, den)
+def _lambda_width(n: int) -> int:
+    """Bits per generator field in n variables: a Jacobi-Trudi or fh term multiplies
+    l <= n generators, a Giambelli term r <= n hook terms of at most n, so no
+    exponent of any term, cancelled or not, exceeds n * n and none carries."""
+    return (n * n).bit_length()
+
+
+def _in_lambda(nums: dict[int, int], den: int, width: int) -> _Cleared:
+    """sum_d (nums[d] / den) h_d in Lambda = Q[h_1, h_2, ...], the h_k free
+    (Macdonald, I (2.8)), as a packed map: h_1^{e_1} h_2^{e_2} ... is the key
+    with e_k in field k of `width` bits from the lowest, so h_0 = 1 is key 0."""
+    return {1 << width * d >> width: c for d, c in nums.items()}, den
+
+
+def _lambda_det(entry: Callable, lam: Partition, width: int) -> _Cleared:
+    """det[ entry(lam_j - j, c) ] over degree maps, put in Lambda by `_in_lambda`."""
+    cols = range(len(lam))
+    return _cofactor_det(
+        [[_in_lambda(*entry(part - j, c), width) for c in cols] for j, part in enumerate(lam)]
+    )
 
 
 @cache
-def _h_monomials(e: tuple[int, ...], n: int) -> tuple[int, tuple]:
-    """The degree d of h_nu = h_1^{e_1} h_2^{e_2} ... and its (shape, [m_mu] h_nu)
-    pairs for every mu of d with at most n parts, through Schur coordinates:
+def _h_monomials(key: int, n: int) -> tuple[int, tuple]:
+    """The degree d of the packed key of h_nu and its (shape, [m_mu] h_nu) pairs
+    for every mu of d with at most n parts, through Schur coordinates:
     sum_rho K_{rho nu} K_{rho mu}, rho of more than n parts dropping out."""
-    nu = tuple(k for k in range(len(e), 0, -1) for _ in range(e[k - 1]))
+    width = _lambda_width(n)
+    fields = range((key.bit_length() + width - 1) // width, 0, -1)
+    nu = tuple(k for k in fields for _ in range(key >> width * (k - 1) & (1 << width) - 1))
     d = sum(nu)
     schur = [(rho, k) for rho in _partitions_of(d, d, d) if (k := kostka(rho, nu))]
     return d, tuple(
@@ -185,12 +204,12 @@ def _h_monomials(e: tuple[int, ...], n: int) -> tuple[int, tuple]:
     )
 
 
-def _realise(elem: MultiPoly, n: int) -> MultiPoly:
-    """An element of Lambda over `_in_lambda`'s generators in x_1..x_n: per degree,
+def _realise(elem: _Cleared, n: int) -> MultiPoly:
+    """A packed element of Lambda in x_1..x_n, fields `_lambda_width(n)`: per degree,
     sum_nu C_nu [m_mu] h_nu written onto `_support(n, d)` by `_shapes(n, d)`."""
     by_degree: dict[int, dict[tuple[int, ...], int]] = {}
-    for e, k in elem._num.items():
-        d, row = _h_monomials(e, n)
+    for key, k in elem[0].items():
+        d, row = _h_monomials(key, n)
         m = by_degree.setdefault(d, {})
         for shape, c in row:
             m[shape] = m.get(shape, 0) + k * c
@@ -199,7 +218,7 @@ def _realise(elem: MultiPoly, n: int) -> MultiPoly:
         m = by_degree[d]
         values = list(map(m.__getitem__, _shapes(n, d)))
         terms.update(zip(compress(_support(n, d), values), filter(None, values)))
-    return MultiPoly._make(n, terms, elem._den)
+    return MultiPoly._make(n, terms, elem[1])
 
 
 def monomial_symmetric(n: int, mu: Partition) -> MultiPoly:
@@ -226,6 +245,8 @@ class GschurContext:
         self._scalar_memo: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
         self._h_shift_memo: dict[tuple[int, int], MultiPoly] = {}
         self._jt_memo: dict[Partition, MultiPoly] = {}
+        self._lambda_memo: dict[Partition, _Cleared] = {}
+        self._width = _lambda_width(self.n)
 
     # -- building blocks ---------------------------------------------------
 
@@ -311,18 +332,23 @@ class GschurContext:
         lam = self.fit_partition(lam)
         got = self._jt_memo.get(lam)
         if got is None:
-            got = self._jt_memo[lam] = self._det_in_lambda(self.shift_scalars, lam)
+            got = self._jt_memo[lam] = self._det_in_lambda(lam)
         return got
 
-    def _det_in_lambda(self, entry: Callable, lam: Partition) -> MultiPoly:
-        """det[ entry(lam_j - j, c) ] over degree maps, taken in Lambda and written
+    def _jt_in_lambda(self, lam: Partition) -> _Cleared:
+        """The Jacobi-Trudi determinant of lam in Lambda, memoised for `giambelli`."""
+        got = self._lambda_memo.get(lam)
+        if got is None:
+            got = self._lambda_memo[lam] = _lambda_det(self.shift_scalars, lam, self._width)
+        return got
+
+    def _det_in_lambda(self, lam: Partition, entry: Callable | None = None) -> MultiPoly:
+        """det[ entry(lam_j - j, c) ] in Lambda (by default `_jt_in_lambda`) written
         by `_realise`; of order <= 1 it is its entry, h_shift(lam_1, 0)."""
         if len(lam) < 2:
             return self.h_shift(lam[0], 0) if lam else MultiPoly.one(self.n)
-        depth = lam[0] + len(lam) - 1
-        indices = [part - j for j, part in enumerate(lam)]
-        det = first_column_det(lambda i, c: _in_lambda(*entry(i, c), depth), indices, depth)
-        return _realise(det, self.n)
+        elem = self._jt_in_lambda(lam) if entry is None else _lambda_det(entry, lam, self._width)
+        return _realise(elem, self.n)
 
     # -- route 3: hooks and Giambelli -------------------------------------
 
@@ -343,12 +369,15 @@ class GschurContext:
         return self.jacobi_trudi((u + 1,) + (1,) * v)
 
     def giambelli(self, lam) -> MultiPoly:
-        """Determinant of hooks over the Frobenius coordinates of lam."""
+        """Determinant of hooks over the Frobenius coordinates of lam.  Of rank <= 1
+        it is the hook, a memo read; from rank 2 on, the arms being >= 0, it is
+        taken in Lambda over the `_jt_in_lambda` of the hook partitions."""
         lam = self.fit_partition(lam)
         arms, legs = frobenius_coordinates(lam)
-        if not arms:
-            return MultiPoly.one(self.n)
-        return determinant([[self.hook(u, v) for v in legs] for u in arms])
+        if len(arms) < 2:
+            return self.hook(arms[0], legs[0]) if arms else MultiPoly.one(self.n)
+        rows = [[self._jt_in_lambda((u + 1,) + (1,) * v) for v in legs] for u in arms]
+        return _realise(_cofactor_det(rows), self.n)
 
     # -- expansions and identities ----------------------------------------
 

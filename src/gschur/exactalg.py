@@ -12,23 +12,23 @@ division loop, serialisation and printing all follow it, which keeps every
 output of the library deterministic.
 
 All arithmetic runs in Python integers: sums and differences rescale to the
-lcm of the two denominators, and the costly loops (products and the cofactor
-sums of `determinant`) also pack each exponent tuple into one integer
-ordered as graded lex.  The package's other exact maps in this format (shift
-and degree scalars, the phi recurrence, the parameterised Jacobi-Trudi
-entries) are summed by one kernel, `_scaled_sum`, and every integer
-coefficient list of one variable (a fitted function of d, the fit's own
-check, a random closed-form coefficient) is evaluated by one homogeneous
-Horner, `_eval_homogeneous`.  `exact_divide` is
-uncalled in the package and kept because the benchmark's tracer looks it up
-by name.  Coefficients become reduced `Fraction`s only in `items()`,
-`coefficient()` and `leading_term()`.  Output (JSON, text, LaTeX) is
-written from the numerators by `_terms`, which orders the terms by one sort
-of (degree, exponent, numerator) triples, with no Python key per term, and
-reduces each distinct numerator against the denominator once: a shifted
-one-row family repeats one numerator per degree on every monomial of that
-degree, so the output holds far fewer distinct coefficients than terms.
-Text builds each monomial from its nonzero exponents, once per piece.
+lcm of the two denominators, and the costly loops (products and the
+determinant core `_cofactor_det`) run on packed keys, an exponent tuple
+packed into one integer ordered as graded lex.  The package's other exact
+maps in this format (shift and degree scalars, the phi recurrence, the
+parameterised Jacobi-Trudi entries) are summed by one kernel, `_scaled_sum`,
+and every integer coefficient list of one variable (a fitted function of d,
+the fit's own check, a random closed-form coefficient) is evaluated by one
+homogeneous Horner, `_eval_homogeneous`.  `exact_divide` is uncalled in the
+package and kept because the benchmark's tracer looks it up by name.
+Coefficients become reduced `Fraction`s only in `items()`, `coefficient()`
+and `leading_term()`.  Output (JSON, text, LaTeX) is written from the
+numerators by `_terms`, which orders the terms by one sort of (degree,
+exponent, numerator) triples, with no Python key per term, and reduces each
+distinct numerator against the denominator once: a shifted one-row family
+repeats one numerator per degree on every monomial of that degree, so the
+output holds far fewer distinct coefficients than terms.  Text builds each
+monomial from its nonzero exponents, once per piece.
 
 Polynomials are immutable by convention: no method mutates `self`, and all
 arithmetic returns fresh objects, so values can be shared freely between
@@ -480,16 +480,9 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly:
 
 
 def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square matrix given as a list of rows.
-
-    Cofactor expansion along the top row with memoised minors, which suits
-    the small orders the engine uses.  The entries must share one ring.
-
-    The expansion runs on packed integer numerators: each cofactor is one
-    fused `sum of +-entry * minor` over the nonzero entries of its row, and
-    the minors stay packed, so only the result is unpacked and reduced.  A
-    1 x 1 determinant is its entry, returned as it is, with nothing packed.
-    """
+    """Determinant of a square matrix given as a list of rows, whose entries share
+    one ring: packed and expanded by `_cofactor_det`, then unpacked and reduced.
+    A 1 x 1 determinant is its entry, returned as it is, with nothing packed."""
     n = len(rows)
     if n == 0:
         raise ValueError("matrix needs at least one row")
@@ -504,7 +497,18 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     width = _field_width(
         sum(max((_degree(p._num) for p in row if p._num), default=0) for row in rows)
     )
-    cleared = [[_to_ints(p, width) if p._num else None for p in row] for row in rows]
+    cleared = [[_to_ints(p, width) for p in row] for row in rows]
+    return _from_ints(_cofactor_det(cleared), arity, width)
+
+
+def _cofactor_det(rows: Sequence[Sequence[_Cleared]]) -> _Cleared:
+    """The determinant of packed entries (keys add as monomials multiply, and the
+    caller sizes the fields so that none carries), along the top row with
+    memoised minors, each cofactor one `_product_sum` over the row's nonzero
+    entries.  Not reduced; the empty matrix gives 1, a 1 x 1 one its entry."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
     one = ({0: 1}, 1)
     memo: dict[int, _Cleared] = {}
 
@@ -516,14 +520,14 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         got = memo.get(mask)
         if got is not None:
             return got
-        row = cleared[n - mask.bit_count()]
+        row = rows[n - mask.bit_count()]
         pairs = []
         sign = 1
         rest = mask
         while rest:
             low = rest & -rest
             entry = row[low.bit_length() - 1]
-            if entry is not None:
+            if entry[0]:
                 sub = minor(mask ^ low)
                 if sub[0]:
                     pairs.append((sign, entry, sub))
@@ -532,7 +536,7 @@ def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         got = memo[mask] = _product_sum(pairs)
         return got
 
-    return _from_ints(minor((1 << n) - 1), arity, width)
+    return minor((1 << n) - 1)
 
 
 # -- serialisation and printing --------------------------------------------

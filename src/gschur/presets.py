@@ -167,10 +167,12 @@ def fh_character_det(ctx: GschurContext, lam) -> MultiPoly:
         )
     lam = ctx.fit_partition(lam)
 
-    def entry(i: int, c: int) -> tuple[dict[int, int], int]:  # h_i alone when c = 0
-        return _scaled_sum((1, *ctx.shift_scalars(j, 0)) for j in {i + c, i - c})
+    def entry(i: int, c: int) -> tuple[dict[int, int], int]:
+        if not c:
+            return ctx.shift_scalars(i, 0)
+        return _scaled_sum((1, *ctx.shift_scalars(j, 0)) for j in (i + c, i - c))
 
-    return ctx._det_in_lambda(entry, lam)
+    return ctx._det_in_lambda(lam, entry)
 
 
 @cache

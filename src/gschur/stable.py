@@ -76,7 +76,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeffseq import _ZERO, CoeffSeq, PoleError
-from .engine import _in_lambda, _shifted, _support, first_column_det
+from .engine import _lambda_det, _lambda_width, _shifted, _support, first_column_det
 from .exactalg import (
     MultiPoly, _eval_homogeneous, _scaled_sum, as_container, as_index, as_rational,
     format_poly_text,
@@ -221,19 +221,15 @@ def realize_expansion(
         mu: c for mu, c in expansion.items() if c and (len(mu) <= n or mu[n] <= m)
     }
     depth = max((mu[0] + len(mu) - 1 for mu in inside if mu), default=0)
-    return _schur_sum(inside, super_complete_homogeneous(n, m, depth), n + m)
-
-
-def _schur_sum(expansion: Mapping, hs: list[MultiPoly], arity: int) -> MultiPoly:
-    """sum_mu c_mu det[h_{mu_j - j + c}], h_k = hs[k] (0 for k < 0)."""
-    zero = MultiPoly.zero(arity)
+    hs = super_complete_homogeneous(n, m, depth)
+    zero = MultiPoly.zero(n + m)
 
     def h_entry(i: int, c: int) -> MultiPoly:
         return hs[i + c] if i + c >= 0 else zero
 
     out = zero
-    for mu, c in expansion.items():
-        out = out + c * first_column_det(h_entry, [p - j for j, p in enumerate(mu)], arity)
+    for mu, c in inside.items():
+        out = out + c * first_column_det(h_entry, [p - j for j, p in enumerate(mu)], n + m)
     return out
 
 
@@ -490,6 +486,8 @@ def interpolate_c_family(lam, seq: CoeffSeq) -> dict[Partition, RationalFunction
     fits nothing; the caller gets a fresh dict each time.  Failures are not
     stored and are raised again on every call.
     """
+    if not isinstance(seq, CoeffSeq):
+        raise TypeError(f"seq must be a CoeffSeq, got {type(seq).__name__}")
     lam = check_partition(lam)
     if lam in seq.families:
         return dict(seq.families[lam])
@@ -543,20 +541,22 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
 
     Both sides are compared in Lambda = Q[h_1, h_2, ...], the h_k
     algebraically independent (Macdonald, *Symmetric Functions and Hall
-    Polynomials*, ch. I (2.8)): a `MultiPoly` in lam_1 + l(lam) - 1
-    variables, the k-th standing for h_k (`engine._in_lambda`, the writer
-    of the finite entries too).  Entry (i, c) is h_i^{(c)} from
-    `engine._shifted`, the recursion of the finite entries, with arguments
-    offset by d - 1 (so the sequence must be closed form) and the one-row
-    any-d objects at d, each sum_k [s_(k)] S_(j) h_k, as its base.  The
-    right-hand side is sum_mu c_mu det[h_{mu_j - j + c}] over
-    `gschur_function`.  Equality in Lambda implies it after truncation, so
-    n_eval (index gate, at least max(1, l(lam))) does not change the verdict.
+    Polynomials*, ch. I (2.8)), both determinants by `engine._lambda_det` on
+    the finite entries' packed maps, fields of `_lambda_width(l(lam))` bits.
+    Entry (i, c) is h_i^{(c)} from `engine._shifted`, the recursion of the
+    finite entries, with arguments offset by d - 1 (so the sequence must be
+    closed form) and the one-row any-d objects at d, each sum_k [s_(k)]
+    S_(j) h_k, as its base.  The right-hand side is sum_mu c_mu
+    det[h_{mu_j - j + c}] over `gschur_function`.  Equality in Lambda
+    implies it after truncation, so n_eval (index gate, at least
+    max(1, l(lam))) does not change the verdict.
 
     An integer d < l(lam) raises ValueError before any fit: there the entries
     read boundary values such as a(0) and b(1), which no finite-count entry
     with n >= l(lam) reads, so the two sides differ for so_odd and so_even.
     """
+    if not isinstance(seq, CoeffSeq):
+        raise TypeError(f"seq must be a CoeffSeq, got {type(seq).__name__}")
     if not seq.is_closed_form:
         raise ValueError("the parameterised recursion needs a closed-form sequence")
     lam = check_partition(lam)
@@ -565,21 +565,24 @@ def jt_infinite_check(lam, seq: CoeffSeq, d_value, n_eval: int) -> bool:
     d = as_rational(d_value, "d_value")
     if d.denominator == 1 and d < l:
         raise ValueError(f"at an integer d the check needs d >= l(lambda) = {l}, got {d}")
-    depth = lam[0] + l - 1 if lam else 0
-    hs = [_in_lambda({k: 1}, 1, depth) for k in range(depth + 1)]
-    rhs = _schur_sum(gschur_function(lam, seq, d), hs, depth)
+    width = _lambda_width(l)
+
+    def h(i: int, c: int) -> tuple[dict[int, int], int]:
+        return {i + c: 1} if i + c >= 0 else {}, 1
+
+    rhs = _scaled_sum((v.numerator, _lambda_det(h, mu, width)[0], v.denominator)  # h: den 1
+                      for mu, v in gschur_function(lam, seq, d).items())
     one_rows = [
         _scaled_sum((v.numerator, {sum(mu): 1}, v.denominator)
                     for mu, v in gschur_function((j,) if j else (), seq, d).items())
-        for j in range(depth + 1)
+        for j in range(lam[0] + l if lam else 1)
     ]
     memo: dict = {}
 
-    def entry(i: int, c: int) -> MultiPoly:
-        scalars = _shifted(one_rows.__getitem__, seq.a_at, seq.b_at, d, i, c, memo)
-        return _in_lambda(*scalars, depth)
+    def entry(i: int, c: int) -> tuple[dict[int, int], int]:
+        return _shifted(one_rows.__getitem__, seq.a_at, seq.b_at, d, i, c, memo)
 
-    return first_column_det(entry, [part - j for j, part in enumerate(lam)], depth) == rhs
+    return _scaled_sum([(1, *_lambda_det(entry, lam, width))]) == rhs
 
 
 # -- super-symmetric realisation -------------------------------------------
@@ -593,6 +596,8 @@ def super_schur(lam, seq: CoeffSeq, alphabet: SuperAlphabet) -> MultiPoly:
     container gate and must be a pair; both sizes go through the index gate
     before any fit.
     """
+    if not isinstance(seq, CoeffSeq):
+        raise TypeError(f"seq must be a CoeffSeq, got {type(seq).__name__}")
     lam = check_partition(lam)
     if len(as_container(alphabet, "alphabet", Sequence)) != 2:
         raise ValueError(f"alphabet must be a pair (n, m), got {alphabet!r}")

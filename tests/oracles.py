@@ -35,7 +35,7 @@ behind the Giambelli route, and renaming variables by a permutation.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import gcd
+from math import gcd, lcm
 
 from gschur.coeffseq import PoleError
 from gschur.engine import _from_degrees, _shifted, first_column_det
@@ -275,7 +275,8 @@ def realized_jt_entries(seq, d, one_rows):
     {mu: [s_mu] S_(j)} (`one_rows[j]`, mu = () or (k,)) realised with
     s_() = 1 and s_(k) = h_k, the k-th variable of a MultiPoly in
     len(one_rows) - 1 variables, then summed with the
-    `fraction_shift_coefficients` scalars at offset d as Fraction * MultiPoly."""
+    `fraction_shift_coefficients` scalars at offset d as Fraction * MultiPoly.
+    `lambda_poly` reads the check's packed entries in the same form."""
     depth = len(one_rows) - 1
     hs = [MultiPoly.one(depth)] + [MultiPoly.variable(depth, k) for k in range(depth)]
     realized = []
@@ -522,8 +523,33 @@ def schur_by_tableaux(lam, n) -> MultiPoly:
     return MultiPoly(n, {e: c for e, c in terms.items() if c})
 
 
+def packed_lambda(elem, width):
+    """An element of Lambda given as a MultiPoly in h_1..h_depth (the k-th
+    variable standing for h_k) as the engine's packed map: the exponent of
+    h_k in field k, `width` bits each counted from the lowest, numerators
+    over the lcm of the denominators.  The exponents must fit their fields."""
+    assert all(v < 1 << width for e, _ in elem.items() for v in e)
+    den = lcm(*(c.denominator for _, c in elem.items()))
+    nums = {
+        sum(v << width * k for k, v in enumerate(e)): int(c * den) for e, c in elem.items()
+    }
+    return nums, den
+
+
+def lambda_poly(packed, width, depth) -> MultiPoly:
+    """Inverse of `packed_lambda`: field k of each key (`width` bits, counted
+    from the lowest, at most `depth` fields) is the exponent of h_k."""
+    nums, den = packed
+    terms = {}
+    for key, c in nums.items():
+        assert key >> width * depth == 0
+        e = tuple(key // 2 ** (width * k) % 2**width for k in range(depth))
+        terms[e] = Fraction(c, den)
+    return MultiPoly(depth, terms)
+
+
 def realised_by_products(elem, n) -> MultiPoly:
-    """An element of Lambda on `engine._in_lambda`'s generators, the k-th
+    """An element of Lambda as a MultiPoly in h_1..h_depth, the k-th variable
     standing for h_k, in x_1..x_n: each term C h_1^{e_1} h_2^{e_2} ...
     multiplied out from the `_from_degrees` polynomials h_k(x_1..x_n)."""
     hs = [_from_degrees(n, {k: 1}, 1) for k in range(elem.arity + 1)]

@@ -380,20 +380,23 @@ def test_verify_suites_detect_a_wrong_quantity(monkeypatch, prop, owner, attr, c
         assert report.failures[0]["seq"] == first_draw.table_dump(24)
 
 
-@pytest.mark.parametrize("prop", ["jt", "fh"])
+@pytest.mark.parametrize("prop", ["jt", "fh", "giambelli"])
 def test_a_wrong_kostka_number_fails_the_jt_and_fh_properties(monkeypatch, prop):
-    # Both determinants are written in x_1..x_n through Kostka numbers, so one
-    # wrong number, K_(2,1),(2,1) = 2, must show against the bialternant.  The
-    # monomial coordinates of each h_nu are memoised, so they start cold.
+    # The three determinants are written in x_1..x_n through Kostka numbers,
+    # so one wrong number, K_(2,2),(2,2) = 2, must show against the
+    # bialternant at (2, 2), where Giambelli is a 2 x 2 determinant in Lambda
+    # and no hook's realisation reads the number.  The monomial coordinates
+    # of each h_nu are memoised in one cache, replaced by a cold one here.
     real = engine.kostka
 
     def wrong(shape, content):
-        return real(shape, content) + (shape == content == (2, 1))
+        return real(shape, content) + (shape == content == (2, 2))
 
     monkeypatch.setattr(engine, "kostka", wrong)
     monkeypatch.setattr(engine, "_h_monomials", cache(engine._h_monomials.__wrapped__))
-    report = run_property(prop, trials=1, seed=3, **options_read_by(prop, 3, 2))
-    assert report.failures and report.checks
+    report = run_property(prop, trials=1, seed=3, **options_read_by(prop, 4, 2))
+    assert report.checks
+    assert {tuple(f["lambda"]) for f in report.failures} == {(2, 2)}
 
 
 def test_a_broken_spot_check_fails_in_the_suite_and_in_the_gate(monkeypatch):

@@ -242,6 +242,9 @@ SLOTS = {
     "realize_expansion-n": index("n", lambda v, w: realize_expansion({(1,): 1}, v), 0),
     "realize_expansion-m": index("m", lambda v, w: realize_expansion({(1,): 1}, 2, v), 0),
     "interpolate_c_family": part(lambda v, w: interpolate_c_family((2, v), w.seq)),
+    "interpolate_c_family-seq": Slot(
+        "seq", "coeffseq", lambda v, w: interpolate_c_family((1,), v)
+    ),
     "gschur_function-lam": part(lambda v, w: gschur_function((2, v), w.seq, F(1, 3))),
     "gschur_function-d": scalar("d_value", lambda v, w: gschur_function((1,), w.seq, v)),
     "jt_infinite_check-lam": part(
@@ -253,6 +256,9 @@ SLOTS = {
     "jt_infinite_check-n_eval": index(
         "n_eval", lambda v, w: jt_infinite_check((2, 1), w.seq, F(1, 3), v), 2
     ),
+    "jt_infinite_check-seq": Slot(
+        "seq", "coeffseq", lambda v, w: jt_infinite_check((1,), v, F(1, 3), 2)
+    ),
     "super_schur-lam": part(lambda v, w: super_schur((2, v), w.seq, SuperAlphabet(2, 1))),
     "super_schur-alphabet": Slot(
         "alphabet", "sequence", lambda v, w: super_schur((1,), w.seq, v),
@@ -263,6 +269,9 @@ SLOTS = {
     ),
     "super_schur-m": index(
         "alphabet.m", lambda v, w: super_schur((1,), w.seq, SuperAlphabet(2, v)), 0
+    ),
+    "super_schur-seq": Slot(
+        "seq", "coeffseq", lambda v, w: super_schur((1,), v, SuperAlphabet(1, 1))
     ),
     "fitted-function": scalar("d", lambda v, w: _fitted()(v)),
     # MultiPoly: the constructor, the builders and the operators

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,7 @@ from gschur.engine import (
     shift_coefficients,
 )
 from gschur.exactalg import MultiPoly
-from gschur.partitions import compositions, partitions_up_to
+from gschur.partitions import compositions, partitions_of, partitions_up_to
 from gschur.presets import bc_jacobi, schur, so_even, so_odd, sp
 from gschur.stable import jt_infinite_check
 
@@ -27,7 +27,9 @@ from oracles import (
     fraction_phi_table,
     fraction_product,
     fraction_shift_coefficients,
+    lambda_poly,
     leibniz_det,
+    packed_lambda,
     polynomial_lemma_residual,
     realised_by_products,
     scalar_pair,
@@ -362,33 +364,82 @@ def test_jacobi_trudi_equals_bialternant_on_seeded_sequences():
     ),
 )
 def test_jacobi_trudi_and_fh_taken_in_lambda_equal_the_bialternant(table, case):
-    # Both determinants are taken over free generators h_k and written in
-    # x_1..x_n through Kostka numbers; the bialternant reads only phi.
+    # The three determinants are taken over free generators h_k and written
+    # in x_1..x_n through Kostka numbers; the bialternant reads only phi.
     n, lam = case
     seq = ORACLE_PRESETS[table]() if isinstance(table, str) else seeded_seq(table)
     ctx = GschurContext(n, seq)
     bialt = ctx.bialternant(lam)
+    assert ctx.giambelli(lam) == bialt
     assert ctx.jacobi_trudi(lam) == bialt
     if seq.name in presets.CLASSICAL_PRESETS:
         assert presets.fh_character_det(ctx, lam) == bialt
 
 
-def _lambda_elements(depth):
-    """Elements of Lambda on depth generators h_1..h_depth, of degree <= 6."""
-    exponents = st.lists(st.integers(0, 3), min_size=depth, max_size=depth).map(tuple)
+def _lambda_elements(n, depth):
+    """(n, an element of Lambda on depth generators h_1..h_depth, of degree <= 6,
+    no exponent above the n * n that the fields of `_lambda_width(n)` hold)."""
+    exponents = st.lists(st.integers(0, min(3, n * n)), min_size=depth, max_size=depth)
     coefficients = st.fractions(-5, 5, max_denominator=6).filter(bool)
-    return st.dictionaries(
-        exponents.filter(lambda e: sum(k * p for k, p in enumerate(e, 1)) <= 6),
+    return st.tuples(st.just(n), st.dictionaries(
+        exponents.map(tuple).filter(lambda e: sum(k * p for k, p in enumerate(e, 1)) <= 6),
         coefficients,
         max_size=6,
-    ).map(lambda terms: MultiPoly(depth, terms))
+    ).map(lambda terms: MultiPoly(depth, terms)))
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 5).flatmap(_lambda_elements))
-def test_realise_equals_the_product_of_the_h_polynomials(n, elem):
-    # Through the Schur and monomial coordinates against sum C prod h_k(x).
-    assert engine._realise(elem, n) == realised_by_products(elem, n)
+@given(st.integers(1, 5).flatmap(lambda n: st.integers(0, 5).flatmap(
+    lambda depth: _lambda_elements(n, depth)
+)))
+def test_realise_equals_the_product_of_the_h_polynomials(case):
+    # A packed map, through the Schur and monomial coordinates, against
+    # sum C prod h_k(x) multiplied out term by term.
+    n, elem = case
+    assert engine._realise(packed_lambda(elem, engine._lambda_width(n)), n) == (
+        realised_by_products(elem, n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_realise_reads_a_field_filled_to_the_bound(n):
+    # h_1^{n^2} fills the first field of `_lambda_width(n)` bits to its bound.
+    elem = MultiPoly(2, {(n * n, 0): 1, (n * n - 1, 1): F(-1, 2)})
+    packed = packed_lambda(elem, engine._lambda_width(n))
+    assert engine._realise(packed, n) == realised_by_products(elem, n)
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16])
+def test_elementary_jacobi_trudi_fills_a_field_to_n(n):
+    # Over schur the Jacobi-Trudi determinant of (1^n) is e_n, the sum over
+    # the compositions alpha of n of (-1)^{n - l(alpha)} h_alpha (Macdonald,
+    # I (2.6')); packed, h_nu carries the number of orderings of nu, and
+    # h_1^n puts n, at n = 2^k - 1 and 2^k, into one field.
+    ctx = GschurContext(n, schur())
+    got = lambda_poly(ctx._jt_in_lambda((1,) * n), engine._lambda_width(n), n)
+    expected = {}
+    for nu in partitions_of(n):
+        counts = [nu.count(k) for k in range(1, n + 1)]
+        orderings = factorial(len(nu)) // prod(map(factorial, counts))
+        expected[tuple(counts)] = (-1) ** (n - len(nu)) * orderings
+    assert got == MultiPoly(n, expected)
+    if n <= 8:
+        assert ctx.jacobi_trudi((1,) * n) == MultiPoly.monomial(n, (1,) * n)
+        ctx = GschurContext(n, seeded_seq(n))
+        assert ctx.jacobi_trudi((1,) * n) == ctx.bialternant((1,) * n)
+
+
+@pytest.mark.parametrize("lam", [(2, 2, 1, 1, 1, 1), (3, 3, 3, 1, 1, 1)])
+def test_giambelli_with_long_legs_outgrows_one_jacobi_trudi_field(lam):
+    # Frobenius (1 0 | 5 4) and (2 1 0 | 5 1 0) in six variables: a term of
+    # the Giambelli expansion multiplies hook terms of up to 6 + 5 = 11 and
+    # 6 + 2 + 1 = 9 generators, more than the n = 6 of a Jacobi-Trudi term
+    # and within the n * n = 36 that `_lambda_width(6)` holds.
+    seq = seeded_seq(21)
+    ctx = GschurContext(6, seq)
+    giambelli = ctx.giambelli(lam)
+    assert giambelli == ctx.bialternant(lam)
+    assert giambelli == GschurContext(6, seq).jacobi_trudi(lam)
 
 
 def test_hook_negative_arm_closed_form():
@@ -447,17 +498,22 @@ def test_giambelli_equals_bialternant_on_seeded_sequences():
 
 
 def test_jacobi_trudi_and_giambelli_share_each_determinant(monkeypatch):
-    # The order of every engine determinant call of order >= 2; a 1 x 1
-    # determinant is its entry and is not counted.
+    # The order of every determinant in Lambda of order >= 2 (a 1 x 1
+    # determinant is its entry and is not counted); the polynomial
+    # determinant is never called.
     orders = []
-    real = engine.determinant
+    real = engine._cofactor_det
 
     def counting(rows):
         if len(rows) >= 2:
             orders.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(engine, "determinant", counting)
+    def refused(rows):
+        raise AssertionError("a polynomial determinant was taken")
+
+    monkeypatch.setattr(engine, "_cofactor_det", counting)
+    monkeypatch.setattr(engine, "determinant", refused)
     for seq in (schur(), seeded_seq(14)):
         # A hook partition: Giambelli reads the Jacobi-Trudi result as its 1 x 1 matrix.
         ctx = GschurContext(3, seq)
@@ -465,7 +521,8 @@ def test_jacobi_trudi_and_giambelli_share_each_determinant(monkeypatch):
         jt = ctx.jacobi_trudi((3, 1, 1))
         assert ctx.giambelli((3, 1, 1)) == jt == ctx.bialternant((3, 1, 1))
         assert orders == [3]
-        # (2, 2) = (1 0 | 1 0): once its four hooks are memoised, one 2 x 2 determinant.
+        # (2, 2) = (1 0 | 1 0): once its four hooks are memoised, one 2 x 2
+        # determinant over their elements of Lambda.
         ctx = GschurContext(2, seq)
         hooks = [ctx.hook(u, v) for u in (1, 0) for v in (1, 0)]
         assert hooks[0] == ctx.jacobi_trudi((2, 1)) == ctx.bialternant((2, 1))

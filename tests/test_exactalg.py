@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gschur.exactalg import (
     DivisionNotExactError,
     MultiPoly,
+    _cofactor_det,
     _scaled_sum,
     _terms,
     determinant,
@@ -25,7 +26,9 @@ from oracles import (
     apply_permutation,
     fraction_linear,
     fraction_product,
+    lambda_poly,
     leibniz_det,
+    packed_lambda,
     per_term_json,
     per_term_text,
     scalar_pair,
@@ -239,6 +242,27 @@ def test_determinant_matches_fraction_leibniz(rows):
     det = determinant(rows)
     assert det == leibniz_det(rows)
     assert_canonical(det)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda size: st.lists(
+        st.lists(rational_polys(arity=3), min_size=size, max_size=size),
+        min_size=size, max_size=size,
+    )
+))
+@settings(max_examples=60, deadline=None)
+def test_packed_core_matches_fraction_leibniz_on_lambda_maps(rows):
+    # Entries in Q[h_1, h_2, h_3] as the engine packs them, four bits a
+    # field: no term of an order-4 expansion has an exponent above 8.
+    packed = [[packed_lambda(p, 4) for p in row] for row in rows]
+    assert lambda_poly(_cofactor_det(packed), 4, 3) == leibniz_det(rows)
+
+
+def test_packed_core_of_orders_zero_and_one():
+    entry = ({0: 3, 1: -1}, 2)
+    assert _cofactor_det([]) == ({0: 1}, 1)
+    assert _cofactor_det([[entry]]) is entry
+    assert _cofactor_det([[entry, entry], [({}, 1), entry]]) == ({0: 9, 1: -6, 2: 1}, 4)
 
 
 @given(rational_polys(), rational_polys())

@@ -16,7 +16,7 @@ from gschur.coeffseq import (
     random_coeffseq,
     random_polynomial_coeffseq,
 )
-from gschur.engine import GschurContext, first_column_det
+from gschur.engine import GschurContext, _in_lambda, _lambda_det, first_column_det
 from gschur.exactalg import MultiPoly
 from gschur.partitions import contains, partitions_up_to
 from gschur.presets import bc_jacobi, factorial, schur, so_even, so_odd, sp
@@ -44,6 +44,7 @@ from oracles import (
     fraction_rational_value,
     fraction_reduced_ratio,
     kernel_fit,
+    lambda_poly,
     leibniz_det,
     minor_expansion,
     newton_complete_homogeneous,
@@ -760,25 +761,27 @@ JT_ENTRY_SEQS = [bc_jacobi(1, -3), random_polynomial_coeffseq(random.Random(7))]
 @pytest.mark.parametrize("d", [F(1, 3), F(7, 3)], ids=["1/3", "7/3"])
 @pytest.mark.parametrize("seq", JT_ENTRY_SEQS, ids=["bc_jacobi", "poly-table"])
 def test_jt_infinite_entries_equal_the_realised_one_row_sums(monkeypatch, seq, d, n_eval):
-    # The check writes each entry from a degree map onto the free generators
-    # h_k of Lambda; the oracle realises every one-row object on them first
-    # and sums Fraction * MultiPoly.  n_eval changes no entry.
+    # The check puts each entry's degree map on the free generators h_k of
+    # Lambda as a packed map; the oracle realises every one-row object on
+    # them first and sums Fraction * MultiPoly.  n_eval changes no entry.
     lam = (3, 2, 1)
     seen = {}
 
-    def spy(entry, indices, arity):
-        seen["entry"] = entry
-        return first_column_det(entry, indices, arity)
+    def spy(entry, mu, width):
+        seen["entry"], seen["width"] = entry, width  # the last call: the left side
+        return _lambda_det(entry, mu, width)
 
-    monkeypatch.setattr(stable, "first_column_det", spy)
+    monkeypatch.setattr(stable, "_lambda_det", spy)
     assert jt_infinite_check(lam, seq, d, n_eval)
     top = lam[0] + len(lam)
     one_rows = [gschur_function((j,) if j else (), seq, d) for j in range(top)]
     oracle = realized_jt_entries(seq, d, one_rows)
     cases = [(i, c) for i in range(-len(lam), lam[0] + 1) for c in range(len(lam))
              if i + c < top]
+    width = seen["width"]
     for i, c in cases:
-        assert seen["entry"](i, c) == oracle(i, c), (i, c)
+        packed = _in_lambda(*seen["entry"](i, c), width)
+        assert lambda_poly(packed, width, top - 1) == oracle(i, c), (i, c)
     assert any(not oracle(i, c).is_zero for i, c in cases if c)
 
 
